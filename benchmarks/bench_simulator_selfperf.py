@@ -295,22 +295,24 @@ def test_lane_sweep_trace_replay(benchmark, yolo_net):
 
 
 def test_vectorized_point_pass(benchmark, yolo_net):
-    """NumPy column pricing vs the per-event Python loop, same program.
+    """NumPy tier pricing vs per-event replay, same trace and points.
 
-    Times ``_point_pass_fast`` (per-event Python loop) against
-    ``_point_pass_vec`` (``np.add.accumulate`` / ``np.bincount``) on
-    the identical captured program, at a conflict-free design point.
-    The compile (``_compile_fast``) is timed and reported separately:
-    production (``_run_points``) pays it once per L2 budget per sweep
-    group, so the per-point comparison is pass vs pass.  The target on
-    the pass itself is >=3x (docs/PERFORMANCE.md); the gate sits at 2x
-    against machine noise.
+    Times :func:`repro.machine.replay.replay` (the per-event oracle,
+    which re-prices every event of the trace) against
+    ``_point_pass_vec`` (``np.add.accumulate`` / ``np.bincount`` over a
+    compiled tier) at the same conflict-free design points.  The tier
+    build (``_skeleton`` + ``_compile_fast``) is timed and reported
+    separately: production (``_run_points``) pays it once per L2 budget
+    per sweep group, or loads the stored ``.rvp``, so the per-point
+    comparison is pricing vs pricing.  The gate sits at 2x against
+    machine noise.
     """
     from repro.machine.replay import (
         _compile_fast,
         _GroupCapture,
-        _point_pass_fast,
         _point_pass_vec,
+        _skeleton,
+        replay,
     )
 
     n_layers = int(os.environ.get("REPRO_BENCH_SWEEP_LAYERS", "20") or "20")
@@ -319,30 +321,28 @@ def test_vectorized_point_pass(benchmark, yolo_net):
     reps = 3
 
     def run():
+        trace = yolo_net.record_trace(machines[0], policy, n_layers=n_layers)
         cap = _GroupCapture(machines[0], defer_vpu=True)
         yolo_net._emit_trace(cap, policy, n_layers, True)
         prog, inv, gcfg = cap.finish()
         gc.disable()
         try:
             t0 = time.perf_counter()
-            loop_stats = [
-                _point_pass_fast(prog, inv, m, gcfg)
-                for _ in range(reps) for m in machines
-            ]
+            loop_stats = [replay(trace, m) for m in machines]
             t_loop = time.perf_counter() - t0
             t0 = time.perf_counter()
-            cols = _compile_fast(prog, gcfg)
+            cols = _compile_fast(_skeleton(prog, gcfg), gcfg)
             t_compile = time.perf_counter() - t0
             t0 = time.perf_counter()
             vec_stats = [
                 _point_pass_vec(cols, inv, m, gcfg)
                 for _ in range(reps) for m in machines
             ]
-            t_vec = time.perf_counter() - t0
+            t_vec = (time.perf_counter() - t0) / reps
         finally:
             gc.enable()
             gc.collect()
-        return loop_stats, vec_stats, len(prog), t_loop, t_compile, t_vec
+        return loop_stats * reps, vec_stats, len(prog), t_loop, t_compile, t_vec
 
     loop_stats, vec_stats, n_items, t_loop, t_compile, t_vec = run_once(
         benchmark, run
@@ -362,18 +362,18 @@ def test_vectorized_point_pass(benchmark, yolo_net):
         "bench": "vectorized_point_pass",
         "n_layers": n_layers,
         "program_items": n_items,
-        "points_priced": reps * len(machines),
-        "loop_pass_s": round(t_loop, 4),
+        "points_priced": len(machines),
+        "replay_s": round(t_loop, 4),
         "compile_s": round(t_compile, 4),
         "vec_pass_s": round(t_vec, 4),
         "speedup": round(speedup, 3),
         "bitwise_identical": identical,
     }
     banner(f"Vectorized point pass (yolov3, {n_layers} layers)")
-    print(f"python loop pass        : {t_loop:.3f}s")
-    print(f"column compile (once)   : {t_compile:.3f}s")
-    print(f"numpy column pass       : {t_vec:.3f}s")
-    print(f"speedup (pass vs pass)  : {speedup:.2f}x")
+    print(f"per-event replay        : {t_loop:.3f}s")
+    print(f"tier compile (once)     : {t_compile:.3f}s")
+    print(f"numpy tier pricing      : {t_vec:.3f}s")
+    print(f"speedup (per point set) : {speedup:.2f}x")
     print("BENCH " + json.dumps(row, sort_keys=True))
     benchmark.extra_info.update(row)
 

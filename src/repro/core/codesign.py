@@ -172,13 +172,15 @@ def _simulate_group(
     Points are first resolved against the persistent result cache, then
     grouped by trace key (:func:`repro.core.tracecache.trace_key`);
     each replayable group (:func:`repro.machine.replay.group_mode` —
-    L2/DRAM sweeps and VPU-pricing sweeps like lanes/MLP) runs the
-    kernels once — via :func:`repro.machine.replay.capture_sweep`, or
-    :func:`~repro.machine.replay.replay_sweep` when the registry already
-    holds the trace — and prices every sibling from the shared stream.
-    Singleton groups (e.g. each point of a VL sweep, whose event
-    streams differ per point) capture a reusable trace and replay from
-    it, seeding the registry/spill so later sweeps along *any*
+    L2/DRAM sweeps and VPU-pricing sweeps like lanes/MLP; a singleton,
+    such as one point of a VL sweep, is a group too) is priced from
+    the compiled-pass cache when it can be
+    (:func:`~repro.machine.replay.replay_sweep_cached`), else from a
+    registered or spilled trace
+    (:func:`~repro.machine.replay.replay_sweep`), else by one kernel
+    run that records the trace and prices every sibling
+    (:func:`repro.machine.replay.capture_sweep`), seeding the
+    registry/spill and the tier cache so later sweeps along *any*
     replayable axis price the figure without re-running kernels.
     Groups varying in a genuinely un-replayable field fall back to
     ordinary per-point simulation — or raise when ``use_trace=True``
@@ -187,12 +189,14 @@ def _simulate_group(
     Returns ``(stats, sources)`` in input order; statistics are bitwise
     identical to per-point simulation regardless of the path taken.
 
-    Supervision (see :mod:`repro.core.resilience`): a failing shared
-    pricing pass degrades its whole group to the per-point loop; a
-    failing point retries per *retry* and finally degrades to a
-    :class:`PointFailure` charged against *budget*.  *on_point* /
-    *on_failure* fire as each point settles — the journaling hook for
-    resumable sweeps.
+    Supervision (see :mod:`repro.core.resilience`): a failing group
+    pricing degrades its whole group to the per-point loop — unless
+    ``use_trace=True``, where the error propagates, since the caller
+    asked for replay and a replay bug would otherwise surface only as
+    a slower sweep; a failing point retries per *retry* and finally
+    degrades to a :class:`PointFailure` charged against *budget*.
+    *on_point* / *on_failure* fire as each point settles — the
+    journaling hook for resumable sweeps.
     """
     from . import simcache, tracecache
     from ..machine.replay import (
@@ -252,6 +256,9 @@ def _simulate_group(
             try:
                 for i in idxs:
                     faults.maybe_fault("worker.point", index=indices[i])
+            except Exception:
+                continue  # a failing point: the per-point loop retries it
+            try:
                 # Warm path first: when the compiled-pass cache holds a
                 # digest-matching pass (or tier) for this key, the group
                 # prices without ever decoding the trace columns.
@@ -261,23 +268,21 @@ def _simulate_group(
                 elif (trace := tracecache.get(key)) is not None:
                     priced = replay_sweep(trace, group)
                     labels = ["replayed"] * len(idxs)
-                elif len(idxs) == 1:
-                    # Singleton (e.g. one VL point): record a reusable
-                    # trace and price from it.  Slightly dearer than a
-                    # direct simulation once, then every re-run — and
-                    # every other axis sharing the key — replays.
-                    trace, _ = tracecache.get_or_capture(
-                        net, group[0], policy, n_layers
-                    )
-                    priced = replay_sweep(trace, group)
-                    labels = ["captured"]
                 else:
+                    # One kernel run records the trace and prices the
+                    # group; singletons (e.g. one VL point) included,
+                    # so every re-run — and every other axis sharing
+                    # the key — replays.
                     priced = capture_sweep(
                         lambda sim: net._emit_trace(sim, policy, n_layers, True),
                         group,
+                        key=key,
+                        meta=net._trace_meta(policy, n_layers),
                     )
                     labels = ["captured"] + ["replayed"] * (len(idxs) - 1)
             except Exception:
+                if use_trace is True:
+                    raise  # replay was demanded: a pricing bug must surface
                 continue  # degrade the group to the per-point loop below
             if priced is None:
                 continue  # non-uniform group: per-point fallback below

@@ -90,6 +90,7 @@ __all__ = [
     "decode_vecprog",
     "store_vecprog",
     "load_vecprog",
+    "read_vecprog_header",
     "read_pass_header",
     "publish_pass_shm",
     "split_cache_filename",
@@ -377,11 +378,7 @@ def encode_trace(trace: RecordedTrace, level: str = "archive") -> bytes:
             "meta": trace.meta,
             "n_events": n,
             "columns": col_meta,
-            "sha256": RecordedTrace._content_digest(
-                tuple(cols[name] for name, _ in RecordedTrace._COLUMNS),
-                trace.labels,
-                trace.buffers,
-            ),
+            "sha256": trace.content_digest(),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -437,7 +434,7 @@ def decode_trace(blob: bytes) -> RecordedTrace:
     digest = RecordedTrace._content_digest(ordered, labels, buffers)
     if header.get("sha256") != digest:
         raise ValueError("trace content digest mismatch (corrupt container)")
-    return RecordedTrace(
+    trace = RecordedTrace(
         header.get("key"),
         header["isa_name"],
         header["vlen_bits"],
@@ -447,6 +444,8 @@ def decode_trace(blob: bytes) -> RecordedTrace:
         meta=header.get("meta"),
         buffers=buffers,
     )
+    trace._digest = digest  # verified above: never re-hashed
+    return trace
 
 
 def save_compressed(
@@ -496,7 +495,8 @@ def read_header(path: str) -> dict:
 # Serializing it means a warm sweep re-prices points without ever
 # re-walking the event stream.  The compiled point-pass tiers
 # (``_VecProgram`` columns) additionally capture the resolved L2 walk,
-# so a warm singleton point collapses to one column-arithmetic pricing.
+# so a warm group whose points all have a tier decodes nothing else and
+# prices each point with column arithmetic.
 #
 # Both containers mirror the ``.rtz`` layout: magic + version + JSON
 # header + per-column compressed blocks, with two sha256 digests — the
@@ -1143,6 +1143,24 @@ def load_vecprog(
     return out
 
 
+def read_vecprog_header(
+    key: str, sig: str, tier_token: str, trace_sha256: str
+) -> Optional[dict]:
+    """Header of a stored tier derived from *trace_sha256*, else ``None``.
+
+    Reads only the JSON header (no column decode, no payload check), so
+    a warm sweep can pick each point's tier before decoding any; a
+    corrupt file surfaces, and is quarantined, at :func:`load_vecprog`.
+    """
+    try:
+        header = read_pass_header(_vecprog_path(key, sig, tier_token))
+    except (OSError, ValueError):
+        return None
+    if header.get("trace_sha256") != trace_sha256:
+        return None
+    return header
+
+
 def publish_pass_shm(key: str, sig: str) -> bool:
     """Publish an on-disk ``.rpp`` blob to shared memory for workers.
 
@@ -1376,19 +1394,37 @@ def get(key: str, spill: Optional[bool] = None) -> Optional[RecordedTrace]:
     return None
 
 
-def put(key: str, trace: RecordedTrace, spill: Optional[bool] = None) -> None:
-    """Register *trace* under *key*; optionally spill it to disk."""
-    _REGISTRY.pop(key, None)
-    _REGISTRY[key] = trace
-    while len(_REGISTRY) > _REGISTRY_CAP:
-        _REGISTRY.pop(next(iter(_REGISTRY)))
+def put(
+    key: str,
+    trace: RecordedTrace,
+    spill: Optional[bool] = None,
+    resident: bool = True,
+) -> None:
+    """Register *trace* under *key*; optionally spill it to disk.
+
+    With ``resident=False`` a trace that spilled is not registered:
+    :func:`get` decodes it on demand.  A capture that has already
+    derived everything it needs from its trace drops the columns at
+    once this way; without a spill the trace is registered regardless.
+    """
+    if resident or not spill_enabled(spill):
+        _register(key, trace)
     if spill_enabled(spill):
         path = _spill_path(key)
         try:
             save_compressed(trace, path, level="fast")
         except OSError:
+            if not resident:
+                _register(key, trace)
             return  # spilling is best-effort, like the simcache
         faults.maybe_fault("tracecache.spill", key=key, path=path)
+
+
+def _register(key: str, trace: RecordedTrace) -> None:
+    _REGISTRY.pop(key, None)
+    _REGISTRY[key] = trace
+    while len(_REGISTRY) > _REGISTRY_CAP:
+        _REGISTRY.pop(next(iter(_REGISTRY)))
 
 
 def get_or_capture(

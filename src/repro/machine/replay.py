@@ -1,6 +1,6 @@
 """Replay recorded kernel traces against one or many design points.
 
-Three engines, three speed classes:
+Two entry points price a trace, and one runs the kernels:
 
 * :func:`replay` — feed a :class:`~repro.machine.trace.RecordedTrace`
   back through a regular :class:`~repro.machine.simulator.TraceSimulator`
@@ -8,6 +8,7 @@ Three engines, three speed classes:
   arithmetic, policy dispatch) but re-prices every event; bitwise
   identical to direct simulation by construction, since it calls the
   very same event methods with the very same arguments and weights.
+  It is the oracle the group engines are tested against.
 
 * :func:`replay_sweep` — price one trace on a whole *group* of machines
   that differ only in L2 geometry/latency and DRAM parameters (the
@@ -17,60 +18,71 @@ Three engines, three speed classes:
   group-invariant upstream levels (TLB, L1, prefetcher, VectorCache
   — all identical across the group), producing a compact *program* of
   pre-priced invariant cycle contributions plus the per-event list of
-  line addresses that reached the L2.  Each design point then replays
-  only that program against its own L2/range model — typically a few
-  percent of the events carry pending lines, so a point costs a small
-  fraction of a direct simulation.  In a VPU group
-  (:func:`group_mode` returns ``"vpu"``) the lane/MLP-dependent cycle
-  terms are not pre-priced: the shared pass records each distinct
-  (event kind, element count, operand shape) as a *pricing class*
-  (tag-6 program items), and every point resolves the class table
-  once against its own VPU before folding — so one capture prices a
-  whole lane sweep bitwise-identically to per-point simulation.
+  line addresses that reached the L2.  The VPU-dependent cycle terms
+  are not pre-priced: the shared pass records each distinct (event
+  kind, element count, operand shape) as a *pricing class* (tag-6
+  program items), and every point resolves the class table once
+  against its own VPU — so one capture prices a lane sweep too.
 
-* :func:`capture_sweep` — the same split, but the shared pass is driven
-  directly by the kernels (no intermediate trace): one kernel run prices
-  the whole group.  This is the serial cold-sweep fast path.
+* :func:`capture_sweep` — the same split driven directly by the
+  kernels: one kernel run records the trace and builds the shared
+  pass.  It is the one cold path for every replayable group, singletons
+  (one VL point) included, and it keeps what it built for the next
+  sweep: the trace (spilled or registered), the shared pass (memo) and
+  one tier per point (``.rvp``).  :func:`replay_sweep_cached` answers a
+  warm group from those tiers alone.
+
+Skeleton and tiers
+------------------
+Every design point is priced the same way: :func:`_point_pass_vec`
+folds a *tier* — the program flattened into NumPy columns plus a table
+of pricing classes — with ``np.add.accumulate`` / ``np.bincount``.  A
+tier has two parts.  The *skeleton* (:class:`_Skeleton`, built once per
+program) holds what no L2 can change: the pre-priced floats, the label
+of every item, the fixed tag-6 classes, and for each L2-reaching event
+its tier-independent pricing key and its pending line addresses.  The
+*outcome* is each such event's ``(hits, misses)`` split on one L2,
+resolved by one of two builders and interned into classes with one
+``np.unique`` (:func:`_intern`):
+
+* :func:`_compile_fast` — an L2 in which no set ever holds more
+  distinct lines than ways never evicts, so a line hits **iff** it was
+  touched before; only its first touch needs the residency-range model.
+  The tier depends only on the L2 byte budget (``None`` when the ranges
+  never trim), and resolving it visits just the first-touch lines.
+  Prefetcher and prefetch-hint fills rule it out (they insert lines
+  outside the demand stream).
+* :func:`_compile_walk` — the exact LRU walk of one L2 geometry and
+  prefetcher.  Without fills only the sets that can overflow are
+  walked; every other line is a first-touch range check or a hit.
+
+Tiers carry no latency or VPU, so one serves every point sharing its L2
+budget or geometry — a lane sweep prices from one tier — and each
+persists as an ``.rvp`` file next to the trace.
 
 Bitwise identity
 ----------------
 The split relies on properties of the direct simulator that are easy to
-state and checked by tests/test_trace_replay.py:
+state and checked by tests/test_trace_replay.py and
+tests/test_tier_identity.py:
 
 * Latency sums are integers until the final stall arithmetic, so
   splitting ``lat`` into an upstream part (shared pass) and
-  ``l2_lat * pending + dram_lat * misses`` (point pass) is exact.
+  ``l2_lat * pending + dram_lat * misses`` (point pricing) is exact.
 * Per-event cycle pricing is a pure function of the walk outcome —
   :func:`~repro.machine.simulator.vmem_event_cycles` is shared with the
   simulator, and the scalar-miss formula below is kept in lock-step
   with ``TraceSimulator.scalar_load``/``scalar_store``.
 * ``SimStats`` counters are accumulated per field in event order; the
   twelve group-invariant fields are folded once in the shared pass and
-  copied into every point's result.
+  copied into every point's result.  NumPy accumulate and
+  bincount-with-weights are in-order loops, unlike the pairwise
+  ``np.sum``, so the column folds keep that order.
 * ``occ2`` is a repeated sum of ``fill_l2`` — reproduced with a
   running table so point ``k`` misses cost exactly the same float.
 * Dirty bits only feed cache-object writeback counters (never
-  ``SimStats``), so the point-pass L2 walk may store ``True``
-  unconditionally without perturbing residency or LRU order.
-
-The conflict-free fast path (:func:`_point_pass_fast`) additionally
-exploits that an L2 in which no set's distinct-line population exceeds
-the associativity never evicts: a lookup then hits **iff** the line was
-touched before, which the shared pass precomputes per event (a repeat
-count plus the list of first-touch lines).  Only the residency-range
-outcome still varies per point, so those points skip the cache walk
-entirely.  Prefetcher/prefetch-hint fills disable the shortcut (they
-insert lines outside the demand stream).
-
-Conflict-free points whose residency ranges also never trim (the
-recorded working set fits the point's L2) go one step further: their
-walk outcome is *point-invariant*, so the program is compiled once
-into flat NumPy columns (:func:`_compile_fast`) and each point is
-priced by :func:`_point_pass_vec` with ``np.add.accumulate`` /
-``np.bincount`` column arithmetic instead of a per-event Python loop.
-Both folds are strictly sequential in event order (NumPy accumulate
-and bincount-with-weights are defined as in-order loops, unlike the
-pairwise ``np.sum``), so the result stays bitwise identical.
+  ``SimStats``), so the tier walk may store ``True`` unconditionally
+  without perturbing residency or LRU order.
 
 The hierarchy walks in :class:`_GroupCapture` mirror
 ``MemoryHierarchy._l1_path`` / ``_l2_path`` and their strided variants
@@ -81,6 +93,7 @@ lock-step with hierarchy.py when the model changes.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -112,6 +125,7 @@ from .trace import (
     AddressSpace,
     RecordedTrace,
     SampledTraceBase,
+    _EventLog,
 )
 from .vpu import varith_cycles, vbroadcast_cycles
 
@@ -353,13 +367,13 @@ class _GroupCapture(SampledTraceBase):
     trace — can drive it directly) and walks every memory event through
     the levels that are identical across an L2/DRAM sweep group: TLB,
     L1, L1 prefetcher, VectorCache.  Output (see :meth:`finish`) is the
-    replay *program* the point passes price, the folded invariant
+    replay *program* every tier is built from, the folded invariant
     ``SimStats`` fields, and the group constants.
 
     ``prog`` items (in original event order):
 
     * ``float`` — a pre-priced, weighted cycle contribution.  Never
-      coalesced: the point pass must fold cycles in the direct
+      coalesced: pricing must fold cycles in the direct
       simulator's event order for bitwise identity.
     * ``(1, label)`` — kernel-label switch (emitted lazily, only ahead
       of items that add cycles, so no spurious ``kernel_cycles``
@@ -372,8 +386,9 @@ class _GroupCapture(SampledTraceBase):
       are folded here once instead of per line per point; the point
       pass recovers the L2 line as ``a >> l2_shift``).  ``nh0`` counts
       lines touched before (guaranteed hits in a conflict-free L2) and
-      ``ft`` holds the first-touch lines' addresses, both for
-      :func:`_point_pass_fast`.
+      ``ft`` holds the first-touch lines' addresses; both are carried
+      by the ``.rpp`` layout, while tiers re-derive first touches from
+      the address column (:func:`_skeleton`).
     * ``(4, w, addrs, inv_lat, occ1, write, nh0, ft)`` — a scalar
       access with at least one L1 miss.
     * ``(5, lines)`` — honoured software-prefetch fills into the L2.
@@ -391,7 +406,11 @@ class _GroupCapture(SampledTraceBase):
         self.address_space = AddressSpace()
         # Kernels only reach the hierarchy via note_resident_range.
         self.hierarchy = self
-        hier = MemoryHierarchy(base)
+        # Only the levels above the L2 are walked here: a one-set L2 of
+        # the same line size keeps every constant this pass reads and
+        # skips allocating one dict per set of a large L2.
+        l2_one_set = replace(base.l2, size_bytes=base.l2.line_bytes * base.l2.assoc)
+        hier = MemoryHierarchy(replace(base, l2=l2_one_set))
         vpu = base.vpu
         self._vpu = vpu
         self._port_l1 = vpu.mem_port == "L1"
@@ -459,7 +478,7 @@ class _GroupCapture(SampledTraceBase):
         return self.address_space.alloc(name, nbytes)
 
     def note_resident_range(self, base: int, nbytes: int) -> None:
-        self._prog.append((2, base, nbytes))
+        self._append((2, base, nbytes))
         if nbytes > 0:
             # Track the would-be range total under an infinite budget:
             # if it never exceeds a point's L2 capacity, that point
@@ -998,10 +1017,13 @@ class _GroupCapture(SampledTraceBase):
         # Mirrors TraceSimulator.spill: per register one full-vector
         # store and reload at stack address 0, then the serialization
         # penalty and the spill counter.
+        # (_vmem directly: a recording subclass logs the spill event
+        # itself, not its expansion.)
         n_elems = (self.machine.vlen_bits // 8) // 4
-        for _ in range(n_registers):
-            self.vstore(0, n_elems, 4)
-            self.vload(0, n_elems, 4)
+        if n_elems > 0:
+            for _ in range(n_registers):
+                self._vmem(0, n_elems, 4, 0, True)
+                self._vmem(0, n_elems, 4, 0, False)
         w = self._w
         append = self._append
         self._switch(append)
@@ -1010,7 +1032,7 @@ class _GroupCapture(SampledTraceBase):
 
     # -- freezing ------------------------------------------------------
     def finish(self):
-        """Return ``(prog, inv, gc)`` for the point passes."""
+        """Return ``(prog, inv, gc)`` for the tier builders."""
         inv = SimStats()
         inv.scalar_instrs = self._scalar_instrs
         inv.vec_instrs = self._vec_instrs
@@ -1150,754 +1172,198 @@ def _shared_pass_python(
     return cap.finish()
 
 
-def _point_pass(prog: list, inv: SimStats, machine: MachineConfig, gc: dict) -> SimStats:
-    """Price the shared-pass program against one design point's L2."""
-    hier = MemoryHierarchy(machine)
-    l2 = hier.l2
-    l2_sets, l2_num, l2_assoc = l2._sets, l2.num_sets, l2.assoc
-    pf2 = hier.l2_prefetcher if hier._pf2_on else None
-    range_hit = hier._range_hit
-    note_range = hier.note_resident_range
-    l2_lat = hier._l2_lat
-    dram_lat = hier._dram_lat
-    fill_l2 = hier._fill_l2
-    # The point's own VPU: identical to the capture VPU in an l2-mode
-    # group, the varying one in a vpu-mode group.
-    vpu = machine.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    l2_shift = gc["l2_shift"]
-    classes = gc["classes"]
-    prices = (
-        _vpu_price_table(classes, vpu, l1_lat, ooo_hide) if classes else ()
-    )
-    # Only the L1-port vector path feeds the L2 prefetcher (the RVV L2
-    # path has no prefetcher); the scalar path always does.
-    v_pf2 = pf2 if gc["port_l1"] else None
-    # occ2 is a repeated sum of fill_l2 in the direct simulator; the
-    # table reproduces the exact fold for any miss count.
-    occ_tab = [0.0]
-    fin_memo = {}
-    fin4 = {}
-    kc = {}
-    cur = None
-    kcur = 0.0
-    cycles = 0.0
-    l2_hits = l2_misses = dram_fills = 0.0
-    # _range_hit only reorders the range list in place;
-    # note_resident_range (tag 2) rebinds it, refreshed there.
-    ranges = hier._ranges
+class _Skeleton:
+    """The tier-independent columns of one shared-pass program.
 
-    for it in prog:
-        if type(it) is float:
-            cycles += it
-            kcur += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            (_, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit,
-             iid, _nh0, _ft) = it
-            nh = nm = 0
-            for a in addrs:
-                l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
-                    # Dirty bits only feed writeback counters SimStats
-                    # never reads; storing True keeps LRU state exact.
-                    ways[l2a] = True
-                    nh += 1
-                    continue
-                ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-                    if v_pf2 is not None:
-                        v_pf2.observe(l2, l2a)
-            mkey = (iid, nh, nm)
-            cached = fin_memo.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                c = vmem_event_cycles(
-                    vpu, l1_lat, ooo_hide, lat, occ1, occ_tab[nm],
-                    nbytes, n_lines, write, unit,
-                )
-                cached = fin_memo[mkey] = (w * c, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            if wh:
-                l2_hits += wh
-            if wm:
-                l2_misses += wm
-                dram_fills += wm
-        elif tag == 4:
-            _, w, addrs, inv_lat, occ1, write, _nh0, _ft = it
-            nh = nm = 0
-            for a in addrs:
-                l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
-                    ways[l2a] = True
-                    nh += 1
-                    continue
-                ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-                    if pf2 is not None:
-                        pf2.observe(l2, l2a)
-            mkey = (w, inv_lat, occ1, write, nh, nm)
-            cached = fin4.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                # Lock-step with TraceSimulator.scalar_load/scalar_store.
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if write:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + occ1 + occ_tab[nm])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4[mkey] = (wc, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            l2_hits += wh
-            l2_misses += wm
-            dram_fills += wm
-        elif tag == 6:
-            wc = it[1] * prices[it[2]]
-            cycles += wc
-            kcur += wc
-        elif tag == 1:
-            if cur is not None:
-                kc[cur] = kcur
-            cur = it[1]
-            kcur = kc.get(cur, 0.0)
-        elif tag == 2:
-            note_range(it[1], it[2])
-            ranges = hier._ranges
-        else:  # tag 5: honoured software-prefetch fills into the L2
-            for la in it[1]:
-                ways = l2_sets[la % l2_num]
-                if la not in ways:
-                    ways[la] = False
-                    if len(ways) > l2_assoc:
-                        ways.pop(next(iter(ways)))
+    Built once per program (:class:`_SkeletonBuilder`) and shared by
+    every tier compiled from it:
 
-    if cur is not None:
-        kc[cur] = kcur
-    out = SimStats()
-    out.cycles = cycles
-    out.l2_hits = l2_hits
-    out.l2_misses = l2_misses
-    out.dram_fills = dram_fills
-    for name in _INVARIANT_FIELDS:
-        setattr(out, name, getattr(inv, name))
-    out.kernel_cycles = kc
-    return out
+    * the item columns of :class:`_VecProgram` — ``base`` (pre-priced
+      floats, 0.0 at class items), ``kid`` (label id per item),
+      ``labels`` and ``cls_pos`` (item position of every class item);
+    * the fixed tag-6 classes: ``t6_at`` (class-item slot of each tag-6
+      item), ``t6_cls`` (its index into ``t6_defs``);
+    * per L2-reaching event (tags 3/4, stream order): ``ev_at`` (its
+      class-item slot), ``ev_key`` (index into ``ev_defs``, the
+      tier-independent part of its pricing class: ``iid`` for tag 3,
+      ``(w, inv_lat, occ1, write)`` for tag 4), ``ev_scalar`` (tag 4)
+      and ``ev_off`` (offsets into ``addrs``);
+    * ``addrs``, the pending byte addresses of every event, flattened;
+      ``lines``, the distinct L2 lines, and ``ft_pos``, the position of
+      each line's first touch — the one access to it a conflict-free L2
+      cannot hit without the residency-range model;
+    * ``side``, the ``note_resident_range`` (tag 2) and prefetch-fill
+      (tag 5) items as ``(address position, item)`` in stream order.
 
-
-def _point_pass_hybrid(
-    prog: list, inv: SimStats, machine: MachineConfig, gc: dict, hot: set
-) -> SimStats:
-    """Point pass that walks only lines mapping to *hot* L2 sets.
-
-    ``hot`` holds every distinct L2 line whose set's distinct-line
-    population exceeds the associativity.  All other ("cold") sets can
-    never evict, so a cold lookup hits **iff** the line was touched
-    before — decided from the per-event first-touch list without
-    touching cache structures.  Cold first touches still run the
-    residency-range check *in stream order* (interleaved with the hot
-    walk exactly as in :func:`_point_pass`), because ``_range_hit``
-    LRU-refreshes the range list and a later trim picks its victims by
-    that order.  Caller guarantees no prefetcher fills (cold sets must
-    see the pure demand stream).
+    A tier adds only each event's ``(hits, misses)`` split
+    (:func:`_intern`).
     """
-    hier = MemoryHierarchy(machine)
-    l2 = hier.l2
-    l2_sets, l2_num, l2_assoc = l2._sets, l2.num_sets, l2.assoc
-    range_hit = hier._range_hit
-    note_range = hier.note_resident_range
-    l2_lat = hier._l2_lat
-    dram_lat = hier._dram_lat
-    fill_l2 = hier._fill_l2
-    vpu = machine.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    l2_shift = gc["l2_shift"]
-    classes = gc["classes"]
-    prices = (
-        _vpu_price_table(classes, vpu, l1_lat, ooo_hide) if classes else ()
+
+    __slots__ = (
+        "base",
+        "kid",
+        "labels",
+        "cls_pos",
+        "t6_at",
+        "t6_cls",
+        "t6_defs",
+        "ev_at",
+        "ev_key",
+        "ev_defs",
+        "ev_scalar",
+        "ev_off",
+        "addrs",
+        "lines",
+        "ft_pos",
+        "side",
     )
-    occ_tab = [0.0]
-    fin_memo = {}
-    fin4 = {}
-    kc = {}
-    cur = None
-    kcur = 0.0
-    cycles = 0.0
-    l2_hits = l2_misses = dram_fills = 0.0
-    # _range_hit only reorders the range list in place;
-    # note_resident_range (tag 2) rebinds it, refreshed there.
-    ranges = hier._ranges
-
-    for it in prog:
-        if type(it) is float:
-            cycles += it
-            kcur += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            (_, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit,
-             iid, _nh0, ft) = it
-            nh = nm = 0
-            if ft:
-                ftset = set(ft)
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    elif a in ftset:
-                        # Cold first touch: range check, in stream order.
-                        ftset.remove(a)
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1  # cold repeat: can never have been evicted
-            else:
-                # No first touches in this event: every cold line is a
-                # repeat, hence a guaranteed hit.
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1
-            mkey = (iid, nh, nm)
-            cached = fin_memo.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                c = vmem_event_cycles(
-                    vpu, l1_lat, ooo_hide, lat, occ1, occ_tab[nm],
-                    nbytes, n_lines, write, unit,
-                )
-                cached = fin_memo[mkey] = (w * c, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            if wh:
-                l2_hits += wh
-            if wm:
-                l2_misses += wm
-                dram_fills += wm
-        elif tag == 4:
-            _, w, addrs, inv_lat, occ1, write, _nh0, ft = it
-            nh = nm = 0
-            if ft:
-                ftset = set(ft)
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    elif a in ftset:
-                        ftset.remove(a)
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1
-            else:
-                for a in addrs:
-                    l2a = a >> l2_shift
-                    if l2a in hot:
-                        ways = l2_sets[l2a % l2_num]
-                        if ways.pop(l2a, None) is not None:
-                            ways[l2a] = True
-                            nh += 1
-                            continue
-                        ways[l2a] = True
-                        if len(ways) > l2_assoc:
-                            ways.pop(next(iter(ways)))
-                        if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                            nh += 1
-                        else:
-                            nm += 1
-                    else:
-                        nh += 1
-            mkey = (w, inv_lat, occ1, write, nh, nm)
-            cached = fin4.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = inv_lat + l2_lat * (nh + nm) + dram_lat * nm
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if write:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + occ1 + occ_tab[nm])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4[mkey] = (wc, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            l2_hits += wh
-            l2_misses += wm
-            dram_fills += wm
-        elif tag == 6:
-            wc = it[1] * prices[it[2]]
-            cycles += wc
-            kcur += wc
-        elif tag == 1:
-            if cur is not None:
-                kc[cur] = kcur
-            cur = it[1]
-            kcur = kc.get(cur, 0.0)
-        elif tag == 2:
-            note_range(it[1], it[2])
-            ranges = hier._ranges
-        else:
-            raise ValueError("prefetch fills in a hybrid point pass")
-
-    if cur is not None:
-        kc[cur] = kcur
-    out = SimStats()
-    out.cycles = cycles
-    out.l2_hits = l2_hits
-    out.l2_misses = l2_misses
-    out.dram_fills = dram_fills
-    for name in _INVARIANT_FIELDS:
-        setattr(out, name, getattr(inv, name))
-    out.kernel_cycles = kc
-    return out
 
 
-def _point_pass_fast(
-    prog: list, inv: SimStats, machine: MachineConfig, gc: dict
-) -> SimStats:
-    """Conflict-free point pass: no L2 set ever exceeds its associativity.
+class _SkeletonBuilder:
+    """Streams shared-pass program items into :class:`_Skeleton` columns.
 
-    Such an L2 never evicts, so a lookup hits **iff** the line was
-    touched before — which the shared pass precomputed per event
-    (``nh0`` repeat-touch hits plus the ``ft`` first-touch list).  Only
-    the residency-range checks still depend on the point (range budgets
-    trim differently per L2 capacity), so this walks just the
-    first-touch lines against the range model and skips the cache
-    structures entirely.  Caller guarantees: no prefetcher fills, no
-    tag-5 items (checked via ``gc``), and the set-population bound.
+    :meth:`extend` takes items in stream order, in as many batches as
+    the caller likes: :func:`_skeleton` passes a finished program in
+    one, the fused capture (:class:`_RecordingCapture`) passes what it
+    emitted every few thousand events, so that path never holds the
+    whole program.  Columns accumulate in typed ``array`` buffers (no
+    per-value Python objects) and become NumPy arrays without a copy.
     """
-    hier = MemoryHierarchy.pricing_view(machine)
-    range_hit = hier._range_hit
-    note_range = hier.note_resident_range
-    l2_lat = hier._l2_lat
-    dram_lat = hier._dram_lat
-    fill_l2 = hier._fill_l2
-    vpu = machine.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    classes = gc["classes"]
-    prices = (
-        _vpu_price_table(classes, vpu, l1_lat, ooo_hide) if classes else ()
-    )
-    occ_tab = [0.0]
-    fin_memo = {}
-    fin4 = {}
-    kc = {}
-    cur = None
-    kcur = 0.0
-    cycles = 0.0
-    l2_hits = l2_misses = dram_fills = 0.0
-    # _range_hit only reorders the range list in place;
-    # note_resident_range (tag 2) rebinds it, refreshed there.
-    ranges = hier._ranges
 
-    for it in prog:
-        if type(it) is float:
-            cycles += it
-            kcur += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            nh = it[10]
-            nm = 0
-            ft = it[11]
-            if ft:
-                for a in ft:
-                    if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                        nh += 1
-                    else:
-                        nm += 1
-            mkey = (it[9], nh, nm)
-            cached = fin_memo.get(mkey)
-            if cached is None:
-                w = it[1]
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = it[3] + l2_lat * (nh + nm) + dram_lat * nm
-                c = vmem_event_cycles(
-                    vpu, l1_lat, ooo_hide, lat, it[4], occ_tab[nm],
-                    it[5], it[6], it[7], it[8],
-                )
-                cached = fin_memo[mkey] = (w * c, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            if wh:
-                l2_hits += wh
-            if wm:
-                l2_misses += wm
-                dram_fills += wm
-        elif tag == 4:
-            nh = it[6]
-            nm = 0
-            ft = it[7]
-            if ft:
-                for a in ft:
-                    if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                        nh += 1
-                    else:
-                        nm += 1
-            w = it[1]
-            mkey = (w, it[3], it[4], it[5], nh, nm)
-            cached = fin4.get(mkey)
-            if cached is None:
-                while nm >= len(occ_tab):
-                    occ_tab.append(occ_tab[-1] + fill_l2)
-                lat = it[3] + l2_lat * (nh + nm) + dram_lat * nm
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if it[5]:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + it[4] + occ_tab[nm])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4[mkey] = (wc, w * nh, w * nm)
-            wc, wh, wm = cached
-            cycles += wc
-            kcur += wc
-            l2_hits += wh
-            l2_misses += wm
-            dram_fills += wm
-        elif tag == 6:
-            wc = it[1] * prices[it[2]]
-            cycles += wc
-            kcur += wc
-        elif tag == 1:
-            if cur is not None:
-                kc[cur] = kcur
-            cur = it[1]
-            kcur = kc.get(cur, 0.0)
-        elif tag == 2:
-            note_range(it[1], it[2])
-            ranges = hier._ranges
-        else:
-            raise ValueError(
-                "prefetch fills in a conflict-free point pass"
-            )
+    def __init__(self):
+        self.base = array("d")
+        self.kid = array("q")
+        self.cls_pos = array("q")
+        self.labels: list = []
+        self.label_ids: dict = {}
+        self.t6_at = array("q")
+        self.t6_cls = array("q")
+        self.t6_ids: dict = {}
+        self.t6_defs: list = []
+        self.ev_key = array("q")
+        self.ev_at = array("q")
+        self.ev_scalar = array("b")
+        self.ev_defs: list = []
+        self.iid_keys: dict = {}
+        self.scalar_keys: dict = {}
+        self.addrs = array("q")
+        self.ev_off = array("q", [0])
+        self.side: list = []
+        self.cur_kid = -1
 
-    if cur is not None:
-        kc[cur] = kcur
-    out = SimStats()
-    out.cycles = cycles
-    out.l2_hits = l2_hits
-    out.l2_misses = l2_misses
-    out.dram_fills = dram_fills
-    for name in _INVARIANT_FIELDS:
-        setattr(out, name, getattr(inv, name))
-    out.kernel_cycles = kc
-    return out
+    def extend(self, items) -> None:
+        base_append = self.base.append
+        kid_append = self.kid.append
+        cls_pos = self.cls_pos
+        pos_append = cls_pos.append
+        ev_defs = self.ev_defs
+        iid_keys = self.iid_keys
+        scalar_keys = self.scalar_keys
+        ev_key_append = self.ev_key.append
+        ev_at_append = self.ev_at.append
+        ev_scalar_append = self.ev_scalar.append
+        addrs = self.addrs
+        addrs_extend = addrs.extend
+        off_append = self.ev_off.append
+        t6_ids = self.t6_ids
+        t6_defs = self.t6_defs
+        t6_cls_append = self.t6_cls.append
+        t6_at_append = self.t6_at.append
+        n = len(self.base)
+        cur_kid = self.cur_kid
+        for it in items:
+            if type(it) is float:
+                base_append(it)
+                kid_append(cur_kid)
+                n += 1
+                continue
+            tag = it[0]
+            if tag == 3:
+                k = iid_keys.get(it[9])
+                if k is None:
+                    k = iid_keys[it[9]] = len(ev_defs)
+                    ev_defs.append(
+                        (3, it[1], it[3], it[4], it[5], it[6], it[7], it[8])
+                    )
+                ev_key_append(k)
+                ev_at_append(len(cls_pos))
+                ev_scalar_append(False)
+                addrs_extend(it[2])
+                off_append(len(addrs))
+            elif tag == 4:
+                skey = (it[1], it[3], it[4], it[5])
+                k = scalar_keys.get(skey)
+                if k is None:
+                    k = scalar_keys[skey] = len(ev_defs)
+                    ev_defs.append((4,) + skey)
+                ev_key_append(k)
+                ev_at_append(len(cls_pos))
+                ev_scalar_append(True)
+                addrs_extend(it[2])
+                off_append(len(addrs))
+            elif tag == 6:
+                key = (6, it[1], it[2])
+                c = t6_ids.get(key)
+                if c is None:
+                    c = t6_ids[key] = len(t6_defs)
+                    t6_defs.append(key)
+                t6_cls_append(c)
+                t6_at_append(len(cls_pos))
+            elif tag == 1:
+                kid = self.label_ids.get(it[1])
+                if kid is None:
+                    kid = self.label_ids[it[1]] = len(self.labels)
+                    self.labels.append(it[1])
+                cur_kid = kid
+                continue
+            else:  # tag 2 (residency range) or 5 (prefetch fills)
+                self.side.append((len(addrs), it))
+                continue
+            pos_append(n)
+            base_append(0.0)
+            kid_append(cur_kid)
+            n += 1
+        self.cur_kid = cur_kid
+
+    def build(self, l2_shift: int) -> _Skeleton:
+        skel = _Skeleton()
+        skel.base = np.frombuffer(self.base, dtype=np.float64)
+        skel.kid = np.frombuffer(self.kid, dtype=np.int64)
+        skel.labels = self.labels
+        skel.cls_pos = np.frombuffer(self.cls_pos, dtype=np.int64)
+        skel.t6_at = np.frombuffer(self.t6_at, dtype=np.int64)
+        skel.t6_cls = np.frombuffer(self.t6_cls, dtype=np.int64)
+        skel.t6_defs = self.t6_defs
+        skel.ev_at = np.frombuffer(self.ev_at, dtype=np.int64)
+        skel.ev_key = np.frombuffer(self.ev_key, dtype=np.int64)
+        skel.ev_defs = self.ev_defs
+        skel.ev_scalar = np.frombuffer(self.ev_scalar, dtype=np.int8).astype(bool)
+        skel.ev_off = np.frombuffer(self.ev_off, dtype=np.int64)
+        skel.addrs = np.frombuffer(self.addrs, dtype=np.int64)
+        # A pending line is a first touch iff its L2 line never reached
+        # the L2 earlier in the stream: its first occurrence in the
+        # flattened address column (return_index picks the first).
+        skel.lines, first = np.unique(skel.addrs >> l2_shift, return_index=True)
+        skel.ft_pos = np.sort(first)
+        skel.side = self.side
+        return skel
 
 
-def _point_pass_fast2(
-    prog: list,
-    inv: SimStats,
-    ma: MachineConfig,
-    mb: MachineConfig,
-    gc: dict,
-):
-    """Two conflict-free points in one pass over the program.
-
-    Identical per-point arithmetic to :func:`_point_pass_fast` (fully
-    duplicated state, suffixes ``a``/``b``); the shared iteration,
-    dispatch, and invariant-float handling are paid once instead of
-    twice — which dominates a conflict-free pass.  Returns a pair of
-    ``SimStats``.
-    """
-    hier_a = MemoryHierarchy.pricing_view(ma)
-    hier_b = MemoryHierarchy.pricing_view(mb)
-    range_hit_a = hier_a._range_hit
-    range_hit_b = hier_b._range_hit
-    note_range_a = hier_a.note_resident_range
-    note_range_b = hier_b.note_resident_range
-    l2_lat_a, l2_lat_b = hier_a._l2_lat, hier_b._l2_lat
-    dram_lat_a, dram_lat_b = hier_a._dram_lat, hier_b._dram_lat
-    fill_l2_a, fill_l2_b = hier_a._fill_l2, hier_b._fill_l2
-    vpu_a, vpu_b = ma.vpu, mb.vpu
-    l1_lat = gc["l1_lat"]
-    ooo_hide = gc["ooo_hide"]
-    scalar_cpi = gc["scalar_cpi"]
-    classes = gc["classes"]
-    if classes:
-        prices_a = _vpu_price_table(classes, vpu_a, l1_lat, ooo_hide)
-        prices_b = _vpu_price_table(classes, vpu_b, l1_lat, ooo_hide)
-    else:
-        prices_a = prices_b = ()
-    occ_tab_a = [0.0]
-    occ_tab_b = [0.0]
-    fin_a = {}
-    fin_b = {}
-    fin4_a = {}
-    fin4_b = {}
-    kc_a = {}
-    kc_b = {}
-    cur = None
-    kcur_a = kcur_b = 0.0
-    cycles_a = cycles_b = 0.0
-    l2h_a = l2m_a = df_a = 0.0
-    l2h_b = l2m_b = df_b = 0.0
-    ranges_a = hier_a._ranges
-    ranges_b = hier_b._ranges
-
-    for it in prog:
-        if type(it) is float:
-            cycles_a += it
-            kcur_a += it
-            cycles_b += it
-            kcur_b += it
-            continue
-        tag = it[0]
-        if tag == 3:
-            nh0 = it[10]
-            ft = it[11]
-            nh_a = nh_b = nh0
-            nm_a = nm_b = 0
-            if ft:
-                for a in ft:
-                    if (ranges_a and ranges_a[-1][0] <= a < ranges_a[-1][1]) or range_hit_a(a):
-                        nh_a += 1
-                    else:
-                        nm_a += 1
-                for a in ft:
-                    if (ranges_b and ranges_b[-1][0] <= a < ranges_b[-1][1]) or range_hit_b(a):
-                        nh_b += 1
-                    else:
-                        nm_b += 1
-            iid = it[9]
-            mkey = (iid, nh_a, nm_a)
-            cached = fin_a.get(mkey)
-            if cached is None:
-                w = it[1]
-                while nm_a >= len(occ_tab_a):
-                    occ_tab_a.append(occ_tab_a[-1] + fill_l2_a)
-                lat = it[3] + l2_lat_a * (nh_a + nm_a) + dram_lat_a * nm_a
-                c = vmem_event_cycles(
-                    vpu_a, l1_lat, ooo_hide, lat, it[4], occ_tab_a[nm_a],
-                    it[5], it[6], it[7], it[8],
-                )
-                cached = fin_a[mkey] = (w * c, w * nh_a, w * nm_a)
-            wc, wh, wm = cached
-            cycles_a += wc
-            kcur_a += wc
-            if wh:
-                l2h_a += wh
-            if wm:
-                l2m_a += wm
-                df_a += wm
-            mkey = (iid, nh_b, nm_b)
-            cached = fin_b.get(mkey)
-            if cached is None:
-                w = it[1]
-                while nm_b >= len(occ_tab_b):
-                    occ_tab_b.append(occ_tab_b[-1] + fill_l2_b)
-                lat = it[3] + l2_lat_b * (nh_b + nm_b) + dram_lat_b * nm_b
-                c = vmem_event_cycles(
-                    vpu_b, l1_lat, ooo_hide, lat, it[4], occ_tab_b[nm_b],
-                    it[5], it[6], it[7], it[8],
-                )
-                cached = fin_b[mkey] = (w * c, w * nh_b, w * nm_b)
-            wc, wh, wm = cached
-            cycles_b += wc
-            kcur_b += wc
-            if wh:
-                l2h_b += wh
-            if wm:
-                l2m_b += wm
-                df_b += wm
-        elif tag == 4:
-            nh0 = it[6]
-            ft = it[7]
-            nh_a = nh_b = nh0
-            nm_a = nm_b = 0
-            if ft:
-                for a in ft:
-                    if (ranges_a and ranges_a[-1][0] <= a < ranges_a[-1][1]) or range_hit_a(a):
-                        nh_a += 1
-                    else:
-                        nm_a += 1
-                for a in ft:
-                    if (ranges_b and ranges_b[-1][0] <= a < ranges_b[-1][1]) or range_hit_b(a):
-                        nh_b += 1
-                    else:
-                        nm_b += 1
-            w = it[1]
-            mkey = (w, it[3], it[4], it[5], nh_a, nm_a)
-            cached = fin4_a.get(mkey)
-            if cached is None:
-                while nm_a >= len(occ_tab_a):
-                    occ_tab_a.append(occ_tab_a[-1] + fill_l2_a)
-                lat = it[3] + l2_lat_a * (nh_a + nm_a) + dram_lat_a * nm_a
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if it[5]:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + it[4] + occ_tab_a[nm_a])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4_a[mkey] = (wc, w * nh_a, w * nm_a)
-            wc, wh, wm = cached
-            cycles_a += wc
-            kcur_a += wc
-            l2h_a += wh
-            l2m_a += wm
-            df_a += wm
-            mkey = (w, it[3], it[4], it[5], nh_b, nm_b)
-            cached = fin4_b.get(mkey)
-            if cached is None:
-                while nm_b >= len(occ_tab_b):
-                    occ_tab_b.append(occ_tab_b[-1] + fill_l2_b)
-                lat = it[3] + l2_lat_b * (nh_b + nm_b) + dram_lat_b * nm_b
-                d = lat - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if it[5]:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
-                    else:
-                        stall *= 1.0 - ooo_hide
-                    wc = w * (scalar_cpi + stall + it[4] + occ_tab_b[nm_b])
-                else:
-                    wc = w * scalar_cpi
-                cached = fin4_b[mkey] = (wc, w * nh_b, w * nm_b)
-            wc, wh, wm = cached
-            cycles_b += wc
-            kcur_b += wc
-            l2h_b += wh
-            l2m_b += wm
-            df_b += wm
-        elif tag == 6:
-            w = it[1]
-            cid = it[2]
-            wc = w * prices_a[cid]
-            cycles_a += wc
-            kcur_a += wc
-            wc = w * prices_b[cid]
-            cycles_b += wc
-            kcur_b += wc
-        elif tag == 1:
-            if cur is not None:
-                kc_a[cur] = kcur_a
-                kc_b[cur] = kcur_b
-            cur = it[1]
-            kcur_a = kc_a.get(cur, 0.0)
-            kcur_b = kc_b.get(cur, 0.0)
-        elif tag == 2:
-            note_range_a(it[1], it[2])
-            note_range_b(it[1], it[2])
-            ranges_a = hier_a._ranges
-            ranges_b = hier_b._ranges
-        else:
-            raise ValueError("prefetch fills in a conflict-free point pass")
-
-    if cur is not None:
-        kc_a[cur] = kcur_a
-        kc_b[cur] = kcur_b
-    out = []
-    for cycles, l2h, l2m, df, kc in (
-        (cycles_a, l2h_a, l2m_a, df_a, kc_a),
-        (cycles_b, l2h_b, l2m_b, df_b, kc_b),
-    ):
-        st = SimStats()
-        st.cycles = cycles
-        st.l2_hits = l2h
-        st.l2_misses = l2m
-        st.dram_fills = df
-        for name in _INVARIANT_FIELDS:
-            setattr(st, name, getattr(inv, name))
-        st.kernel_cycles = kc
-        out.append(st)
-    return out
+def _skeleton(prog: list, gc: dict) -> _Skeleton:
+    """The :class:`_Skeleton` of a finished program (one pass)."""
+    builder = _SkeletonBuilder()
+    builder.extend(prog)
+    return builder.build(gc["l2_shift"])
 
 
 class _VecProgram:
-    """The shared-pass program flattened into NumPy columns.
+    """One tier: the shared-pass program flattened into NumPy columns.
 
-    Valid only for conflict-free points sharing one L2 byte budget:
-    there the walk outcome (per-event hit/miss split) is identical
-    across the points, so it is resolved once at compile time and each
-    point only re-prices.
+    The item columns come from the program's :class:`_Skeleton`; the
+    tier adds ``cls_idx`` (class of every class item), the class table
+    ``cls_defs`` with its weighted hit/miss counts, and ``max_nm``.
+    Two items price identically on every point the tier serves iff
+    they share a class.  This is the ``.rvp`` payload.
     """
 
     __slots__ = (
@@ -1913,155 +1379,156 @@ class _VecProgram:
     )
 
 
-def _compile_fast(prog: list, gc: dict, hier=None) -> _VecProgram:
-    """Flatten *prog* for :func:`_point_pass_vec`.
+def _intern(skel: _Skeleton, nm: np.ndarray) -> _VecProgram:
+    """Build a tier from the per-event miss counts *nm*.
 
-    Walks the program once, resolving every residency-range check.
-    With ``hier=None`` (never-trimming points) membership is checked
-    against the same infinite-budget range list every such point's
-    ``MemoryHierarchy`` would hold (``note_resident_range`` with
-    ``start == base``, no eviction, no tail trim — so membership is
-    the entire outcome and LRU order is irrelevant).  With a *hier*
-    (:meth:`MemoryHierarchy.pricing_view` of any point in the group),
-    the walk runs the true trimming range model in stream order —
-    valid for every point sharing that L2 byte budget, since the range
-    outcome depends on nothing else.  Events collapse into per-item
-    columns plus an interned table of pricing classes; two events
-    price identically on every point iff they share a class.
+    An L2 event's class is its pricing key plus its ``(hits, misses)``
+    split — the memo key every per-event pricing used — so classes come
+    from one ``np.unique`` over the packed triple.  Class ids follow key
+    order, not first occurrence; prices and the fold order (set by
+    ``cls_pos``) do not depend on them.
     """
-    inf_ranges: list = []
-    if hier is not None:
-        range_hit = hier._range_hit
-        note_range = hier.note_resident_range
-    base_vals: list = []
-    kid_col: list = []
-    labels: list = []
-    label_ids: dict = {}
-    cls_pos: list = []
-    cls_idx: list = []
-    cls_ids: dict = {}
-    cls_defs: list = []
-    wh_by_cls: list = []
-    wm_by_cls: list = []
+    nh = np.diff(skel.ev_off) - nm
+    defs = list(skel.t6_defs)
+    wh = [0.0] * len(defs)
+    wm = [0.0] * len(defs)
+    cls_idx = np.empty(len(skel.cls_pos), dtype=np.int64)
+    cls_idx[skel.t6_at] = skel.t6_cls
     max_nm = 0
-    cur_kid = -1
-    n = 0
-    for it in prog:
-        if type(it) is float:
-            base_vals.append(it)
-            kid_col.append(cur_kid)
-            n += 1
-            continue
-        tag = it[0]
-        if tag == 3 or tag == 4:
-            if tag == 3:
-                nh, ft = it[10], it[11]
-            else:
-                nh, ft = it[6], it[7]
-            nm = 0
-            if hier is None:
-                for a in ft:
-                    for r in inf_ranges:
-                        if r[0] <= a < r[1]:
-                            nh += 1
-                            break
-                    else:
-                        nm += 1
-            else:
-                # Exact mirror of _point_pass_fast: MRU shortcut, then
-                # the LRU-refreshing lookup.
-                ranges = hier._ranges
-                for a in ft:
-                    if (
-                        ranges and ranges[-1][0] <= a < ranges[-1][1]
-                    ) or range_hit(a):
-                        nh += 1
-                    else:
-                        nm += 1
-            if tag == 3:
-                key = (3, it[9], nh, nm)
-            else:
-                key = (4, it[1], it[3], it[4], it[5], nh, nm)
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                w = it[1]
-                if tag == 3:
-                    cls_defs.append(
-                        (3, w, it[3], it[4], it[5], it[6], it[7], it[8],
-                         nh, nm)
-                    )
-                else:
-                    cls_defs.append((4, w, it[3], it[4], it[5], nh, nm))
-                wh_by_cls.append(w * nh)
-                wm_by_cls.append(w * nm)
-                if nm > max_nm:
-                    max_nm = nm
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 6:
-            key = (6, it[1], it[2])
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append(key)
-                wh_by_cls.append(0.0)
-                wm_by_cls.append(0.0)
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 1:
-            kid = label_ids.get(it[1])
-            if kid is None:
-                kid = label_ids[it[1]] = len(labels)
-                labels.append(it[1])
-            cur_kid = kid
-        elif tag == 2:
-            if hier is not None:
-                note_range(it[1], it[2])
-                continue
-            # Mirror MemoryHierarchy.note_resident_range for a budget
-            # that never binds: drop overlapped older ranges, append.
-            nbytes = it[2]
-            if nbytes > 0:
-                b = it[1]
-                e = b + nbytes
-                inf_ranges = [
-                    r for r in inf_ranges if r[1] <= b or r[0] >= e
-                ]
-                inf_ranges.append((b, e))
-        else:
-            raise ValueError("prefetch fills in a vectorized point pass")
+    if len(nm):
+        span = int(max(nh.max(), nm.max())) + 1
+        if len(skel.ev_defs) * span * span < (1 << 62):
+            packed = (skel.ev_key * span + nh) * span + nm
+            _, first, inverse = np.unique(
+                packed, return_index=True, return_inverse=True
+            )
+        else:  # pragma: no cover - pathological event widths
+            _, first, inverse = np.unique(
+                np.stack([skel.ev_key, nh, nm], axis=1), axis=0,
+                return_index=True, return_inverse=True,
+            )
+        cls_idx[skel.ev_at] = len(defs) + np.asarray(inverse).reshape(-1)
+        for k, h, m in zip(
+            skel.ev_key[first].tolist(), nh[first].tolist(), nm[first].tolist()
+        ):
+            d = skel.ev_defs[k]
+            defs.append(d + (h, m))
+            wh.append(d[1] * h)
+            wm.append(d[1] * m)
+        max_nm = int(nm.max())
     cols = _VecProgram()
-    cols.base = np.asarray(base_vals, dtype=np.float64)
-    cols.kid = np.asarray(kid_col, dtype=np.int64)
-    cols.labels = labels
-    cols.cls_pos = np.asarray(cls_pos, dtype=np.int64)
-    cols.cls_idx = np.asarray(cls_idx, dtype=np.int64)
-    cols.cls_defs = cls_defs
-    cols.wh_by_cls = np.asarray(wh_by_cls, dtype=np.float64)
-    cols.wm_by_cls = np.asarray(wm_by_cls, dtype=np.float64)
+    cols.base = skel.base
+    cols.kid = skel.kid
+    cols.labels = skel.labels
+    cols.cls_pos = skel.cls_pos
+    cols.cls_idx = cls_idx
+    cols.cls_defs = defs
+    cols.wh_by_cls = np.asarray(wh, dtype=np.float64)
+    cols.wm_by_cls = np.asarray(wm, dtype=np.float64)
     cols.max_nm = max_nm
     return cols
 
 
-def _compile_walk(prog: list, gc: dict, machine: MachineConfig) -> _VecProgram:
-    """Resolve the full L2 walk once for a uniform-L2 group.
+def _misses_per_event(skel: _Skeleton, miss_pos) -> np.ndarray:
+    """Count missing addresses (positions into ``addrs``) per event."""
+    ev = np.searchsorted(skel.ev_off, miss_pos, side="right") - 1
+    return np.bincount(ev, minlength=len(skel.ev_key)).astype(np.int64)
 
-    State transitions identical to :func:`_point_pass` — conflicted
-    sets evict, honoured prefetch fills land, residency ranges trim in
-    stream order — but each resolved event is interned into the column
-    layout of :func:`_compile_fast` instead of being priced.  The
-    walk reads only the L2 geometry, the L2 prefetcher, and the event
-    stream, so the compiled program is valid for every point sharing
-    those with *machine* (a lane sweep, or a DRAM-latency sweep over a
-    conflicted L2), whatever its latencies or VPU: the class keys here
-    are exactly the pricing-memo keys of :func:`_point_pass`.
+
+def _hot_sets(skel: _Skeleton, num_sets: int, assoc: int) -> np.ndarray:
+    """Per L2 set: does it hold more distinct lines than ways?
+
+    Only such *hot* sets can ever evict; a line of any other set hits
+    on every touch after its first.
+    """
+    return np.bincount(skel.lines % num_sets, minlength=num_sets) > assoc
+
+
+def _compile_fast(skel: _Skeleton, gc: dict, hier=None) -> _VecProgram:
+    """Conflict-free tier: no L2 set ever exceeds its associativity.
+
+    Such an L2 never evicts, so a pending line hits iff its L2 line was
+    touched before — except at its first touch (``skel.ft_pos``), where
+    only the residency-range model can make it a hit.  This resolves
+    just those first touches.  With ``hier=None`` (points whose ranges
+    never trim) membership is tested against the infinite-budget range
+    list every such point's ``MemoryHierarchy`` would hold
+    (``note_resident_range`` with ``start == base``, no eviction, no
+    tail trim), with column arithmetic per stretch between range notes.
+    With a *hier* (:meth:`MemoryHierarchy.pricing_view` of any point in
+    the group) the true trimming, LRU-refreshed range model runs in
+    stream order — valid for every point sharing that L2 byte budget,
+    since the range outcome depends on nothing else.
+    """
+    side = skel.side
+    if any(it[0] == 5 for _, it in side):
+        raise ValueError("prefetch fills in a conflict-free tier")
+    ft = skel.ft_pos
+    ft_addrs = skel.addrs[ft]
+    cuts = np.searchsorted(ft, [p for p, _ in side], side="left").tolist()
+    cuts.append(len(ft))
+    notes = [it for _, it in side] + [None]
+    lo = 0
+    if hier is None:
+        miss = np.ones(len(ft), dtype=bool)
+        inf_ranges: list = []
+        for hi, it in zip(cuts, notes):
+            if inf_ranges and hi > lo:
+                seg = ft_addrs[lo:hi]
+                inside = np.zeros(hi - lo, dtype=bool)
+                for b, e in inf_ranges:
+                    inside |= (seg >= b) & (seg < e)
+                miss[lo:hi] = ~inside
+            lo = hi
+            if it is not None and it[2] > 0:
+                b = it[1]
+                e = b + it[2]
+                inf_ranges = [r for r in inf_ranges if r[1] <= b or r[0] >= e]
+                inf_ranges.append((b, e))
+        miss_pos = ft[miss]
+    else:
+        range_hit = hier._range_hit
+        note_range = hier.note_resident_range
+        addrs = ft_addrs.tolist()
+        misses = []
+        for hi, it in zip(cuts, notes):
+            # _range_hit only reorders the range list in place;
+            # note_resident_range rebinds it, refreshed here.
+            ranges = hier._ranges
+            for j in range(lo, hi):
+                a = addrs[j]
+                if not (
+                    (ranges and ranges[-1][0] <= a < ranges[-1][1])
+                    or range_hit(a)
+                ):
+                    misses.append(j)
+            lo = hi
+            if it is not None:
+                note_range(it[1], it[2])
+        miss_pos = ft[np.asarray(misses, dtype=np.int64)]
+    return _intern(skel, _misses_per_event(skel, miss_pos))
+
+
+def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProgram:
+    """Walk tier: resolve *machine*'s exact L2 walk once.
+
+    State transitions identical to ``MemoryHierarchy``'s L2 —
+    conflicted sets evict LRU, honoured prefetch fills and L2
+    prefetcher fills land, residency ranges trim in stream order.  The
+    walk reads only the L2 geometry, the L2 prefetcher and the event
+    stream, so the tier is valid for every point sharing those with
+    *machine* (a lane sweep, or a DRAM sweep over a conflicted L2),
+    whatever its latencies or VPU.
+
+    Without fills (no honoured prefetches, no L2 prefetcher) only lines
+    of hot sets (:func:`_hot_sets`) are walked: every other set never
+    evicts, so its lines hit after their first touch, and the first
+    touch takes just the range check.  Those checks still run in
+    stream order, interleaved with the hot walk, because
+    ``_range_hit`` LRU-refreshes the range list and a later trim picks
+    its victims by that order.  Dirty bits only feed writeback counters
+    ``SimStats`` never reads, so the walk stores ``True``
+    unconditionally without perturbing residency or LRU order.
     """
     hier = MemoryHierarchy(machine)
     l2 = hier.l2
@@ -2070,121 +1537,60 @@ def _compile_walk(prog: list, gc: dict, machine: MachineConfig) -> _VecProgram:
     range_hit = hier._range_hit
     note_range = hier.note_resident_range
     l2_shift = gc["l2_shift"]
-    v_pf2 = pf2 if gc["port_l1"] else None
-    ranges = hier._ranges
-
-    base_vals: list = []
-    kid_col: list = []
-    labels: list = []
-    label_ids: dict = {}
-    cls_pos: list = []
-    cls_idx: list = []
-    cls_ids: dict = {}
-    cls_defs: list = []
-    wh_by_cls: list = []
-    wm_by_cls: list = []
-    max_nm = 0
-    cur_kid = -1
-    n = 0
-    for it in prog:
-        if type(it) is float:
-            base_vals.append(it)
-            kid_col.append(cur_kid)
-            n += 1
-            continue
-        tag = it[0]
-        if tag == 3:
-            (_, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit,
-             iid, _nh0, _ft) = it
-            nh = nm = 0
-            for a in addrs:
+    side = skel.side
+    if pf2 is None and not gc["has_fills"]:
+        l2_lines = skel.addrs >> l2_shift
+        hot_at = _hot_sets(skel, l2_num, l2_assoc)[l2_lines % l2_num]
+        del l2_lines
+        visit_mask = hot_at.copy()
+        visit_mask[skel.ft_pos] = True
+        visit = np.flatnonzero(visit_mask)
+        hot = hot_at[visit].tolist()
+        del hot_at, visit_mask
+    else:
+        visit = np.arange(len(skel.addrs), dtype=np.int64)
+        hot = [True] * len(visit)
+    addrs = skel.addrs[visit].tolist()
+    if pf2 is not None and not gc["port_l1"]:
+        # Only the L1-port vector path feeds the L2 prefetcher (the
+        # L2-port path has none); the scalar path always does.
+        observes = np.repeat(skel.ev_scalar, np.diff(skel.ev_off))[visit].tolist()
+    else:
+        observes = None
+    cuts = np.searchsorted(visit, [p for p, _ in side], side="left").tolist()
+    cuts.append(len(visit))
+    items = [it for _, it in side] + [None]
+    misses = []
+    lo = 0
+    for hi, it in zip(cuts, items):
+        # _range_hit only reorders the range list in place;
+        # note_resident_range rebinds it, refreshed here.
+        ranges = hier._ranges
+        for j in range(lo, hi):
+            a = addrs[j]
+            if hot[j]:
                 l2a = a >> l2_shift
                 ways = l2_sets[l2a % l2_num]
                 if ways.pop(l2a, None) is not None:
                     ways[l2a] = True
-                    nh += 1
                     continue
                 ways[l2a] = True
                 if len(ways) > l2_assoc:
                     ways.pop(next(iter(ways)))
                 if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-                    if v_pf2 is not None:
-                        v_pf2.observe(l2, l2a)
-            key = (3, iid, nh, nm)
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append(
-                    (3, w, inv_lat, occ1, nbytes, n_lines, write, unit,
-                     nh, nm)
-                )
-                wh_by_cls.append(w * nh)
-                wm_by_cls.append(w * nm)
-                if nm > max_nm:
-                    max_nm = nm
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 4:
-            _, w, addrs, inv_lat, occ1, write, _nh0, _ft = it
-            nh = nm = 0
-            for a in addrs:
-                l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
-                    ways[l2a] = True
-                    nh += 1
                     continue
-                ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    nh += 1
-                else:
-                    nm += 1
-                    if pf2 is not None:
-                        pf2.observe(l2, l2a)
-            key = (4, w, inv_lat, occ1, write, nh, nm)
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append((4, w, inv_lat, occ1, write, nh, nm))
-                wh_by_cls.append(w * nh)
-                wm_by_cls.append(w * nm)
-                if nm > max_nm:
-                    max_nm = nm
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 6:
-            key = (6, it[1], it[2])
-            cid = cls_ids.get(key)
-            if cid is None:
-                cid = cls_ids[key] = len(cls_defs)
-                cls_defs.append(key)
-                wh_by_cls.append(0.0)
-                wm_by_cls.append(0.0)
-            base_vals.append(0.0)
-            kid_col.append(cur_kid)
-            cls_pos.append(n)
-            cls_idx.append(cid)
-            n += 1
-        elif tag == 1:
-            kid = label_ids.get(it[1])
-            if kid is None:
-                kid = label_ids[it[1]] = len(labels)
-                labels.append(it[1])
-            cur_kid = kid
-        elif tag == 2:
+                misses.append(j)
+                if pf2 is not None and (observes is None or observes[j]):
+                    pf2.observe(l2, l2a)
+            elif not (
+                (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a)
+            ):
+                misses.append(j)
+        lo = hi
+        if it is None:
+            break
+        if it[0] == 2:
             note_range(it[1], it[2])
-            ranges = hier._ranges
         else:  # tag 5: honoured software-prefetch fills into the L2
             for la in it[1]:
                 ways = l2_sets[la % l2_num]
@@ -2192,17 +1598,8 @@ def _compile_walk(prog: list, gc: dict, machine: MachineConfig) -> _VecProgram:
                     ways[la] = False
                     if len(ways) > l2_assoc:
                         ways.pop(next(iter(ways)))
-    cols = _VecProgram()
-    cols.base = np.asarray(base_vals, dtype=np.float64)
-    cols.kid = np.asarray(kid_col, dtype=np.int64)
-    cols.labels = labels
-    cols.cls_pos = np.asarray(cls_pos, dtype=np.int64)
-    cols.cls_idx = np.asarray(cls_idx, dtype=np.int64)
-    cols.cls_defs = cls_defs
-    cols.wh_by_cls = np.asarray(wh_by_cls, dtype=np.float64)
-    cols.wm_by_cls = np.asarray(wm_by_cls, dtype=np.float64)
-    cols.max_nm = max_nm
-    return cols
+    miss_pos = visit[np.asarray(misses, dtype=np.int64)]
+    return _intern(skel, _misses_per_event(skel, miss_pos))
 
 
 def _point_pass_vec(
@@ -2210,7 +1607,7 @@ def _point_pass_vec(
 ) -> SimStats:
     """Price a compiled program on one point with column arithmetic.
 
-    Bitwise identical to :func:`_point_pass_fast` on the same point:
+    Bitwise identical to direct simulation of the point:
     ``np.add.accumulate`` and ``np.bincount`` with weights both fold
     strictly left-to-right (no pairwise reassociation), class prices
     are computed with the scalar formulas shared with the simulator,
@@ -2291,253 +1688,155 @@ def _copy_stats(st: SimStats) -> SimStats:
     return out
 
 
+def _fast_budget(gc: dict, m: MachineConfig):
+    """The L2 byte budget a conflict-free tier for *m* depends on.
+
+    ``None`` when the recorded residency ranges never outgrow *m*'s L2:
+    its range model then never trims, whatever the size.
+    """
+    return None if gc["max_range_total"] <= m.l2.size_bytes else m.l2.size_bytes
+
+
+def _tier_for(skel: _Skeleton, gc: dict, m: MachineConfig) -> dict:
+    """The tier that prices machine *m*.
+
+    A conflict-free tier (:func:`_fast_tier`) when no L2 set of *m*
+    ever holds more distinct lines than ways and nothing but the demand
+    stream fills the L2 (no honoured prefetches, no L2 prefetcher);
+    a walk tier (:func:`_walk_tier`) otherwise.
+    """
+    if not gc["has_fills"] and not gc["pf2_cfg"]:
+        l2cfg = m.l2
+        num_sets = l2cfg.size_bytes // (l2cfg.assoc * l2cfg.line_bytes)
+        if num_sets > 0 and not _hot_sets(skel, num_sets, l2cfg.assoc).any():
+            return _fast_tier(_fast_budget(gc, m))
+    return _walk_tier(m)
+
+
 def _run_points(
-    prog: list,
+    prog,
     inv: SimStats,
     gc: dict,
     machines: Sequence[MachineConfig],
     cache_ctx: Optional[Tuple[str, str, str, dict]] = None,
 ) -> List[SimStats]:
-    """Price the shared-pass program on every machine of the group.
+    """Price a shared-pass program on every machine of the group.
+
+    *prog* is the program or its :class:`_Skeleton`.  Every machine is
+    priced by :func:`_point_pass_vec` from one tier (:func:`_tier_for`):
+    a conflict-free tier per L2 byte budget or a walk tier per L2
+    geometry and prefetcher.  Each distinct tier is built once and
+    dropped after its last point is priced.  Machines that share a tier
+    and every pricing field (L2 and DRAM latency, DRAM bandwidth, VPU)
+    copy their twin's stats: on a constant-latency L2 this collapses
+    the whole large-cache tail of a Fig. 7 sweep into one pricing.
 
     With *cache_ctx* — ``(trace_key, sig_token, trace_sha256, compat)``
-    — compiled tiers are exchanged with the on-disk pass cache: every
-    compile tries a ``load_vecprog`` first and persists its result on
-    a miss, and points that would take a per-point loop pass anyway
-    (singleton trimming budgets, full exact walks) route through the
-    compiler at the same cost so the tier exists for the next process.
-    Fast tiers additionally record the walk fingerprints of every
-    machine whose engine choice endorsed them, which is what lets the
-    warm :func:`replay_sweep_cached` path trust a fast tier without
-    re-deriving conflict-freedom from the program.
-
-    Per point, picks the cheapest valid engine:
-
-    * conflict-free points (no set over associativity, no prefetch
-      fills) have walk outcomes that depend only on the L2 byte budget
-      (``None`` when the residency ranges never trim): each budget
-      shared by two or more points is compiled once
-      (:func:`_compile_fast`) and every point priced with column
-      arithmetic (:func:`_point_pass_vec`); points that also share
-      ``(l2_latency, dram_latency, dram_bytes_per_cycle, vpu)`` are
-      exact duplicates and copy the owner's stats (on a
-      constant-latency L2 model this collapses the whole large-cache
-      tail of a Fig. 7 sweep into one pass, and a lane sweep into one
-      compile plus one cheap pricing per point).  A trimming budget
-      owned by a single point gains nothing from compiling (the
-      compile walk costs one pass) and runs :func:`_point_pass_fast`
-      instead, pairwise via :func:`_point_pass_fast2`;
-    * conflicted points of a group whose L2 geometry and prefetcher
-      are uniform (lane sweeps, DRAM-latency sweeps over a small L2)
-      run the exact cache walk once (:func:`_compile_walk`) and price
-      every point with column arithmetic;
-    * remaining points where under half the distinct lines map to
-      conflicted sets walk only those via :func:`_point_pass_hybrid`;
-    * everything else takes the exact cache walk of :func:`_point_pass`.
+    — tiers are exchanged with the on-disk pass cache: each is loaded
+    if stored, else built and stored.  Conflict-free tiers record the
+    walk fingerprints of the machines they serve, which is what lets
+    :func:`replay_sweep_cached` trust them without the program.
     """
-    distinct = gc["distinct"]
-    lines = (
-        np.fromiter(distinct, dtype=np.int64, count=len(distinct))
-        if distinct
-        else None
-    )
-    can_fast = not gc["has_fills"] and not gc["pf2_cfg"]
-    max_total = gc["max_range_total"]
+    skel = prog if isinstance(prog, _Skeleton) else _skeleton(prog, gc)
     if cache_ctx is not None:
         from ..core import tracecache
 
         if not tracecache.pass_cache_enabled():
             cache_ctx = None
-
-    def _load_tier(tier):
-        if cache_ctx is None:
-            return None
-        from ..core import tracecache
-
-        key, sig_tok, digest, compat = cache_ctx
-        hit = tracecache.load_vecprog(key, sig_tok, tier["token"], digest)
-        if hit is None:
-            return None
-        cols = _cols_from_dict(hit[1])
-        if tier["kind"] == "fast":
-            have = set(hit[0]["tier"].get("fps", ()))
-            want = set(tier["fps"])
-            if not want <= have:
-                # A new machine endorsed this tier: refresh the stored
-                # fingerprint list so replay_sweep_cached can serve it
-                # to that machine without the program in hand.
-                _store_tier(dict(tier, fps=sorted(have | want)), cols)
-        return cols
-
-    def _store_tier(tier, cols):
-        if cache_ctx is None:
-            return
-        from ..core import tracecache
-
-        key, sig_tok, digest, compat = cache_ctx
-        tracecache.store_vecprog(
-            _cols_to_dict(cols), _inv_fields(inv), gc,
-            key=key, sig=sig_tok, tier=tier,
-            trace_sha256=digest, compat=compat,
-        )
-
-    results: List[Optional[SimStats]] = [None] * len(machines)
-    fast_fps: dict = {}  # budget -> walk fps of endorsing machines
-    eq_owner = {}  # sig -> index of the point that computes it
-    eq_copies = []  # (index, owner index)
-    fast_cands = []  # (index, budget-or-None): conflict-free
-    walk_jobs = []  # indices: conflicted, uniform L2 walk
-    slow_jobs = []  # (index, hot-or-None)
-    # The full walk reads only the L2 geometry+prefetcher (latencies
-    # and VPU price, they don't steer); when those are uniform across
-    # the group, one walk resolves every point.
-    m0 = machines[0]
-    walk_uniform = len(machines) > 1 and all(
-        m.l2 == m0.l2 and m.l2_prefetcher == m0.l2_prefetcher
-        for m in machines[1:]
-    )
+    plans: dict = {}  # tier token -> (tier, first machine index, indices)
+    owners: dict = {}  # (tier token, pricing fields) -> owning index
+    copies = []  # (index, owner index)
     for i, m in enumerate(machines):
-        engine = _point_pass
-        hot = None
-        if can_fast:
-            l2cfg = m.l2
-            num_sets = l2cfg.size_bytes // (l2cfg.assoc * l2cfg.line_bytes)
-            if num_sets > 0:
-                if lines is None:
-                    engine = _point_pass_fast
-                else:
-                    line_hot = (
-                        np.bincount(lines % num_sets)[lines % num_sets]
-                        > l2cfg.assoc
-                    )
-                    if not line_hot.any():
-                        engine = _point_pass_fast
-                    elif float(line_hot.mean()) < 0.5:
-                        engine = _point_pass_hybrid
-                        hot = set(lines[line_hot].tolist())
-        if engine is _point_pass_fast:
-            budget = (
-                None if max_total <= m.l2.size_bytes else m.l2.size_bytes
-            )
-            fast_fps.setdefault(budget, set()).add(_machine_walk_fp(m))
-            sig = (
-                budget,
-                m.l2.latency,
-                m.dram_latency,
-                m.dram_bytes_per_cycle,
-                m.vpu,
-            )
-            owner = eq_owner.get(sig)
-            if owner is not None:
-                eq_copies.append((i, owner))
-                continue
-            eq_owner[sig] = i
-            fast_cands.append((i, budget))
-        elif walk_uniform:
-            sig = (
-                "walk",
-                m.l2.latency,
-                m.dram_latency,
-                m.dram_bytes_per_cycle,
-                m.vpu,
-            )
-            owner = eq_owner.get(sig)
-            if owner is not None:
-                eq_copies.append((i, owner))
-                continue
-            eq_owner[sig] = i
-            walk_jobs.append(i)
-        elif engine is _point_pass_hybrid:
-            slow_jobs.append((i, hot))
-        else:
-            slow_jobs.append((i, None))
-    budget_count: dict = {}
-    for _, budget in fast_cands:
-        budget_count[budget] = budget_count.get(budget, 0) + 1
-    fast_jobs = []  # singleton trimming budgets: paired loop passes
-    cols_by_budget = {}
-    for i, budget in fast_cands:
-        if (
-            budget is not None
-            and budget_count[budget] < 2
-            and cache_ctx is None
-        ):
-            # A trimming budget owned by one point gains nothing from
-            # compiling unless the tier can be persisted for reuse.
-            fast_jobs.append(i)
+        tier = _tier_for(skel, gc, m)
+        token = tier["token"]
+        plan = plans.setdefault(token, (tier, i, []))
+        if tier["kind"] == "fast":
+            fps = set(plan[0]["fps"])
+            fps.add(_machine_walk_fp(m))
+            plan[0]["fps"] = sorted(fps)
+        sig = (token, m.l2.latency, m.dram_latency, m.dram_bytes_per_cycle, m.vpu)
+        owner = owners.get(sig)
+        if owner is not None:
+            copies.append((i, owner))
             continue
-        cols = cols_by_budget.get(budget)
+        owners[sig] = i
+        plan[2].append(i)
+    results: List[Optional[SimStats]] = [None] * len(machines)
+    for tier, first, idxs in plans.values():
+        cols = _load_tier(cache_ctx, tier, inv, gc)
         if cols is None:
-            tier = _fast_tier(budget)
-            tier["fps"] = sorted(fast_fps.get(budget, ()))
-            cols = _load_tier(tier)
-            if cols is None:
-                view = (
-                    None
-                    if budget is None
-                    else MemoryHierarchy.pricing_view(machines[i])
-                )
-                cols = _compile_fast(prog, gc, view)
-                _store_tier(tier, cols)
-            cols_by_budget[budget] = cols
-        results[i] = _point_pass_vec(cols, inv, machines[i], gc)
-    j = 0
-    while j + 1 < len(fast_jobs):
-        ia, ib = fast_jobs[j], fast_jobs[j + 1]
-        results[ia], results[ib] = _point_pass_fast2(
-            prog, inv, machines[ia], machines[ib], gc
-        )
-        j += 2
-    if j < len(fast_jobs):
-        i = fast_jobs[j]
-        results[i] = _point_pass_fast(prog, inv, machines[i], gc)
-    if walk_jobs:
-        m = machines[walk_jobs[0]]
-        tier = _walk_tier(m)
-        cols = _load_tier(tier)
-        if cols is None:
-            cols = _compile_walk(prog, gc, m)
-            _store_tier(tier, cols)
-        for i in walk_jobs:
+            m = machines[first]
+            if tier["kind"] == "walk":
+                cols = _compile_walk(skel, gc, m)
+            elif _fast_budget(gc, m) is None:
+                cols = _compile_fast(skel, gc)
+            else:
+                cols = _compile_fast(skel, gc, MemoryHierarchy.pricing_view(m))
+            _store_tier(cache_ctx, tier, cols, inv, gc)
+        for i in idxs:
             results[i] = _point_pass_vec(cols, inv, machines[i], gc)
-    for i, hot in slow_jobs:
-        m = machines[i]
-        if cache_ctx is not None:
-            tier = _walk_tier(m)
-            cols = _load_tier(tier)
-            if cols is None and hot is None:
-                # The full exact walk costs the same whether it prices
-                # one point or compiles a reusable tier.
-                cols = _compile_walk(prog, gc, m)
-                _store_tier(tier, cols)
-            if cols is not None:
-                results[i] = _point_pass_vec(cols, inv, m, gc)
-                continue
-        results[i] = (
-            _point_pass_hybrid(prog, inv, m, gc, hot)
-            if hot is not None
-            else _point_pass(prog, inv, m, gc)
-        )
-    for i, owner in eq_copies:
+        del cols
+    for i, owner in copies:
         results[i] = _copy_stats(results[owner])
     return results
 
 
-# Memo for _shared_pass results across replay_sweep calls.  A session
-# replaying several pricing axes from one capture (the paper-figures
-# flow: L2 size, DRAM latency, DRAM bandwidth, lanes) would otherwise
-# re-walk the full event stream once per axis — by far the dominant
-# cost on a multi-million-event trace.  Keyed by the trace's content
-# *digest* (not just its key: a quarantined-and-recaptured trace must
-# never serve a stale pass) and the group-invariant remainder of the
-# base config (the normalization mirrors group_mode: every
-# per-point-priced field is canonicalised away, so two bases that
-# would group together share an entry).  The cached (prog, inv, gc)
-# is treated as immutable by every point engine.  Sized for the
-# paper-figures flow: one always-deferred entry per live VL capture
-# (Figs. 6/8 sweep eight) plus slack for direct _shared_pass callers.
+def _load_tier(cache_ctx, tier: dict, inv: SimStats, gc: dict):
+    """A stored tier's columns, or ``None`` (no cache, miss, stale)."""
+    if cache_ctx is None:
+        return None
+    from ..core import tracecache
+
+    key, sig_tok, digest, _compat = cache_ctx
+    hit = tracecache.load_vecprog(key, sig_tok, tier["token"], digest)
+    if hit is None:
+        return None
+    cols = _cols_from_dict(hit[1])
+    if tier["kind"] == "fast":
+        have = set(hit[0]["tier"].get("fps", ()))
+        if not set(tier["fps"]) <= have:
+            # A new machine endorsed this tier: refresh the stored
+            # fingerprint list so replay_sweep_cached can serve it to
+            # that machine without the program in hand.
+            _store_tier(
+                cache_ctx, dict(tier, fps=sorted(have | set(tier["fps"]))),
+                cols, inv, gc,
+            )
+    return cols
+
+
+def _store_tier(cache_ctx, tier: dict, cols: _VecProgram, inv: SimStats, gc: dict):
+    if cache_ctx is None:
+        return
+    from ..core import tracecache
+
+    key, sig_tok, digest, compat = cache_ctx
+    tracecache.store_vecprog(
+        _cols_to_dict(cols), _inv_fields(inv), gc,
+        key=key, sig=sig_tok, tier=tier, trace_sha256=digest, compat=compat,
+    )
+
+
+# Memo for shared passes across sweeps.  A session pricing several axes
+# from one capture (the paper-figures flow: L2 size, DRAM latency, DRAM
+# bandwidth, lanes) would otherwise re-walk the full event stream once
+# per axis — by far the dominant cost on a multi-million-event trace.
+# Holds ``(skeleton, inv, gc)``, treated as immutable by every tier
+# builder.  Keyed by the trace's content *digest* (not just its key: a
+# quarantined-and-recaptured trace must never serve a stale pass) and
+# the group-invariant remainder of the base config (the normalization
+# mirrors group_mode: every per-point-priced field is canonicalised
+# away, so two bases that would group together share an entry).  Sized
+# for the paper-figures flow: one entry per live VL capture (Figs. 6/8
+# sweep eight) plus slack for direct callers.
 _SHARED_PASS_MEMO: "dict" = {}
 _SHARED_PASS_MEMO_MAX = 16
+
+
+def _memo_put(key, value) -> None:
+    while len(_SHARED_PASS_MEMO) >= _SHARED_PASS_MEMO_MAX:
+        _SHARED_PASS_MEMO.pop(next(iter(_SHARED_PASS_MEMO)))
+    _SHARED_PASS_MEMO[key] = value
 
 
 def _shared_pass_sig(m: MachineConfig, defer_vpu: bool):
@@ -2593,8 +1892,10 @@ def _inv_from_fields(fields: dict) -> SimStats:
 def _shared_pass_cached(
     trace: RecordedTrace, base: MachineConfig, defer_vpu: bool
 ):
+    """``(skeleton, inv, gc)`` of *trace*'s shared pass: memo, ``.rpp``, or run."""
     if not trace.key:
-        return _shared_pass(trace, base, defer_vpu=defer_vpu)
+        prog, inv, gc = _shared_pass(trace, base, defer_vpu=defer_vpu)
+        return _skeleton(prog, gc), inv, gc
     from ..core import tracecache
 
     digest = trace.content_digest()
@@ -2603,27 +1904,26 @@ def _shared_pass_cached(
     hit = _SHARED_PASS_MEMO.get(key)
     if hit is not None:
         return hit
-    out = None
-    from_disk = False
     use_disk = tracecache.pass_cache_enabled()
-    if use_disk:
-        loaded = tracecache.load_pass(trace.key, _sig_token(sig), digest)
-        if loaded is not None:
-            _header, prog, inv_fields, gc = loaded
-            gc["vpu"] = base.vpu
-            out = (prog, _inv_from_fields(inv_fields), gc)
-            from_disk = True
-    if out is None:
-        out = _shared_pass(trace, base, defer_vpu=defer_vpu)
-    while len(_SHARED_PASS_MEMO) >= _SHARED_PASS_MEMO_MAX:
-        _SHARED_PASS_MEMO.pop(next(iter(_SHARED_PASS_MEMO)))
-    _SHARED_PASS_MEMO[key] = out
-    if use_disk and not from_disk:
-        tracecache.store_pass(
-            out[0], _inv_fields(out[1]), out[2],
-            key=trace.key, sig=_sig_token(sig), defer=defer_vpu,
-            trace_sha256=digest, compat=_trace_compat(trace),
-        )
+    loaded = (
+        tracecache.load_pass(trace.key, _sig_token(sig), digest)
+        if use_disk
+        else None
+    )
+    if loaded is not None:
+        _header, prog, inv_fields, gc = loaded
+        gc["vpu"] = base.vpu
+        inv = _inv_from_fields(inv_fields)
+    else:
+        prog, inv, gc = _shared_pass(trace, base, defer_vpu=defer_vpu)
+        if use_disk:
+            tracecache.store_pass(
+                prog, _inv_fields(inv), gc,
+                key=trace.key, sig=_sig_token(sig), defer=defer_vpu,
+                trace_sha256=digest, compat=_trace_compat(trace),
+            )
+    out = (_skeleton(prog, gc), inv, gc)
+    _memo_put(key, out)
     return out
 
 
@@ -2653,7 +1953,7 @@ def replay_sweep(
     mode = group_mode(machines)
     if mode is None:
         return None
-    prog, inv, gc = _shared_pass_cached(trace, machines[0], defer_vpu=True)
+    skel, inv, gc = _shared_pass_cached(trace, machines[0], defer_vpu=True)
     ctx = None
     if trace.key:
         sig = _shared_pass_sig(machines[0], True)
@@ -2663,7 +1963,7 @@ def replay_sweep(
             trace.content_digest(),
             _trace_compat(trace),
         )
-    return _run_points(prog, inv, gc, machines, cache_ctx=ctx)
+    return _run_points(skel, inv, gc, machines, cache_ctx=ctx)
 
 
 def _machine_walk_fp(m: MachineConfig) -> str:
@@ -2709,13 +2009,13 @@ def replay_sweep_cached(
 
     The warm path for a spilled trace: the trace's content digest and
     compatibility fields come from the in-process registry or the
-    spill file's JSON header (no column decode), the shared pass from
-    the memo or its ``.rpp`` container, and — for a singleton group —
-    the whole answer from a compiled ``.rvp`` tier, collapsing a warm
-    figure point to one column-arithmetic pricing.  Returns ``None``
-    unless every needed artifact is cached and digest-consistent; the
-    caller falls back to :func:`replay_sweep` after loading (or
-    re-capturing) the trace.
+    spill file's JSON header (no column decode).  The group is then
+    priced from the shared-pass memo, else from stored ``.rvp`` tiers
+    alone when every point has one (:func:`_price_from_tiers`), else
+    from the ``.rpp`` shared pass.  Returns ``None`` unless every
+    needed artifact is cached and digest-consistent; the caller falls
+    back to :func:`replay_sweep` after loading (or re-capturing) the
+    trace.
     """
     from ..core import tracecache
 
@@ -2759,83 +2059,207 @@ def replay_sweep_cached(
     memo_key = (key, digest, True, sig)
     hit = _SHARED_PASS_MEMO.get(memo_key)
     if hit is not None:
-        prog, inv, gc = hit
-        return _run_points(prog, inv, gc, machines, cache_ctx=ctx)
-    if len(machines) == 1:
-        st = _cached_point(key, tok, digest, machines[0])
-        if st is not None:
-            return [st]
+        return _run_points(*hit, machines, cache_ctx=ctx)
+    priced = _price_from_tiers(key, tok, digest, machines)
+    if priced is not None:
+        return priced
     loaded = tracecache.load_pass(key, tok, digest)
     if loaded is None:
         return None
     _header, prog, inv_fields, gc = loaded
     gc["vpu"] = machines[0].vpu
-    inv = _inv_from_fields(inv_fields)
-    out = (prog, inv, gc)
-    while len(_SHARED_PASS_MEMO) >= _SHARED_PASS_MEMO_MAX:
-        _SHARED_PASS_MEMO.pop(next(iter(_SHARED_PASS_MEMO)))
-    _SHARED_PASS_MEMO[memo_key] = out
-    return _run_points(prog, inv, gc, machines, cache_ctx=ctx)
+    out = (_skeleton(prog, gc), _inv_from_fields(inv_fields), gc)
+    del prog
+    _memo_put(memo_key, out)
+    return _run_points(*out, machines, cache_ctx=ctx)
 
 
-def _cached_point(
-    key: str, sig_token: str, digest: str, m: MachineConfig
-) -> Optional[SimStats]:
-    """Serve one point entirely from a compiled ``.rvp`` tier.
+def _price_from_tiers(
+    key: str, sig_token: str, digest: str, machines: List[MachineConfig]
+) -> Optional[List[SimStats]]:
+    """Price every machine from stored ``.rvp`` tiers, or return ``None``.
 
     Tier files embed the invariant stats and the pricing subset of the
-    group constants, so nothing else needs decoding.  A walk tier's
-    token is derived from this machine's own L2 walk fields, so a
-    token match is validity; a fast tier is only trusted when this
-    machine's walk fingerprint is recorded in it (the engine choice
-    that compiled it was made for exactly this L2/prefetcher, so the
-    conflict-free eligibility and budget decision are known to apply).
+    group constants, so nothing else is decoded.  Each machine takes
+    the first valid tier among its walk tier, the never-trimming
+    conflict-free tier and the conflict-free tier of its L2 budget.  A
+    walk tier's token is derived from the machine's own L2 walk fields,
+    so a token match is validity; a conflict-free tier is only trusted
+    when the machine's walk fingerprint is recorded in it (the tier was
+    built for exactly this L2 and prefetcher, so conflict-freedom and
+    the budget decision are known to apply).  Tiers are chosen from
+    their headers, then each distinct tier is decoded once and dropped
+    after its last point.
     """
     from ..core import tracecache
 
-    fp = _machine_walk_fp(m)
-    for tier in (
-        _walk_tier(m),
-        _fast_tier(None),
-        _fast_tier(m.l2.size_bytes),
-    ):
-        hit = tracecache.load_vecprog(key, sig_token, tier["token"], digest)
+    headers: dict = {}
+    plans: dict = {}  # tier token -> machine indices
+    for i, m in enumerate(machines):
+        fp = _machine_walk_fp(m)
+        for tier in (
+            _walk_tier(m), _fast_tier(None), _fast_tier(m.l2.size_bytes)
+        ):
+            token = tier["token"]
+            if token not in headers:
+                headers[token] = tracecache.read_vecprog_header(
+                    key, sig_token, token, digest
+                )
+            header = headers[token]
+            if header is None:
+                continue
+            if tier["kind"] == "fast" and fp not in header["tier"].get("fps", ()):
+                continue
+            plans.setdefault(token, []).append(i)
+            break
+        else:
+            return None
+    results: List[Optional[SimStats]] = [None] * len(machines)
+    for token, idxs in plans.items():
+        hit = tracecache.load_vecprog(key, sig_token, token, digest)
         if hit is None:
-            continue
-        header, col_dict, inv_fields, gc_pricing = hit
-        if tier["kind"] == "fast" and fp not in header["tier"].get("fps", ()):
-            continue
+            return None
+        _header, col_dict, inv_fields, gc_pricing = hit
         cols = _cols_from_dict(col_dict)
         inv = _inv_from_fields(inv_fields)
-        return _point_pass_vec(cols, inv, m, gc_pricing)
-    return None
+        for i in idxs:
+            results[i] = _point_pass_vec(cols, inv, machines[i], gc_pricing)
+        del hit, col_dict, cols
+    return results
+
+
+class _RecordingCapture(_EventLog, _GroupCapture):
+    """A :class:`_GroupCapture` that records the event stream as it walks.
+
+    Each event is logged by the :class:`_EventLog` method that
+    :class:`TraceRecorder` uses too — same guards, same row tuple, same
+    chunked column log — and then walked, so one kernel run yields both
+    the shared-pass program and the :class:`RecordedTrace` that
+    :meth:`Network.record_trace` would capture: same columns, labels
+    and buffers, hence the same content digest.
+    """
+
+    def __init__(self, base: MachineConfig):
+        super().__init__(base, defer_vpu=True)
+        self._start_log()
+        self._skel = _SkeletonBuilder()
+
+    def _flush(self) -> None:
+        # Each frozen chunk of events also hands the program items they
+        # produced to the skeleton, so the program is never held whole.
+        super()._flush()
+        self._skel.extend(self._prog)
+        self._prog.clear()  # in place: ``_append`` stays bound to it
+
+    def finish(self):
+        """Return ``(skeleton, inv, gc)`` instead of the program."""
+        self._flush()
+        _prog, inv, gc = super().finish()
+        return self._skel.build(gc["l2_shift"]), inv, gc
+
+    # Each event: the one row layout (``_EventLog``), then the walk.
+    def note_resident_range(self, base: int, nbytes: int) -> None:
+        _EventLog.note_resident_range(self, base, nbytes)
+        _GroupCapture.note_resident_range(self, base, nbytes)
+
+    def scalar(self, n: int = 1) -> None:
+        _EventLog.scalar(self, n)
+        _GroupCapture.scalar(self, n)
+
+    def scalar_load(self, addr: int, nbytes: int = 4) -> None:
+        _EventLog.scalar_load(self, addr, nbytes)
+        _GroupCapture.scalar_load(self, addr, nbytes)
+
+    def scalar_store(self, addr: int, nbytes: int = 4) -> None:
+        _EventLog.scalar_store(self, addr, nbytes)
+        _GroupCapture.scalar_store(self, addr, nbytes)
+
+    def vload(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
+        _EventLog.vload(self, addr, n_elems, ew, stride)
+        _GroupCapture.vload(self, addr, n_elems, ew, stride)
+
+    def vstore(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
+        _EventLog.vstore(self, addr, n_elems, ew, stride)
+        _GroupCapture.vstore(self, addr, n_elems, ew, stride)
+
+    def vgather(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
+        _EventLog.vgather(self, addr, n_elems, span_bytes, ew)
+        _GroupCapture.vgather(self, addr, n_elems, span_bytes, ew)
+
+    def vscatter(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
+        _EventLog.vscatter(self, addr, n_elems, span_bytes, ew)
+        _GroupCapture.vscatter(self, addr, n_elems, span_bytes, ew)
+
+    def varith(
+        self, n_elems: int, n_instr: int = 1, flops_per_elem: float = 2.0, ew: int = 4
+    ) -> None:
+        _EventLog.varith(self, n_elems, n_instr, flops_per_elem, ew)
+        _GroupCapture.varith(self, n_elems, n_instr, flops_per_elem, ew)
+
+    def vbroadcast(self, n: int = 1) -> None:
+        _EventLog.vbroadcast(self, n)
+        _GroupCapture.vbroadcast(self, n)
+
+    def sw_prefetch(self, addr: int, nbytes: int, level: str = "L1") -> None:
+        _EventLog.sw_prefetch(self, addr, nbytes, level)
+        _GroupCapture.sw_prefetch(self, addr, nbytes, level)
+
+    def count_flops(self, n: float) -> None:
+        _EventLog.count_flops(self, n)
+        _GroupCapture.count_flops(self, n)
+
+    def spill(self, n_registers: int = 1) -> None:
+        _EventLog.spill(self, n_registers)
+        _GroupCapture.spill(self, n_registers)
 
 
 def capture_sweep(
-    emit: Callable, machines: Sequence[MachineConfig]
+    emit: Callable,
+    machines: Sequence[MachineConfig],
+    key: str,
+    meta: dict,
 ) -> Optional[List[SimStats]]:
     """Run the kernels once and price every machine of a sweep group.
 
-    *emit* is called with a simulator-API object (a
+    *emit* is called with a simulator-API object (a recording
     :class:`_GroupCapture`) and must drive the kernel event stream into
     it — e.g. ``lambda sim: net._emit_trace(sim, policy, n, True)``.
     The kernels run against ``machines[0]``; since a replayable group
     only varies in fields kernels never read (L2 geometry, DRAM, VPU
     pricing parameters), the event stream is valid for the whole group.
+    A singleton group is a valid group, so this is the one cold path
+    for every capture a sweep needs.
 
     Returns one ``SimStats`` per machine (bitwise identical to direct
     simulation), or ``None`` for unsupported groups — the caller should
-    fall back to per-point simulation.  This fuses capture and the
-    shared pricing pass: nothing is re-walked, making it the fastest
-    cold path for a serial one-axis sweep.
+    fall back to per-point simulation.
+
+    The same kernel run records the trace under *key*
+    (:func:`repro.core.tracecache.trace_key`; *meta* becomes its
+    metadata), and the capture is kept for later sweeps: the trace is
+    spilled to disk when spilling is on (and then not held in memory)
+    or registered in-process otherwise, the shared pass is memoized,
+    and every tier persists as an ``.rvp`` when the pass cache is on.
+    No ``.rpp`` is written: every point this capture priced has a tier.
     """
     machines = list(machines)
     if not machines:
         return []
-    mode = group_mode(machines)
-    if mode is None:
+    if group_mode(machines) is None:
         return None
-    cap = _GroupCapture(machines[0], defer_vpu=mode == "vpu")
+    from ..core import tracecache
+
+    cap = _RecordingCapture(machines[0])
     emit(cap)
-    prog, inv, gc = cap.finish()
-    return _run_points(prog, inv, gc, machines)
+    trace = cap.recorded_trace(key, meta)
+    digest = trace.content_digest()
+    compat = _trace_compat(trace)
+    tracecache.put(key, trace, resident=False)
+    del trace
+    skel, inv, gc = cap.finish()
+    del cap
+    gc.pop("distinct")  # only an .rpp would carry it
+    sig = _shared_pass_sig(machines[0], True)
+    _memo_put((key, digest, True, sig), (skel, inv, gc))
+    ctx = (key, _sig_token(sig), digest, compat)
+    return _run_points(skel, inv, gc, machines, cache_ctx=ctx)

@@ -10,12 +10,13 @@ This module also holds the capture side of the capture-once /
 replay-many engine (see docs/TRACE_REPLAY.md): :class:`TraceRecorder`
 presents the same event API as :class:`~repro.machine.simulator
 .TraceSimulator` but, instead of pricing events, appends them — with
-their final sampling weight and kernel label — to an in-memory list
-that :meth:`TraceRecorder.finish` freezes into a :class:`RecordedTrace`
-(compact columnar NumPy arrays).  A recorded trace can then be replayed
-against any machine that shares the trace's VL-relevant fields
-(ISA name, vector length, L1 line size) without re-entering kernel
-code — see :mod:`repro.machine.replay`.
+their final sampling weight and kernel label — to an event log that
+freezes every ``_CHUNK_ROWS`` rows into compact columnar NumPy chunks;
+:meth:`TraceRecorder.finish` joins the chunks into a
+:class:`RecordedTrace`.  A recorded trace can then be replayed against
+any machine that shares the trace's VL-relevant fields (ISA name,
+vector length, L1 line size) without re-entering kernel code — see
+:mod:`repro.machine.replay`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -225,7 +227,7 @@ class RecordedTrace:
 
     __slots__ = (
         "key", "isa_name", "vlen_bits", "l1_line_bytes", "labels",
-        "buffers", "meta", "_cols", "_rows", "_digest",
+        "buffers", "meta", "_cols", "_digest",
     )
 
     #: Column (name, dtype) pairs, in row-tuple order.
@@ -236,8 +238,7 @@ class RecordedTrace:
     )
 
     def __init__(self, key, isa_name, vlen_bits, l1_line_bytes, labels,
-                 op=None, w=None, kid=None, i0=None, i1=None, i2=None,
-                 i3=None, f0=None, meta=None, rows=None, buffers=()):
+                 op, w, kid, i0, i1, i2, i3, f0, meta=None, buffers=()):
         self.key: Optional[str] = key
         self.isa_name: str = isa_name
         self.vlen_bits: int = vlen_bits
@@ -249,50 +250,12 @@ class RecordedTrace:
         self.buffers: Tuple[Tuple[str, int, int], ...] = tuple(
             (str(n), int(b), int(s)) for n, b, s in buffers
         )
-        if op is not None:
-            self._cols = (op, w, kid, i0, i1, i2, i3, f0)
-        elif rows is None:
-            raise ValueError("need either columns or rows")
-        else:
-            self._cols = None  # built lazily from rows (see _columns)
+        self._cols = (op, w, kid, i0, i1, i2, i3, f0)
         self.meta: Dict = dict(meta or {})
-        self._rows = rows
         self._digest: Optional[str] = None
 
     def _columns(self) -> tuple:
-        """The eight parallel arrays, columnarizing the rows on demand.
-
-        Capture hands over the raw event-tuple list (columnarizing is
-        pure overhead when the trace is consumed in-process, which walks
-        :meth:`rows` anyway); the arrays are materialized only when
-        something needs them — :meth:`save`, :meth:`nbytes`, or direct
-        column access.
-        """
-        if self._cols is None:
-            ev = self._rows
-            n = len(ev)
-            if n == 0:
-                self._cols = tuple(
-                    np.zeros(0, dt) for _, dt in self._COLUMNS
-                )
-            else:
-                # One C-level pass over the tuples; exact as long as the
-                # integer operands fit a float64 mantissa (bump-allocator
-                # addresses are far below 2**53 — checked, with an exact
-                # per-column fallback just in case).
-                arr = np.array(ev, dtype=np.float64)
-                if float(np.abs(arr[:, 3:7]).max()) < 2.0**53:
-                    self._cols = tuple(
-                        arr[:, i].copy() if dt is np.float64
-                        else arr[:, i].astype(dt)
-                        for i, (_, dt) in enumerate(self._COLUMNS)
-                    )
-                else:
-                    cols = list(zip(*ev))
-                    self._cols = tuple(
-                        np.fromiter(cols[i], dt, n)
-                        for i, (_, dt) in enumerate(self._COLUMNS)
-                    )
+        """The eight parallel arrays, in :attr:`_COLUMNS` order."""
         return self._cols
 
     op = property(lambda self: self._columns()[0])
@@ -307,8 +270,6 @@ class RecordedTrace:
     # -- introspection -------------------------------------------------
     @property
     def n_events(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
         return len(self._cols[0])
 
     def nbytes(self) -> int:
@@ -339,18 +300,18 @@ class RecordedTrace:
             and machine.l1.line_bytes == self.l1_line_bytes
         )
 
-    def rows(self) -> list:
-        """Decoded row tuples ``(op, w, kid, i0, i1, i2, i3, f0)``.
+    def rows(self) -> Iterator[tuple]:
+        """Row tuples ``(op, w, kid, i0, i1, i2, i3, f0)``, in event order.
 
-        Built once per trace and cached — the replayer iterates plain
-        Python tuples, which is much faster than per-row array indexing.
-        Freshly captured traces are already row-backed (the recorder's
-        event tuples have exactly this shape), so this is free for them.
+        The replayer iterates plain Python tuples, which is much faster
+        than per-row array indexing.  They are decoded ``_CHUNK_ROWS``
+        at a time and never cached, so a walk over the trace holds one
+        chunk of tuples beside the columns, not a second copy of it.
         """
-        if self._rows is None:
-            cols = self._columns()
-            self._rows = list(zip(*(c.tolist() for c in cols)))
-        return self._rows
+        cols = self._columns()
+        for start in range(0, self.n_events, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            yield from zip(*(c[start:stop].tolist() for c in cols))
 
     # -- persistence ---------------------------------------------------
     @staticmethod
@@ -433,56 +394,126 @@ class RecordedTrace:
             return tr
 
 
-class _RecorderHierarchy:
-    """Stand-in for ``sim.hierarchy`` while recording.
+#: Row tuples an event log holds before freezing them into a column
+#: chunk.  Bounds the transient Python objects of a capture (a 20-layer
+#: stream is over a million events) while the per-event cost stays one
+#: tuple append.
+_CHUNK_ROWS = 1 << 16
 
-    Kernels only touch the hierarchy through
-    :meth:`note_resident_range`; the recorder captures those calls as
-    events so replay can reconstruct the residency-range state.
+
+def _rows_to_columns(rows: list) -> list:
+    """Freeze row tuples into the eight :attr:`RecordedTrace._COLUMNS`.
+
+    One C-level pass per column, straight into its dtype (exact: no
+    float round trip for the integer operands).
+    """
+    n = len(rows)
+    return [
+        np.fromiter(map(itemgetter(i), rows), dt, n)
+        for i, (_, dt) in enumerate(RecordedTrace._COLUMNS)
+    ]
+
+
+class _EventLog:
+    """The recording half of a capture: a chunked, columnar event log.
+
+    Mixed into :class:`TraceRecorder` and into the fused group capture
+    of :mod:`repro.machine.replay`, so both freeze the very same
+    :class:`RecordedTrace` for one kernel run.  The host class provides
+    ``machine``, ``address_space`` and the :class:`SampledTraceBase`
+    weight/kernel state.  Each event is one row tuple ``(op, w, kid,
+    i0, i1, i2, i3, f0)``; every ``_CHUNK_ROWS`` rows are frozen into
+    NumPy columns, so at most that many tuples are ever alive.
+
+    The event methods (TraceSimulator's signatures) are the one
+    definition of every row layout.  They replicate the simulator's
+    early-out guards exactly: an event the simulator would not price at
+    all (e.g. a zero-element vector load) is not recorded, while events
+    that merely contribute zero cycles (e.g. ``scalar(0)``) *are*,
+    because they still touch the kernel-cycle attribution dict.
     """
 
-    __slots__ = ("_rec",)
-
-    def __init__(self, rec: "TraceRecorder"):
-        self._rec = rec
-
+    # -- events (mirror TraceSimulator's signatures) -------------------
     def note_resident_range(self, base: int, nbytes: int) -> None:
-        rec = self._rec
-        rec._events.append(
-            (OP_NOTE_RANGE, rec._w, rec._cur_kid, base, nbytes, 0, 0, 0.0)
+        self._log((OP_NOTE_RANGE, self._w, self._cur_kid, base, nbytes, 0, 0, 0.0))
+
+    def scalar(self, n: int = 1) -> None:
+        self._log((OP_SCALAR, self._w, self._cur_kid, n, 0, 0, 0, 0.0))
+
+    def scalar_load(self, addr: int, nbytes: int = 4) -> None:
+        self._log((OP_SCALAR_LOAD, self._w, self._cur_kid, addr, nbytes, 0, 0, 0.0))
+
+    def scalar_store(self, addr: int, nbytes: int = 4) -> None:
+        self._log((OP_SCALAR_STORE, self._w, self._cur_kid, addr, nbytes, 0, 0, 0.0))
+
+    def vload(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
+        if n_elems <= 0:
+            return
+        self._log((OP_VLOAD, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0))
+
+    def vstore(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
+        if n_elems <= 0:
+            return
+        self._log((OP_VSTORE, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0))
+
+    def vgather(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
+        if n_elems <= 0:
+            return
+        # Same lowering as TraceSimulator.vgather.
+        stride = max(ew, span_bytes // max(1, n_elems))
+        self._log((OP_VLOAD, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0))
+
+    def vscatter(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
+        if n_elems <= 0:
+            return
+        stride = max(ew, span_bytes // max(1, n_elems))
+        self._log((OP_VSTORE, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0))
+
+    def varith(
+        self, n_elems: int, n_instr: int = 1, flops_per_elem: float = 2.0, ew: int = 4
+    ) -> None:
+        if n_elems <= 0 or n_instr <= 0:
+            return
+        self._log(
+            (OP_VARITH, self._w, self._cur_kid, n_elems, n_instr, ew, 0,
+             flops_per_elem)
         )
 
+    def vbroadcast(self, n: int = 1) -> None:
+        self._log((OP_VBROADCAST, self._w, self._cur_kid, n, 0, 0, 0, 0.0))
 
-class TraceRecorder(SampledTraceBase):
-    """Captures the macro-event stream a kernel issues, without pricing.
+    def sw_prefetch(self, addr: int, nbytes: int, level: str = "L1") -> None:
+        if level not in ("L1", "L2"):
+            raise ValueError(f"unknown prefetch level {level!r}")
+        self._log(
+            (OP_SW_PREFETCH, self._w, self._cur_kid, addr, nbytes,
+             0 if level == "L1" else 1, 0, 0.0)
+        )
 
-    Presents the same API surface as
-    :class:`~repro.machine.simulator.TraceSimulator` (events, sampling
-    contexts, allocation, ``machine``/``hierarchy`` attributes) so the
-    network runner and kernels run unmodified.  Events are appended as
-    plain tuples (one append per event — this is the capture hot path)
-    and frozen into a :class:`RecordedTrace` by :meth:`finish`.
+    def count_flops(self, n: float) -> None:
+        self._log((OP_COUNT_FLOPS, self._w, self._cur_kid, 0, 0, 0, 0, float(n)))
 
-    The event methods replicate the TraceSimulator's early-out guards
-    exactly: an event the simulator would not price at all (e.g. a
-    zero-element vector load) is not recorded, while events that merely
-    contribute zero cycles (e.g. ``scalar(0)``) *are*, because they
-    still touch the kernel-cycle attribution dict.
-    """
+    def spill(self, n_registers: int = 1) -> None:
+        self._log((OP_SPILL, self._w, self._cur_kid, n_registers, 0, 0, 0, 0.0))
 
-    def __init__(self, machine):
-        super().__init__()
-        self.machine = machine
-        self.address_space = AddressSpace()
-        self.hierarchy = _RecorderHierarchy(self)
+    # -- the log -------------------------------------------------------
+    def _start_log(self) -> None:
         self._events: list = []
+        self._chunks: list = []
         self._labels: Dict[str, int] = {"other": 0}
         self._cur_kid = 0
 
-    # -- bookkeeping ---------------------------------------------------
-    def alloc(self, name: str, nbytes: int) -> Buffer:
-        """Allocate a simulated buffer (same bump allocator as pricing)."""
-        return self.address_space.alloc(name, nbytes)
+    def _log(self, row: tuple) -> None:
+        events = self._events
+        events.append(row)
+        if len(events) >= _CHUNK_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Freeze the pending rows into a column chunk."""
+        if self._events:
+            self._chunks.append(_rows_to_columns(self._events))
+            self._events.clear()
 
     @contextmanager
     def kernel(self, label: str):
@@ -505,95 +536,26 @@ class TraceRecorder(SampledTraceBase):
             self._kernel_stack.pop()
             self._cur_kid = prev
 
-    def _kid(self) -> int:
-        return self._cur_kid
+    def recorded_trace(self, key: Optional[str] = None, meta=None) -> RecordedTrace:
+        """Join the logged chunks into a :class:`RecordedTrace`.
 
-    # -- events (mirror TraceSimulator's signatures) -------------------
-    def scalar(self, n: int = 1) -> None:
-        self._events.append((OP_SCALAR, self._w, self._cur_kid, n, 0, 0, 0, 0.0))
-
-    def scalar_load(self, addr: int, nbytes: int = 4) -> None:
-        self._events.append(
-            (OP_SCALAR_LOAD, self._w, self._cur_kid, addr, nbytes, 0, 0, 0.0)
-        )
-
-    def scalar_store(self, addr: int, nbytes: int = 4) -> None:
-        self._events.append(
-            (OP_SCALAR_STORE, self._w, self._cur_kid, addr, nbytes, 0, 0, 0.0)
-        )
-
-    def vload(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
-        if n_elems <= 0:
-            return
-        self._events.append(
-            (OP_VLOAD, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0)
-        )
-
-    def vstore(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
-        if n_elems <= 0:
-            return
-        self._events.append(
-            (OP_VSTORE, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0)
-        )
-
-    def vgather(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
-        if n_elems <= 0:
-            return
-        # Same lowering as TraceSimulator.vgather.
-        stride = max(ew, span_bytes // max(1, n_elems))
-        self._events.append(
-            (OP_VLOAD, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0)
-        )
-
-    def vscatter(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
-        if n_elems <= 0:
-            return
-        stride = max(ew, span_bytes // max(1, n_elems))
-        self._events.append(
-            (OP_VSTORE, self._w, self._cur_kid, addr, n_elems, ew, stride, 0.0)
-        )
-
-    def varith(
-        self, n_elems: int, n_instr: int = 1, flops_per_elem: float = 2.0, ew: int = 4
-    ) -> None:
-        if n_elems <= 0 or n_instr <= 0:
-            return
-        self._events.append(
-            (OP_VARITH, self._w, self._cur_kid, n_elems, n_instr, ew, 0,
-             flops_per_elem)
-        )
-
-    def vbroadcast(self, n: int = 1) -> None:
-        self._events.append(
-            (OP_VBROADCAST, self._w, self._cur_kid, n, 0, 0, 0, 0.0)
-        )
-
-    def sw_prefetch(self, addr: int, nbytes: int, level: str = "L1") -> None:
-        if level not in ("L1", "L2"):
-            raise ValueError(f"unknown prefetch level {level!r}")
-        self._events.append(
-            (OP_SW_PREFETCH, self._w, self._cur_kid, addr, nbytes,
-             0 if level == "L1" else 1, 0, 0.0)
-        )
-
-    def count_flops(self, n: float) -> None:
-        self._events.append(
-            (OP_COUNT_FLOPS, self._w, self._cur_kid, 0, 0, 0, 0, float(n))
-        )
-
-    def spill(self, n_registers: int = 1) -> None:
-        self._events.append(
-            (OP_SPILL, self._w, self._cur_kid, n_registers, 0, 0, 0, 0.0)
-        )
-
-    # -- freezing ------------------------------------------------------
-    def finish(self, key: Optional[str] = None, meta=None) -> RecordedTrace:
-        """Freeze the captured events into a :class:`RecordedTrace`.
-
-        The event tuples already have the row shape replay iterates, so
-        the trace is handed over row-backed; the columnar arrays are
-        materialized lazily, only if the trace is spilled to disk.
+        Each column is concatenated and its chunk parts dropped before
+        the next, so the join needs one column of headroom, not a
+        second copy of the trace.  The log is empty afterwards.
         """
+        self._flush()
+        chunks = self._chunks
+        cols = []
+        for i, (_, dt) in enumerate(RecordedTrace._COLUMNS):
+            parts = [c[i] for c in chunks]
+            for c in chunks:
+                c[i] = None
+            if not parts:
+                cols.append(np.zeros(0, dt))
+            else:
+                cols.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+            del parts
+        chunks.clear()
         labels = [None] * len(self._labels)
         for name, kid in self._labels.items():
             labels[kid] = name
@@ -604,10 +566,57 @@ class TraceRecorder(SampledTraceBase):
             m.vlen_bits,
             m.l1.line_bytes,
             labels,
+            *cols,
             meta=meta,
-            rows=self._events,
             buffers=[
                 (b.name, b.base, b.nbytes)
                 for b in self.address_space.buffers.values()
             ],
         )
+
+
+class _RecorderHierarchy:
+    """Stand-in for ``sim.hierarchy`` while recording.
+
+    Kernels only touch the hierarchy through
+    :meth:`note_resident_range`; the recorder captures those calls as
+    events so replay can reconstruct the residency-range state.
+    """
+
+    __slots__ = ("_rec",)
+
+    def __init__(self, rec: "TraceRecorder"):
+        self._rec = rec
+
+    def note_resident_range(self, base: int, nbytes: int) -> None:
+        self._rec.note_resident_range(base, nbytes)
+
+
+class TraceRecorder(_EventLog, SampledTraceBase):
+    """Captures the macro-event stream a kernel issues, without pricing.
+
+    Presents the same API surface as
+    :class:`~repro.machine.simulator.TraceSimulator` (events, sampling
+    contexts, allocation, ``machine``/``hierarchy`` attributes) so the
+    network runner and kernels run unmodified.  Events are logged as
+    plain tuples (one append per event — this is the capture hot path)
+    and frozen into a :class:`RecordedTrace` by :meth:`finish`; the
+    event methods, and so every row layout, come from :class:`_EventLog`.
+    """
+
+    def __init__(self, machine):
+        super().__init__()
+        self.machine = machine
+        self.address_space = AddressSpace()
+        self.hierarchy = _RecorderHierarchy(self)
+        self._start_log()
+
+    # -- bookkeeping ---------------------------------------------------
+    def alloc(self, name: str, nbytes: int) -> Buffer:
+        """Allocate a simulated buffer (same bump allocator as pricing)."""
+        return self.address_space.alloc(name, nbytes)
+
+    # -- freezing ------------------------------------------------------
+    def finish(self, key: Optional[str] = None, meta=None) -> RecordedTrace:
+        """Freeze the captured events into a :class:`RecordedTrace`."""
+        return self.recorded_trace(key, meta)

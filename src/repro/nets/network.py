@@ -194,13 +194,14 @@ class Network:
 
         rec = TraceRecorder(machine)
         self._emit_trace(rec, policy, n_layers, deduplicate)
+        return rec.finish(key=key, meta=self._trace_meta(policy, n_layers))
+
+    def _trace_meta(self, policy: KernelPolicy, n_layers: Optional[int]) -> dict:
+        """The metadata a recorded trace of this network carries."""
         limit = len(self.layers) if n_layers is None else min(
             n_layers, len(self.layers)
         )
-        return rec.finish(
-            key=key,
-            meta={"net": self.name, "n_layers": limit, "policy": repr(policy)},
-        )
+        return {"net": self.name, "n_layers": limit, "policy": repr(policy)}
 
     def analyze(
         self,

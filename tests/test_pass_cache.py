@@ -17,19 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tracecache as tc
-from repro.core.codesign import sweep_vector_lengths
+from repro.core.codesign import sweep_cache_sizes, sweep_lanes, sweep_vector_lengths
 from repro.machine import rvv_gem5
 from repro.machine.replay import (
     _INVARIANT_FIELDS,
     _compile_fast,
-    _shared_pass,
     _run_points,
+    _shared_pass,
+    _skeleton,
     replay_sweep,
     replay_sweep_cached,
 )
 from repro.machine.simulator import SimStats
 from repro.machine.trace import TraceRecorder
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
+from repro.nets.zoo import yolov3_tiny
 
 COMPAT = {"isa_name": "rvv1.0", "vlen_bits": 512, "l1_line_bytes": 64}
 
@@ -232,7 +234,7 @@ class TestStoreLoad:
     def test_vecprog_roundtrip(self, cache_dir):
         m, trace, prog, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
-        cols = _compile_fast(prog, gc, None)
+        cols = _compile_fast(_skeleton(prog, gc), gc)
         cols_dict = {s: getattr(cols, s) for s in cols.__slots__}
         tier = {"kind": "fast", "token": "f" * 12, "desc": "fast:None",
                 "fps": ["fp1"]}
@@ -341,6 +343,52 @@ class TestWarmSweeps:
         )
         reset_process_state()
 
+    def test_warm_pricing_axes_decode_tiers_only(self, cache_dir):
+        """A cold L2 sweep and lanes sweep on one key leave one tier per
+        point; warm re-runs price every point from those tiers alone —
+        no trace decode, no .rpp, one .rvp load per distinct tier."""
+        # 1 MB walks its hot sets, 2 and 4 MB trim their ranges, 64 MB
+        # never trims: four distinct tiers.
+        net = yolov3_tiny()
+        mbs = [1, 2, 4, 64]
+        lanes = [2, 4, 8]
+
+        def l2_sweep():
+            return sweep_cache_sizes(
+                net, mbs, lambda mb: rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb),
+                n_layers=6, use_cache=False,
+            )
+
+        def lane_sweep():
+            return sweep_lanes(
+                net, lanes, lambda n: rvv_gem5(vlen_bits=1024, lanes=n, l2_mb=1),
+                n_layers=6, use_cache=False,
+            )
+
+        cold = (l2_sweep(), lane_sweep())
+        assert cold[0].sources == ["captured"] + ["replayed"] * (len(mbs) - 1)
+        assert cold[1].sources == ["replayed"] * len(lanes)
+        names = os.listdir(cache_dir)
+        assert not any(n.endswith(tc.PASS_SUFFIX) for n in names)
+        tiers = [n for n in names if n.endswith(tc.VECPROG_SUFFIX)]
+        assert len(tiers) == len(mbs)
+        reset_process_state()
+        tc.reset_load_counts()
+        warm_l2 = l2_sweep()
+        counts = tc.load_counts()
+        assert counts["vecprog"] == len(tiers)
+        tc.reset_load_counts()
+        warm_lanes = lane_sweep()
+        lane_counts = tc.load_counts()
+        assert lane_counts["vecprog"] == 1  # the 1 MB point's tier
+        for c in (counts, lane_counts):
+            assert c["spill"] == 0 and c["shm"] == 0
+            assert c["pass_spill"] == 0 and c["pass_shm"] == 0
+        for res, warm in zip(cold, (warm_l2, warm_lanes)):
+            assert warm.sources == ["replayed"] * len(res.axis)
+            for a, b in zip(res.stats, warm.stats):
+                assert hexs(a) == hexs(b)
+
     def test_cached_entry_miss_returns_none(self, cache_dir):
         m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
         assert replay_sweep_cached("nonexistent-key", [m]) is None
@@ -358,7 +406,8 @@ class TestCliGc:
         names = os.listdir(cache_dir)
         traces = sorted(n for n in names if n.endswith(tc.SPILL_SUFFIX))
         assert len(traces) == len(VLENS)
-        assert any(n.endswith(tc.PASS_SUFFIX) for n in names)
+        # A fused capture leaves its trace and one tier per point, no .rpp.
+        assert not any(n.endswith(tc.PASS_SUFFIX) for n in names)
         # Orphan one key's compiled passes by removing its trace.
         victim = traces[0][: -len(tc.SPILL_SUFFIX)]
         os.remove(os.path.join(str(cache_dir), traces[0]))
@@ -370,7 +419,7 @@ class TestCliGc:
             survivor = t[: -len(tc.SPILL_SUFFIX)]
             kinds = {n.rsplit(".", 1)[1] for n in left
                      if n.startswith(survivor)}
-            assert {"rtz", "rpp", "rvp"} <= kinds
+            assert kinds == {"rtz", "rvp"}
         # The survivors still serve a warm sweep, bitwise.
         warm = run_vl_sweep()
         assert warm.sources.count("replayed") >= len(VLENS) - 1

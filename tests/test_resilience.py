@@ -207,23 +207,30 @@ class TestTraceSpillQuarantine:
         self, cache_env, fault_env, monkeypatch, fault_kind
     ):
         """A mangled on-disk trace must never poison a sweep: the spill
-        is quarantined and the points simulate directly, bitwise equal."""
+        is quarantined and the points are priced afresh, bitwise equal."""
+        from repro.machine import replay
+
         monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
         net = small_net()
-        mbs = [1, 2, 4]
-        clean = sweep_cache_sizes(net, mbs, rvv_cache_factory, jobs=1)
-        tracecache.get_or_capture(net, rvv_cache_factory(1), KernelPolicy(), None)
+        sweep_cache_sizes(net, [1, 2, 4], rvv_cache_factory, jobs=1)
         spills = list((cache_env / ".simcache" / "traces").glob("*.rtz"))
-        assert spills, "get_or_capture should have spilled the trace"
-        tracecache.clear_registry()  # force the reload from disk
+        assert spills, "the sweep should have spilled the trace"
+        # Forget the in-process capture: only the disk state remains.
+        tracecache.clear_registry()
+        replay._SHARED_PASS_MEMO.clear()
         arm = fault_env
         arm(FaultSpec(site="tracecache.spill", kind=fault_kind))
         # Fire the mangler on the existing spill via its own site.
         from repro.testing import faults
 
         faults.maybe_fault("tracecache.spill", path=str(spills[0]))
+        # Points with no stored tier need the trace itself.
+        mbs = [8, 16]
         again = sweep_cache_sizes(net, mbs, rvv_cache_factory, jobs=1)
-        for a, b in zip(clean.stats, again.stats):
+        direct = sweep_cache_sizes(
+            net, mbs, rvv_cache_factory, jobs=1, use_trace=False
+        )
+        for a, b in zip(direct.stats, again.stats):
             assert_identical(a, b)
         assert any(
             "unreadable trace spill" in q["reason"] for q in list_quarantined()
@@ -306,6 +313,27 @@ class TestFailureBudget:
         assert failure.exc_type == "InjectedFault"
         assert math.isnan(res.stats[1].cycles)  # reporting still works
         assert res.as_rows()[1]["source"] == "failed"
+
+    def test_forced_trace_still_supervises_failing_points(
+        self, cache_env, fault_env
+    ):
+        """``use_trace=True`` re-raises group pricing errors only: a
+        failing point still retries and is charged to the budget."""
+        arm = fault_env
+        arm(FaultSpec(site="worker.point", kind="raise", index=1, times=99))
+        net = small_net()
+        res = sweep_cache_sizes(
+            net, [1, 2, 4], rvv_cache_factory, jobs=1, use_trace=True,
+            retry=RetryPolicy(max_retries=1, backoff_s=0.001), max_failures=1,
+        )
+        assert res.sources == ["direct", "failed", "direct"]
+        (failure,) = res.failures()
+        assert failure.index == 1 and failure.attempts == 2
+        for i, mb in ((0, 1), (2, 4)):
+            direct = net.simulate(
+                rvv_cache_factory(mb), use_cache=False, use_trace=False
+            )
+            assert_identical(res.stats[i], direct)
 
     def test_fail_fast_raises_original_exception(self, cache_env, fault_env):
         arm = fault_env

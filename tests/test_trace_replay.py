@@ -12,7 +12,6 @@ drift (see the lock-step warning in ``repro/machine/replay.py``).
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.core import sweep_cache_sizes, sweep_lanes, tracecache
@@ -20,14 +19,13 @@ from repro.core.codesign import SweepResult
 from repro.machine import a64fx, rvv_gem5, sve_gem5
 from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.replay import (
-    _GroupCapture,
     _compile_fast,
     _compile_walk,
-    _point_pass,
-    _point_pass_fast,
-    _point_pass_fast2,
-    _point_pass_hybrid,
+    _GroupCapture,
+    _hot_sets,
     _point_pass_vec,
+    _skeleton,
+    _tier_for,
     capture_sweep,
     group_mode,
     nonuniform_fields,
@@ -36,6 +34,7 @@ from repro.machine.replay import (
     supports_axis,
     uniform_group,
 )
+from repro.machine import trace as trace_mod
 from repro.machine.simulator import SimStats, TraceSimulator
 from repro.machine.trace import RecordedTrace
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
@@ -67,6 +66,25 @@ def small_net():
         input_shape=(4, 32, 32),
         name="small",
     )
+
+
+@pytest.fixture
+def fused(monkeypatch):
+    """``capture_sweep`` exactly as a sweep runs it: keyed and
+    recording, from an empty registry, the trace kept in memory."""
+    monkeypatch.setenv("REPRO_TRACE_SPILL", "0")
+    monkeypatch.delenv("REPRO_PASS_CACHE", raising=False)
+
+    def run(net, machines, policy, n):
+        tracecache.clear_registry()
+        return capture_sweep(
+            lambda sim: net._emit_trace(sim, policy, n, True), machines,
+            key=tracecache.trace_key(net, machines[0], policy, n),
+            meta=net._trace_meta(policy, n),
+        )
+
+    yield run
+    tracecache.clear_registry()
 
 
 L2_SIZES = [1, 4, 64]
@@ -111,7 +129,7 @@ CASES = [
 
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("mk,policy,n", CASES)
-    def test_replay_and_sweeps_match_direct(self, mk, policy, n):
+    def test_replay_and_sweeps_match_direct(self, mk, policy, n, fused):
         net = yolov3_tiny()
         machines = [mk(mb) for mb in L2_SIZES]
         ds = [direct(net, m, policy, n) for m in machines]
@@ -124,11 +142,9 @@ class TestBitwiseIdentity:
         for d, r in zip(ds, replayed):
             assert_bitwise(d, r)
 
-        fused = capture_sweep(
-            lambda sim: net._emit_trace(sim, policy, n, True), machines
-        )
-        assert fused is not None
-        for d, c in zip(ds, fused):
+        captured = fused(net, machines, policy, n)
+        assert captured is not None
+        for d, c in zip(ds, captured):
             assert_bitwise(d, c)
 
     def test_mixed_dram_and_tiny_l2_group(self):
@@ -160,7 +176,7 @@ class TestBitwiseIdentity:
         trace = net.record_trace(m, KernelPolicy(), n_layers=0)
         assert_bitwise(direct(net, m, KernelPolicy(), 0), replay(trace, m))
 
-    def test_lane_group_replays_deferred(self):
+    def test_lane_group_replays_deferred(self, fused):
         """Lanes change pricing arithmetic, not the walk: the engines
         defer the VPU-dependent terms and replay bitwise."""
         net = yolov3_tiny()
@@ -173,10 +189,7 @@ class TestBitwiseIdentity:
         trace = net.record_trace(group[0], KernelPolicy(), n_layers=2)
         for d, r in zip(ds, replay_sweep(trace, group)):
             assert_bitwise(d, r)
-        cs = capture_sweep(
-            lambda sim: net._emit_trace(sim, KernelPolicy(), 2, True), group
-        )
-        for d, r in zip(ds, cs):
+        for d, r in zip(ds, fused(net, group, KernelPolicy(), 2)):
             assert_bitwise(d, r)
 
     def test_vl_group_declined(self):
@@ -216,86 +229,83 @@ class TestBitwiseIdentity:
 
 
 class TestPointPassEngines:
-    """The specialised point passes must agree with the full walk.
+    """Every tier builder must price exactly like :func:`replay`.
 
-    ``_run_points`` routes each design point to the cheapest engine its
-    cache pressure allows (full walk / hybrid hot-set / conflict-free
-    fast, pairwise-fused).  Here each engine is run explicitly against
-    the full walk on the same shared program.
+    ``_run_points`` prices each design point with ``_point_pass_vec``
+    from one tier: conflict-free (``_compile_fast``, one per L2 byte
+    budget) or walk (``_compile_walk``, one per L2 geometry, walking
+    only the hot sets when nothing but the demand stream fills the L2).
+    Here each builder runs explicitly on one shared program and the
+    priced point is checked against ``replay()`` of the same trace.
     """
 
     @pytest.fixture(scope="class")
     def captured(self):
         net = yolov3_tiny()
         m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        cap = _GroupCapture(m0)
+        trace = net.record_trace(m0, KernelPolicy(), n_layers=6)
+        cap = _GroupCapture(m0, defer_vpu=True)
         net._emit_trace(cap, KernelPolicy(), 6, True)
-        return cap.finish()
+        prog, inv, gc = cap.finish()
+        return trace, _skeleton(prog, gc), inv, gc
 
     def test_hybrid_matches_full(self, captured):
-        prog, inv, gc = captured
+        """The 1 MB point sits in hybrid territory — a few overcommitted
+        sets, everything else conflict-free — so its walk tier walks
+        only the hot sets; it prices like the full walk and replay."""
+        trace, skel, inv, gc = captured
         assert not gc["has_fills"] and not gc["pf2_cfg"]
         m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
         num_sets = m.l2.size_bytes // m.l2.line_bytes // m.l2.assoc
-        lines = np.fromiter(gc["distinct"], dtype=np.int64)
-        sets = lines % num_sets
-        hot_mask = np.bincount(sets)[sets] > m.l2.assoc
-        # The 1 MB point of this net sits in hybrid territory: a few
-        # overcommitted sets, everything else conflict-free.
-        assert 0 < hot_mask.sum() < len(lines)
-        hot = set(lines[hot_mask].tolist())
-        assert_bitwise(
-            _point_pass(prog, inv, m, gc),
-            _point_pass_hybrid(prog, inv, m, gc, hot),
-        )
+        hot = _hot_sets(skel, num_sets, m.l2.assoc)[skel.lines % num_sets]
+        assert 0 < hot.sum() < len(skel.lines)
+        assert _tier_for(skel, gc, m)["kind"] == "walk"
+        want = replay(trace, m)
+        hot_walk = _compile_walk(skel, gc, m)
+        assert_bitwise(want, _point_pass_vec(hot_walk, inv, m, gc))
+        # A program with fills forces the walk over every line.
+        full_walk = _compile_walk(skel, dict(gc, has_fills=True), m)
+        assert_bitwise(want, _point_pass_vec(full_walk, inv, m, gc))
 
-    def test_fast_and_fast2_match_full(self, captured):
-        prog, inv, gc = captured
-        ma = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=64)
-        mb = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=256)
-        ref_a = _point_pass(prog, inv, ma, gc)
-        ref_b = _point_pass(prog, inv, mb, gc)
-        assert_bitwise(ref_a, _point_pass_fast(prog, inv, ma, gc))
-        pair = _point_pass_fast2(prog, inv, ma, mb, gc)
-        assert_bitwise(ref_a, pair[0])
-        assert_bitwise(ref_b, pair[1])
+    def test_fast_tiers_match_replay(self, captured):
+        """Conflict-free points whose ranges never trim share one tier."""
+        trace, skel, inv, gc = captured
+        cols = _compile_fast(skel, gc)
+        for mb in (64, 256):
+            m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb)
+            tier = _tier_for(skel, gc, m)
+            assert tier["kind"] == "fast" and tier["desc"] == "fast:None"
+            assert_bitwise(replay(trace, m), _point_pass_vec(cols, inv, m, gc))
 
     def test_budget_compile_matches_fast_when_trimming(self, captured):
-        """A finite-budget compile resolves trimming range walks into
-        the same classes the loop pass prices event by event."""
-        prog, inv, gc = captured
-        m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=2)
-        assert gc["max_range_total"] > m.l2.size_bytes  # ranges trim here
-        cols = _compile_fast(prog, gc, MemoryHierarchy.pricing_view(m))
-        assert_bitwise(
-            _point_pass_fast(prog, inv, m, gc),
-            _point_pass_vec(cols, inv, m, gc),
-        )
+        """A finite-budget compile resolves the trimming range walk in
+        stream order, exactly as the simulator's range model does."""
+        trace, skel, inv, gc = captured
+        for mb in (2, 4):
+            m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb)
+            assert gc["max_range_total"] > m.l2.size_bytes  # ranges trim here
+            assert _tier_for(skel, gc, m)["desc"] == f"fast:{m.l2.size_bytes}"
+            cols = _compile_fast(skel, gc, MemoryHierarchy.pricing_view(m))
+            assert_bitwise(replay(trace, m), _point_pass_vec(cols, inv, m, gc))
 
-    def test_walk_compile_matches_full_on_lane_group(self):
+    def test_walk_compile_matches_full_on_lane_group(self, captured):
         """A conflicted lane group (uniform 1 MB L2, varying lanes)
         resolves its cache walk once and vec-prices every point."""
-        net = yolov3_tiny()
+        trace, skel, inv, gc = captured
         machines = [
             rvv_gem5(vlen_bits=1024, lanes=l, l2_mb=1) for l in (2, 4, 8)
         ]
-        cap = _GroupCapture(machines[0], defer_vpu=True)
-        net._emit_trace(cap, KernelPolicy(), 6, True)
-        prog, inv, gc = cap.finish()
-        cols = _compile_walk(prog, gc, machines[0])
+        assert len({_tier_for(skel, gc, m)["token"] for m in machines}) == 1
+        cols = _compile_walk(skel, gc, machines[0])
         for m in machines:
-            assert_bitwise(
-                _point_pass(prog, inv, m, gc),
-                _point_pass_vec(cols, inv, m, gc),
-            )
+            assert_bitwise(replay(trace, m), _point_pass_vec(cols, inv, m, gc))
 
-    def test_run_points_selects_all_engines(self, monkeypatch):
-        """An L2 sweep of this net routes through every engine."""
+    def test_run_points_selects_all_engines(self, monkeypatch, fused):
+        """An L2 sweep of this net builds every tier kind once."""
         from repro.machine import replay as R
 
         calls = []
-        for name in ("_point_pass", "_point_pass_hybrid", "_point_pass_vec",
-                     "_point_pass_fast2", "_compile_fast"):
+        for name in ("_compile_fast", "_compile_walk", "_point_pass_vec"):
             orig = getattr(R, name)
             monkeypatch.setattr(
                 R, name,
@@ -304,20 +314,59 @@ class TestPointPassEngines:
                 ),
             )
         net = yolov3_tiny()
-        sizes = [1, 2, 4, 64]  # hybrid; fast2 pair; vec (never-trimming)
+        sizes = [1, 2, 4, 64]  # hot walk; two trimming budgets; never trims
         machines = [rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb) for mb in sizes]
-        fused = capture_sweep(
-            lambda sim: net._emit_trace(sim, KernelPolicy(), 6, True), machines
-        )
-        for m, f in zip(machines, fused):
+        for m, f in zip(machines, fused(net, machines, KernelPolicy(), 6)):
             assert_bitwise(direct(net, m, KernelPolicy(), 6), f)
-        assert "_point_pass_hybrid" in calls
-        # 2 MB and 4 MB trim alone (singleton budgets): the paired loop
-        # pass beats a compile nothing else reuses.
-        assert "_point_pass_fast2" in calls
-        # 64 MB never trims: compiled once, priced by column arithmetic.
-        assert calls.count("_point_pass_vec") == 1
-        assert calls.count("_compile_fast") == 1
+        assert calls.count("_compile_walk") == 1
+        assert calls.count("_compile_fast") == 3
+        assert calls.count("_point_pass_vec") == 4
+
+
+class TestRecordedTrace:
+    """The fused capture records exactly what ``record_trace`` records."""
+
+    @pytest.mark.parametrize("policy", [
+        pytest.param(KernelPolicy(), id="3loop"),
+        pytest.param(KernelPolicy(gemm="6loop", winograd="stride1"), id="6loop-wino"),
+    ])
+    @pytest.mark.parametrize("mk", [
+        pytest.param(lambda: rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1), id="rvv"),
+        pytest.param(lambda: sve_gem5(vlen_bits=512, l2_mb=1), id="sve"),
+        pytest.param(a64fx, id="a64fx"),
+    ])
+    def test_capture_sweep_records_record_trace(self, fused, mk, policy):
+        net = yolov3_tiny()
+        m = mk()
+        key = tracecache.trace_key(net, m, policy, 3)
+        priced = fused(net, [m], policy, 3)
+        got = tracecache.get(key)
+        want = net.record_trace(m, policy, n_layers=3, key=key)
+        assert got is not None and got is not want
+        assert got.content_digest() == want.content_digest()
+        assert got.labels == want.labels
+        assert got.buffers == want.buffers
+        assert got.meta == want.meta
+        assert_bitwise(replay(want, m), priced[0])
+
+    def test_capture_spanning_many_chunks(self, monkeypatch, fused):
+        """A capture whose log freezes many column chunks (and feeds the
+        skeleton chunk by chunk) records the trace a single-chunk
+        ``record_trace`` does and prices every point like direct
+        simulation; replay walks the chunked rows just as well."""
+        net = yolov3_tiny()
+        policy = KernelPolicy()
+        machines = [rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb) for mb in (1, 4, 64)]
+        want = net.record_trace(machines[0], policy, n_layers=4)
+        monkeypatch.setattr(trace_mod, "_CHUNK_ROWS", 1000)
+        assert want.n_events > 10 * 1000
+        priced = fused(net, machines, policy, 4)
+        got = tracecache.get(tracecache.trace_key(net, machines[0], policy, 4))
+        assert got.content_digest() == want.content_digest()
+        for m, p in zip(machines, priced):
+            d = direct(net, m, policy, 4)
+            assert_bitwise(d, p)
+            assert_bitwise(d, replay(got, m))
 
 
 class TestTraceKey:
@@ -365,6 +414,7 @@ class TestTraceKey:
 
 class TestSweepIntegration:
     def test_sources_and_identity(self):
+        tracecache.clear_registry()
         net = small_net()
 
         def factory(mb):
@@ -379,6 +429,9 @@ class TestSweepIntegration:
         assert [r["source"] for r in on.as_rows()] == on.sources
 
     def test_lane_sweep_replays(self):
+        # Start cold: an earlier sweep of this net keeps its capture
+        # registered, and this sweep would replay from it.
+        tracecache.clear_registry()
         net = small_net()
 
         def factory(lanes):
@@ -431,6 +484,30 @@ class TestSweepIntegration:
             lambda i: group[{"L2": 0, "L1": 1}[i]],
         )
         assert res.sources == ["direct", "direct"]
+
+    def test_pricing_error_raises_when_trace_forced(self, monkeypatch):
+        """A replay bug must not hide behind the per-point fallback when
+        the caller demanded replay; the default mode still degrades."""
+        from repro.machine import replay as R
+
+        def broken(*_args):
+            raise RuntimeError("tier bug")
+
+        monkeypatch.setattr(R, "_point_pass_vec", broken)
+        tracecache.clear_registry()
+        net = small_net()
+
+        def factory(mb):
+            return rvv_gem5(vlen_bits=512, lanes=4, l2_mb=mb)
+
+        with pytest.raises(RuntimeError, match="tier bug"):
+            sweep_cache_sizes(net, [1, 4], factory, use_trace=True)
+        res = sweep_cache_sizes(net, [1, 4], factory)
+        assert res.sources == ["direct", "direct"]
+        off = sweep_cache_sizes(net, [1, 4], factory, use_trace=False)
+        for a, b in zip(res.stats, off.stats):
+            assert_bitwise(a, b)
+        tracecache.clear_registry()
 
     def test_simcache_hits_win_over_replay(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SIMCACHE_DIR", str(tmp_path / "sc"))
