@@ -301,17 +301,16 @@ def test_vectorized_point_pass(benchmark, yolo_net):
     which re-prices every event of the trace) against
     ``_point_pass_vec`` (``np.add.accumulate`` / ``np.bincount`` over a
     compiled tier) at the same conflict-free design points.  The tier
-    build (``_skeleton`` + ``_compile_fast``) is timed and reported
-    separately: production (``_run_points``) pays it once per L2 budget
-    per sweep group, or loads the stored ``.rvp``, so the per-point
-    comparison is pricing vs pricing.  The gate sits at 2x against
-    machine noise.
+    build (``_compile_fast`` over the capture's skeleton) is timed and
+    reported separately: production (``_run_points``) pays it once per
+    L2 budget per sweep group, or loads the stored ``.rvp``, so the
+    per-point comparison is pricing vs pricing.  The gate sits at 2x
+    against machine noise.
     """
     from repro.machine.replay import (
         _compile_fast,
         _GroupCapture,
         _point_pass_vec,
-        _skeleton,
         replay,
     )
 
@@ -322,16 +321,16 @@ def test_vectorized_point_pass(benchmark, yolo_net):
 
     def run():
         trace = yolo_net.record_trace(machines[0], policy, n_layers=n_layers)
-        cap = _GroupCapture(machines[0], defer_vpu=True)
+        cap = _GroupCapture(machines[0])
         yolo_net._emit_trace(cap, policy, n_layers, True)
-        prog, inv, gcfg = cap.finish()
+        skel, inv, gcfg = cap.finish()
         gc.disable()
         try:
             t0 = time.perf_counter()
             loop_stats = [replay(trace, m) for m in machines]
             t_loop = time.perf_counter() - t0
             t0 = time.perf_counter()
-            cols = _compile_fast(_skeleton(prog, gcfg), gcfg)
+            cols = _compile_fast(skel, gcfg)
             t_compile = time.perf_counter() - t0
             t0 = time.perf_counter()
             vec_stats = [
@@ -342,7 +341,7 @@ def test_vectorized_point_pass(benchmark, yolo_net):
         finally:
             gc.enable()
             gc.collect()
-        return loop_stats * reps, vec_stats, len(prog), t_loop, t_compile, t_vec
+        return loop_stats * reps, vec_stats, len(skel.base), t_loop, t_compile, t_vec
 
     loop_stats, vec_stats, n_items, t_loop, t_compile, t_vec = run_once(
         benchmark, run
@@ -384,16 +383,17 @@ def test_vectorized_point_pass(benchmark, yolo_net):
 def test_shared_pass_engines(benchmark, yolo_net):
     """Vectorized shared pass vs the per-event Python oracle, same trace.
 
-    Times ``_shared_pass_vec`` (columnar kernel grouping + batched
-    event expansion) against ``_shared_pass_python`` (the per-event
-    reference loop) over one captured YOLOv3 event stream, reporting
-    events/second for both.  The pass outputs must price to bitwise
-    identical statistics.  Both engines are L2-walk-bound on conflicted
-    traces, so no speedup is gated — the row exists to track the
-    trajectory of both engines across PRs (the follow-on that changes
-    this picture, a stack-distance batch walk, is sketched in
-    ROADMAP.md); the gate is only that the vectorized default stays
-    within noise of the oracle.
+    Times ``_shared_pass_vec`` (item layout by column arithmetic, one
+    sequential walk over the memory events) against
+    ``_shared_pass_python`` (the per-event reference loop) over one
+    captured YOLOv3 event stream, reporting events/second for both.
+    Both emit the program as skeleton columns; the two programs must
+    have the same items and price to bitwise identical statistics.
+    Both engines are L2-walk-bound on conflicted traces, so no speedup
+    is gated — the row exists to track the trajectory of both engines
+    across PRs (the follow-on that changes this picture, a
+    stack-distance batch walk, is sketched in ROADMAP.md); the gate is
+    only that the vectorized default stays within noise of the oracle.
     """
     from repro.machine.replay import _run_points, _shared_pass_python
     from repro.machine.replay_vec import _shared_pass_vec
@@ -408,22 +408,28 @@ def test_shared_pass_engines(benchmark, yolo_net):
         gc.disable()
         try:
             t0 = time.perf_counter()
-            vec_out = _shared_pass_vec(trace, machine, defer_vpu=True)
+            vec_out = _shared_pass_vec(trace, machine)
             t_vec = time.perf_counter() - t0
             t0 = time.perf_counter()
-            py_out = _shared_pass_python(trace, machine, defer_vpu=True)
+            py_out = _shared_pass_python(trace, machine)
             t_py = time.perf_counter() - t0
+            same_items = (
+                vec_out[0].base.tobytes() == py_out[0].base.tobytes()
+                and vec_out[0].addrs.tobytes() == py_out[0].addrs.tobytes()
+            )
             vec_stats = _run_points(*vec_out, [machine])[0]
             py_stats = _run_points(*py_out, [machine])[0]
         finally:
             gc.enable()
             gc.collect()
             tracecache.clear_registry()
-        return vec_stats, py_stats, trace.n_events, t_vec, t_py
+        return vec_stats, py_stats, same_items, trace.n_events, t_vec, t_py
 
-    vec_stats, py_stats, n_events, t_vec, t_py = run_once(benchmark, run)
+    vec_stats, py_stats, same_items, n_events, t_vec, t_py = run_once(
+        benchmark, run
+    )
 
-    identical = all(
+    identical = same_items and all(
         getattr(vec_stats, f).hex() == getattr(py_stats, f).hex()
         for f in SimStats.FIELDS
     ) and {k: v.hex() for k, v in vec_stats.kernel_cycles.items()} == {

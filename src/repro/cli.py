@@ -1046,7 +1046,12 @@ def cmd_trace_cache(args) -> int:
             try:
                 header = tracecache.read_pass_header(path)
                 row["v"] = header.get("format")
-                if header.get("format") != tracecache.PASS_FORMAT_VERSION:
+                want = (
+                    tracecache.PASS_FORMAT_VERSION
+                    if kind == "pass"
+                    else tracecache.VECPROG_FORMAT_VERSION
+                )
+                if header.get("format") != want:
                     status = "stale"
             except Exception:
                 status = "corrupt"

@@ -142,11 +142,6 @@ _declare(
     "REPRO_PASS_CACHE", "tristate", "follows REPRO_TRACE_SPILL",
     "persist compiled shared/point passes (.rpp/.rvp) next to traces",
 )
-_declare(
-    "REPRO_REPLAY_ENGINE", "str", "vec",
-    "shared-pass engine: 'vec' (NumPy columns) or 'python' (reference "
-    "oracle, hex-identical)",
-)
 # -- testing / benchmarks ----------------------------------------------
 _declare(
     "REPRO_FAULTS", "path", "off",

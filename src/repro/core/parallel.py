@@ -410,7 +410,7 @@ def simulate_points(
                 from ..machine.replay import _shared_pass_sig, _sig_token
 
                 tracecache.publish_pass_shm(
-                    key, _sig_token(_shared_pass_sig(group[0], True))
+                    key, _sig_token(_shared_pass_sig(group[0]))
                 )
     else:
         trace_groups[None] = list(range(len(machines)))

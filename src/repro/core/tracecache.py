@@ -44,7 +44,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +58,9 @@ try:  # optional: the container may not ship zstandard
     import zstandard as _zstd  # type: ignore
 except ImportError:  # pragma: no cover - environment-dependent
     _zstd = None
+
+if TYPE_CHECKING:
+    from ..machine.replay import _Skeleton
 
 __all__ = [
     "trace_enabled",
@@ -124,12 +127,15 @@ _MAGIC = b"RTRC"
 #: (``<key>.<sig>.rpp``) and a compiled point-pass tier
 #: (``<key>.<sig>.<tier>.rvp``).  Both are derived artifacts of an
 #: ``.rtz`` trace and carry its content digest, so they can never
-#: outlive a re-captured trace.
+#: outlive a re-captured trace.  Each family versions its own layout
+#: (``.rpp`` v2: the program's skeleton columns).
 PASS_SUFFIX = ".rpp"
 VECPROG_SUFFIX = ".rvp"
-PASS_FORMAT_VERSION = 1
+PASS_FORMAT_VERSION = 2
+VECPROG_FORMAT_VERSION = 1
 _PASS_MAGIC = b"RPSS"
 _VECPROG_MAGIC = b"RVPC"
+_FORMATS = {_PASS_MAGIC: PASS_FORMAT_VERSION, _VECPROG_MAGIC: VECPROG_FORMAT_VERSION}
 
 
 def trace_enabled(flag: Optional[bool] = None, default: bool = False) -> bool:
@@ -505,44 +511,27 @@ def read_header(path: str) -> dict:
 # mismatch against a re-captured trace is a silent miss (the next
 # store overwrites the stale file).
 
-#: Wire layout of a serialized shared-pass program.  One row per prog
-#: item in ``kinds``; per-tag operand columns hold only that tag's
-#: items, in stream order.  Ragged tuple operands (pending-line and
-#: first-touch addresses) split into a count column plus a flattened
-#: delta-coded address column.
+#: Wire layout of a serialized shared-pass program: the integer
+#: columns of its :class:`~repro.machine.replay._Skeleton`, delta- or
+#: varint-coded, and ``base`` as raw f8.  Side notes travel as columns
+#: too (``side_pos``/``side_tag`` per note; tag-2 operands, tag-5 fill
+#: counts and the flattened fill lines), since fill lists can be long.
 _PASS_COLUMNS = (
-    ("kinds", "raw", "<u1"),
-    ("f0", "raw", "<f8"),
-    ("t1_kid", "varint", "<i8"),
+    ("base", "raw", "<f8"),
+    ("kid", "delta", "<i8"),
+    ("cls_pos", "delta", "<i8"),
+    ("t6_at", "delta", "<i8"),
+    ("t6_cls", "varint", "<i8"),
+    ("ev_at", "delta", "<i8"),
+    ("ev_key", "varint", "<i8"),
+    ("ev_off", "delta", "<i8"),
+    ("addrs", "delta", "<i8"),
+    ("side_pos", "delta", "<i8"),
+    ("side_tag", "raw", "<u1"),
     ("t2_base", "delta", "<i8"),
     ("t2_nbytes", "delta", "<i8"),
-    ("t3_w", "raw", "<f8"),
-    ("t3_lat", "delta", "<i8"),
-    ("t3_occ", "raw", "<f8"),
-    ("t3_nbytes", "delta", "<i8"),
-    ("t3_nlines", "delta", "<i8"),
-    ("t3_write", "raw", "<u1"),
-    ("t3_unit", "raw", "<u1"),
-    ("t3_iid", "delta", "<i8"),
-    ("t3_nh0", "delta", "<i8"),
-    ("t3_na", "varint", "<i8"),
-    ("t3_addrs", "delta", "<i8"),
-    ("t3_nft", "varint", "<i8"),
-    ("t3_ft", "delta", "<i8"),
-    ("t4_w", "raw", "<f8"),
-    ("t4_lat", "delta", "<i8"),
-    ("t4_occ", "raw", "<f8"),
-    ("t4_write", "raw", "<u1"),
-    ("t4_nh0", "delta", "<i8"),
-    ("t4_na", "varint", "<i8"),
-    ("t4_addrs", "delta", "<i8"),
-    ("t4_nft", "varint", "<i8"),
-    ("t4_ft", "delta", "<i8"),
     ("t5_n", "varint", "<i8"),
     ("t5_lines", "delta", "<i8"),
-    ("t6_w", "raw", "<f8"),
-    ("t6_cid", "varint", "<i8"),
-    ("gc_distinct", "delta", "<i8"),
 )
 
 _VECPROG_COLUMNS = (
@@ -568,9 +557,9 @@ def _pass_shm_name(key: str, sig: str) -> str:
     return _SHM_PREFIX + "p" + digest[:23]
 
 
-def _int_col(vals: list) -> np.ndarray:
+def _int_col(vals) -> np.ndarray:
     """Exact int64 column; refuses silently-truncating inputs."""
-    if not vals:
+    if len(vals) == 0:
         return np.zeros(0, np.int64)
     arr = np.asarray(vals)
     if arr.dtype.kind not in "iu":
@@ -608,19 +597,6 @@ def _lists_to_tuples(seq) -> list:
     return [tuple(t) for t in seq]
 
 
-def _ragged_split(flat: np.ndarray, counts: np.ndarray) -> list:
-    """Rebuild a list of int tuples from (flattened values, counts)."""
-    vals = flat.tolist()
-    out = []
-    pos = 0
-    for c in counts.tolist():
-        out.append(tuple(vals[pos:pos + c]))
-        pos += c
-    if pos != len(vals):
-        raise ValueError("ragged pass column: length mismatch")
-    return out
-
-
 def _pack_blocks(
     magic: bytes, header_extra: dict, cols: dict, layout, fast: bool = True
 ) -> bytes:
@@ -638,14 +614,15 @@ def _pack_blocks(
         col_meta.append(
             {"name": name, "codec": codec, "nbytes": len(blob), "n": len(arr)}
         )
+    version = _FORMATS[magic]
     header_extra = dict(header_extra)
-    header_extra["format"] = PASS_FORMAT_VERSION
+    header_extra["format"] = version
     header_extra["columns"] = col_meta
     header_extra["sha256"] = payload.hexdigest()
     header = json.dumps(
         header_extra, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    parts = [magic, bytes([PASS_FORMAT_VERSION]),
+    parts = [magic, bytes([version]),
              len(header).to_bytes(4, "little"), header]
     parts.extend(blocks)
     return b"".join(parts)
@@ -655,9 +632,9 @@ def _unpack_blocks(magic: bytes, blob: bytes, layout) -> Tuple[dict, dict]:
     """Inverse of :func:`_pack_blocks`: ``(header, columns)``."""
     if blob[:4] != magic:
         raise ValueError("bad compiled-pass container magic")
-    if blob[4] != PASS_FORMAT_VERSION:
+    if blob[4] != _FORMATS[magic]:
         raise ValueError(
-            f"compiled-pass format {blob[4]} != {PASS_FORMAT_VERSION} "
+            f"compiled-pass format {blob[4]} != {_FORMATS[magic]} "
             "(stale cache file)"
         )
     hlen = int.from_bytes(blob[5:9], "little")
@@ -688,153 +665,71 @@ def _unpack_blocks(magic: bytes, blob: bytes, layout) -> Tuple[dict, dict]:
 
 
 def encode_pass(
-    prog: list,
+    skel,
     inv_fields: Dict[str, float],
     gc: dict,
     *,
     key: str,
     sig: str,
-    defer: bool,
     trace_sha256: str,
     compat: dict,
 ) -> bytes:
-    """Serialize a shared-pass ``(prog, inv, gc)`` triple into ``.rpp``.
+    """Serialize a shared pass — its skeleton, invariant stats and group
+    constants — into ``.rpp``.
 
+    *skel* is a :class:`~repro.machine.replay._Skeleton`; its derived
+    columns (``ev_scalar``, ``lines``, ``ft_pos``) are not stored.
     Exact by construction: floats travel as f8 (bit-preserving), ints
-    as int64 columns that refuse non-integral values, bools as u1.
+    as int64 columns that refuse non-integral values, and the interned
+    keys (``labels``, ``ev_defs``, ``t6_defs``, pricing classes) as
+    JSON, which round-trips ints, bools and floats exactly.
     ``gc["vpu"]`` is *not* stored — no point engine reads it, and the
     loader rebinds the requesting machine's VPU.  Raises
     :class:`ValueError` on any operand the layout cannot carry exactly
     (callers treat that as "don't cache").
     """
-    kinds: List[int] = []
-    f0: List[float] = []
-    labels: List[str] = []
-    label_ids: dict = {}
-    t1_kid: List[int] = []
-    t2_base: List[int] = []
-    t2_nbytes: List[int] = []
-    t3_w: List[float] = []
-    t3_lat: List[int] = []
-    t3_occ: List[float] = []
-    t3_nbytes: List[int] = []
-    t3_nlines: List[int] = []
-    t3_write: List[bool] = []
-    t3_unit: List[bool] = []
-    t3_iid: List[int] = []
-    t3_nh0: List[int] = []
-    t3_na: List[int] = []
-    t3_addrs: List[int] = []
-    t3_nft: List[int] = []
-    t3_ft: List[int] = []
-    t4_w: List[float] = []
-    t4_lat: List[int] = []
-    t4_occ: List[float] = []
-    t4_write: List[bool] = []
-    t4_nh0: List[int] = []
-    t4_na: List[int] = []
-    t4_addrs: List[int] = []
-    t4_nft: List[int] = []
-    t4_ft: List[int] = []
-    t5_n: List[int] = []
-    t5_lines: List[int] = []
-    t6_w: List[float] = []
-    t6_cid: List[int] = []
-    for it in prog:
-        if type(it) is float:
-            kinds.append(0)
-            f0.append(it)
-            continue
+    side_tag = []
+    t2_base = []
+    t2_nbytes = []
+    t5_n = []
+    t5_lines: list = []
+    for _, it in skel.side:
         tag = it[0]
-        kinds.append(tag)
-        if tag == 3:
-            (_, w, addrs, lat, occ1, nbytes, n_lines, write, unit, iid,
-             nh0, ft) = it
-            t3_w.append(w)
-            t3_lat.append(lat)
-            t3_occ.append(occ1)
-            t3_nbytes.append(nbytes)
-            t3_nlines.append(n_lines)
-            t3_write.append(write)
-            t3_unit.append(unit)
-            t3_iid.append(iid)
-            t3_nh0.append(nh0)
-            t3_na.append(len(addrs))
-            t3_addrs.extend(addrs)
-            t3_nft.append(len(ft))
-            t3_ft.extend(ft)
-        elif tag == 4:
-            _, w, addrs, lat, occ1, write, nh0, ft = it
-            t4_w.append(w)
-            t4_lat.append(lat)
-            t4_occ.append(occ1)
-            t4_write.append(write)
-            t4_nh0.append(nh0)
-            t4_na.append(len(addrs))
-            t4_addrs.extend(addrs)
-            t4_nft.append(len(ft))
-            t4_ft.extend(ft)
-        elif tag == 6:
-            t6_w.append(it[1])
-            t6_cid.append(it[2])
-        elif tag == 1:
-            label = it[1]
-            kid = label_ids.get(label)
-            if kid is None:
-                kid = label_ids[label] = len(labels)
-                labels.append(label)
-            t1_kid.append(kid)
-        elif tag == 2:
+        if tag == 2:
             t2_base.append(it[1])
             t2_nbytes.append(it[2])
         elif tag == 5:
             t5_n.append(len(it[1]))
             t5_lines.extend(it[1])
         else:
-            raise ValueError(f"unknown prog item tag {tag!r}")
-    distinct = gc["distinct"]
+            raise ValueError(f"unknown side item tag {tag!r}")
+        side_tag.append(tag)
     cols = {
-        "kinds": np.asarray(kinds, np.uint8),
-        "f0": np.asarray(f0, np.float64),
-        "t1_kid": _int_col(t1_kid),
+        "base": np.asarray(skel.base, np.float64),
+        "kid": _int_col(skel.kid),
+        "cls_pos": _int_col(skel.cls_pos),
+        "t6_at": _int_col(skel.t6_at),
+        "t6_cls": _int_col(skel.t6_cls),
+        "ev_at": _int_col(skel.ev_at),
+        "ev_key": _int_col(skel.ev_key),
+        "ev_off": _int_col(skel.ev_off),
+        "addrs": _int_col(skel.addrs),
+        "side_pos": _int_col([p for p, _ in skel.side]),
+        "side_tag": np.asarray(side_tag, np.uint8),
         "t2_base": _int_col(t2_base),
         "t2_nbytes": _int_col(t2_nbytes),
-        "t3_w": np.asarray(t3_w, np.float64),
-        "t3_lat": _int_col(t3_lat),
-        "t3_occ": np.asarray(t3_occ, np.float64),
-        "t3_nbytes": _int_col(t3_nbytes),
-        "t3_nlines": _int_col(t3_nlines),
-        "t3_write": np.asarray(t3_write, np.uint8),
-        "t3_unit": np.asarray(t3_unit, np.uint8),
-        "t3_iid": _int_col(t3_iid),
-        "t3_nh0": _int_col(t3_nh0),
-        "t3_na": _int_col(t3_na),
-        "t3_addrs": _int_col(t3_addrs),
-        "t3_nft": _int_col(t3_nft),
-        "t3_ft": _int_col(t3_ft),
-        "t4_w": np.asarray(t4_w, np.float64),
-        "t4_lat": _int_col(t4_lat),
-        "t4_occ": np.asarray(t4_occ, np.float64),
-        "t4_write": np.asarray(t4_write, np.uint8),
-        "t4_nh0": _int_col(t4_nh0),
-        "t4_na": _int_col(t4_na),
-        "t4_addrs": _int_col(t4_addrs),
-        "t4_nft": _int_col(t4_nft),
-        "t4_ft": _int_col(t4_ft),
         "t5_n": _int_col(t5_n),
         "t5_lines": _int_col(t5_lines),
-        "t6_w": np.asarray(t6_w, np.float64),
-        "t6_cid": _int_col(t6_cid),
-        "gc_distinct": _int_col(sorted(distinct)),
     }
     header = {
         "kind": "pass",
         "key": key,
         "sig": sig,
-        "defer": bool(defer),
         "trace_sha256": trace_sha256,
         "compat": compat,
-        "labels": labels,
+        "labels": list(skel.labels),
+        "ev_defs": _tuples_to_lists(skel.ev_defs),
+        "t6_defs": _tuples_to_lists(skel.t6_defs),
         "inv": dict(inv_fields),
         "gc": {
             "port_l1": gc["port_l1"],
@@ -851,77 +746,83 @@ def encode_pass(
     return _pack_blocks(_PASS_MAGIC, header, cols, _PASS_COLUMNS)
 
 
-def decode_pass(blob: bytes) -> Tuple[dict, list, Dict[str, float], dict]:
+def _check_pass_columns(cols: dict, header: dict) -> None:
+    """Refuse a decoded ``.rpp`` whose columns do not fit together."""
+    n_ev = len(cols["ev_key"])
+    ev_off = cols["ev_off"]
+    side_tag = cols["side_tag"]
+    fits = (
+        len(ev_off) == n_ev + 1
+        and int(ev_off[0]) == 0
+        and int(ev_off[-1]) == len(cols["addrs"])
+        and bool((np.diff(ev_off) >= 0).all())
+        and len(cols["ev_at"]) == n_ev
+        and len(cols["kid"]) == len(cols["base"])
+        and len(cols["t6_at"]) == len(cols["t6_cls"])
+        and len(cols["ev_at"]) + len(cols["t6_at"]) == len(cols["cls_pos"])
+        and len(cols["side_pos"]) == len(side_tag)
+        and int((side_tag == 2).sum()) == len(cols["t2_base"]) == len(cols["t2_nbytes"])
+        and int((side_tag == 5).sum()) == len(cols["t5_n"])
+        and int(cols["t5_n"].sum()) == len(cols["t5_lines"])
+    )
+    bounds = (
+        ("kid", len(header["labels"])),
+        ("ev_key", len(header["ev_defs"])),
+        ("t6_cls", len(header["t6_defs"])),
+        ("cls_pos", len(cols["base"])),
+        ("ev_at", len(cols["cls_pos"])),
+        ("t6_at", len(cols["cls_pos"])),
+        ("side_pos", len(cols["addrs"]) + 1),
+    )
+    if not fits or any(
+        len(cols[name]) and (cols[name].min() < 0 or cols[name].max() >= hi)
+        for name, hi in bounds
+    ):
+        raise ValueError("pass container: inconsistent skeleton columns")
+
+
+def decode_pass(blob: bytes) -> Tuple[dict, _Skeleton, Dict[str, float], dict]:
     """Inverse of :func:`encode_pass`.
 
-    Returns ``(header, prog, inv_fields, gc)``; ``gc["vpu"]`` is
+    Returns ``(header, skeleton, inv_fields, gc)``; ``gc["vpu"]`` is
     ``None`` — the caller rebinds the requesting machine's VPU.  Raises
     :class:`ValueError` on corruption (callers quarantine + miss).
     """
+    from ..machine import replay  # deferred: only pass loads need it
+
     header, cols = _unpack_blocks(_PASS_MAGIC, blob, _PASS_COLUMNS)
-    kinds = cols["kinds"]
-    n = len(kinds)
-    counts = np.bincount(kinds, minlength=7)
-    if len(counts) > 7 and counts[7:].any():
-        raise ValueError("pass container: unknown item tag")
-    for tag, name in ((0, "f0"), (1, "t1_kid"), (2, "t2_base"),
-                      (3, "t3_w"), (4, "t4_w"), (5, "t5_n"), (6, "t6_w")):
-        if counts[tag] != len(cols[name]):
-            raise ValueError("pass container: tag count mismatch")
-    labels = [str(s) for s in header["labels"]]
-    out = np.empty(n, dtype=object)
-    if counts[0]:
-        out[kinds == 0] = cols["f0"].astype(object)
-    if counts[1]:
-        items = [(1, labels[k]) for k in cols["t1_kid"].tolist()]
-        out[kinds == 1] = np.fromiter(items, object, count=len(items))
-    if counts[2]:
-        items = [
-            (2, b, s)
-            for b, s in zip(cols["t2_base"].tolist(),
-                            cols["t2_nbytes"].tolist())
-        ]
-        out[kinds == 2] = np.fromiter(items, object, count=len(items))
-    if counts[3]:
-        addrs = _ragged_split(cols["t3_addrs"], cols["t3_na"])
-        fts = _ragged_split(cols["t3_ft"], cols["t3_nft"])
-        items = [
-            (3, w, a, lat, occ, nb, nl, wr, un, iid, nh, ft)
-            for w, a, lat, occ, nb, nl, wr, un, iid, nh, ft in zip(
-                cols["t3_w"].tolist(), addrs, cols["t3_lat"].tolist(),
-                cols["t3_occ"].tolist(), cols["t3_nbytes"].tolist(),
-                cols["t3_nlines"].tolist(),
-                (cols["t3_write"] != 0).tolist(),
-                (cols["t3_unit"] != 0).tolist(),
-                cols["t3_iid"].tolist(), cols["t3_nh0"].tolist(), fts,
-            )
-        ]
-        out[kinds == 3] = np.fromiter(items, object, count=len(items))
-    if counts[4]:
-        addrs = _ragged_split(cols["t4_addrs"], cols["t4_na"])
-        fts = _ragged_split(cols["t4_ft"], cols["t4_nft"])
-        items = [
-            (4, w, a, lat, occ, wr, nh, ft)
-            for w, a, lat, occ, wr, nh, ft in zip(
-                cols["t4_w"].tolist(), addrs, cols["t4_lat"].tolist(),
-                cols["t4_occ"].tolist(),
-                (cols["t4_write"] != 0).tolist(),
-                cols["t4_nh0"].tolist(), fts,
-            )
-        ]
-        out[kinds == 4] = np.fromiter(items, object, count=len(items))
-    if counts[5]:
-        lines = _ragged_split(cols["t5_lines"], cols["t5_n"])
-        items = [(5, ln) for ln in lines]
-        out[kinds == 5] = np.fromiter(items, object, count=len(items))
-    if counts[6]:
-        items = [
-            (6, w, c)
-            for w, c in zip(cols["t6_w"].tolist(), cols["t6_cid"].tolist())
-        ]
-        out[kinds == 6] = np.fromiter(items, object, count=len(items))
-    prog = out.tolist()
+    _check_pass_columns(cols, header)
+    t2 = zip(cols["t2_base"].tolist(), cols["t2_nbytes"].tolist())
+    counts = iter(cols["t5_n"].tolist())
+    lines = cols["t5_lines"].tolist()
+    at = 0
+    side = []
+    for pos, tag in zip(cols["side_pos"].tolist(), cols["side_tag"].tolist()):
+        if tag == 2:
+            side.append((pos, (2,) + next(t2)))
+        elif tag == 5:
+            n = next(counts)
+            side.append((pos, (5, tuple(lines[at:at + n]))))
+            at += n
+        else:
+            raise ValueError("pass container: unknown side item tag")
     hgc = header["gc"]
+    skel = replay._Skeleton(
+        hgc["l2_shift"],
+        base=cols["base"],
+        kid=cols["kid"],
+        labels=[str(s) for s in header["labels"]],
+        cls_pos=cols["cls_pos"],
+        t6_at=cols["t6_at"],
+        t6_cls=cols["t6_cls"],
+        t6_defs=_lists_to_tuples(header["t6_defs"]),
+        ev_at=cols["ev_at"],
+        ev_key=cols["ev_key"],
+        ev_defs=_lists_to_tuples(header["ev_defs"]),
+        ev_off=cols["ev_off"],
+        addrs=cols["addrs"],
+        side=side,
+    )
     gc = {
         "vpu": None,
         "port_l1": bool(hgc["port_l1"]),
@@ -929,14 +830,13 @@ def decode_pass(blob: bytes) -> Tuple[dict, list, Dict[str, float], dict]:
         "ooo_hide": hgc["ooo_hide"],
         "scalar_cpi": hgc["scalar_cpi"],
         "l2_shift": hgc["l2_shift"],
-        "distinct": set(cols["gc_distinct"].tolist()),
         "max_range_total": hgc["max_range_total"],
         "has_fills": bool(hgc["has_fills"]),
         "pf2_cfg": bool(hgc["pf2_cfg"]),
         "classes": _lists_to_tuples(hgc["classes"]),
     }
     inv_fields = {str(k): float(v) for k, v in header["inv"].items()}
-    return header, prog, inv_fields, gc
+    return header, skel, inv_fields, gc
 
 
 def encode_vecprog(
@@ -1021,20 +921,19 @@ def read_pass_header(path: str) -> dict:
 
 
 def store_pass(
-    prog: list,
+    skel,
     inv_fields: Dict[str, float],
     gc: dict,
     *,
     key: str,
     sig: str,
-    defer: bool,
     trace_sha256: str,
     compat: dict,
 ) -> bool:
     """Best-effort write of a shared-pass output to the cache dir."""
     try:
         blob = encode_pass(
-            prog, inv_fields, gc, key=key, sig=sig, defer=defer,
+            skel, inv_fields, gc, key=key, sig=sig,
             trace_sha256=trace_sha256, compat=compat,
         )
     except ValueError:
@@ -1055,7 +954,7 @@ def store_pass(
 
 def load_pass(
     key: str, sig: str, trace_sha256: str
-) -> Optional[Tuple[dict, list, Dict[str, float], dict]]:
+) -> Optional[Tuple[dict, _Skeleton, Dict[str, float], dict]]:
     """Load a cached shared pass; ``None`` on miss, stale, or corrupt.
 
     Checks shared memory first (a sweeping parent may have published

@@ -16,13 +16,13 @@ Two entry points price a trace, and one runs the kernels:
   lanes, pipes, MLP, port width, issue overheads (the Fig. 6/8 lane
   and MLP axes).  The trace is walked **once** through the
   group-invariant upstream levels (TLB, L1, prefetcher, VectorCache
-  — all identical across the group), producing a compact *program* of
-  pre-priced invariant cycle contributions plus the per-event list of
-  line addresses that reached the L2.  The VPU-dependent cycle terms
-  are not pre-priced: the shared pass records each distinct (event
-  kind, element count, operand shape) as a *pricing class* (tag-6
-  program items), and every point resolves the class table once
-  against its own VPU — so one capture prices a lane sweep too.
+  — all identical across the group), producing the shared-pass
+  *program*: pre-priced invariant cycle contributions plus, for every
+  event that reached the L2, its line addresses.  The VPU-dependent
+  cycle terms are not pre-priced: the shared pass records each
+  distinct (event kind, element count, operand shape) as a *pricing
+  class*, and every point resolves the class table once against its
+  own VPU — so one capture prices a lane sweep too.
 
 * :func:`capture_sweep` — the same split driven directly by the
   kernels: one kernel run records the trace and builds the shared
@@ -34,14 +34,20 @@ Two entry points price a trace, and one runs the kernels:
 
 Skeleton and tiers
 ------------------
+The program exists in one form only: the NumPy columns of a
+:class:`_Skeleton`.  Two emitters write them — :class:`_GroupCapture`
+(driven by the kernels in :func:`capture_sweep`, or by a trace's rows
+in :func:`_shared_pass_python`, the oracle) and
+:func:`repro.machine.replay_vec._shared_pass_vec` (column arithmetic
+over a recorded trace) — and the ``.rpp`` file stores them.  The
+skeleton holds what no L2 can change: the pre-priced floats, the label
+of every item, the fixed VPU pricing classes, and for each L2-reaching
+event its tier-independent pricing key and its pending line addresses.
+
 Every design point is priced the same way: :func:`_point_pass_vec`
-folds a *tier* — the program flattened into NumPy columns plus a table
-of pricing classes — with ``np.add.accumulate`` / ``np.bincount``.  A
-tier has two parts.  The *skeleton* (:class:`_Skeleton`, built once per
-program) holds what no L2 can change: the pre-priced floats, the label
-of every item, the fixed tag-6 classes, and for each L2-reaching event
-its tier-independent pricing key and its pending line addresses.  The
-*outcome* is each such event's ``(hits, misses)`` split on one L2,
+folds a *tier* — the skeleton's item columns plus a table of pricing
+classes — with ``np.add.accumulate`` / ``np.bincount``.  A tier adds to
+the skeleton each L2 event's ``(hits, misses)`` split on one L2,
 resolved by one of two builders and interned into classes with one
 ``np.unique`` (:func:`_intern`):
 
@@ -365,42 +371,42 @@ class _GroupCapture(SampledTraceBase):
 
     Presents the TraceSimulator event API (so kernels — or a recorded
     trace — can drive it directly) and walks every memory event through
-    the levels that are identical across an L2/DRAM sweep group: TLB,
-    L1, L1 prefetcher, VectorCache.  Output (see :meth:`finish`) is the
-    replay *program* every tier is built from, the folded invariant
-    ``SimStats`` fields, and the group constants.
+    the levels that are identical across a sweep group: TLB, L1, L1
+    prefetcher, VectorCache.  It appends the shared-pass program
+    straight into :class:`_Skeleton` columns (a
+    :class:`_SkeletonBuilder`) and folds the invariant ``SimStats``
+    fields; :meth:`finish` returns both with the group constants.
 
-    ``prog`` items (in original event order):
+    The program has one *item* per event that adds cycles, in event
+    order, each carrying the id of the kernel label current at that
+    event (``kid``; labels are numbered by first appearance, so kernels
+    that add no cycles get no ``kernel_cycles`` entry).  An item is one
+    of:
 
-    * ``float`` — a pre-priced, weighted cycle contribution.  Never
-      coalesced: pricing must fold cycles in the direct
+    * a pre-priced, weighted cycle contribution, appended to ``base``.
+      Never coalesced: pricing must fold cycles in the direct
       simulator's event order for bitwise identity.
-    * ``(1, label)`` — kernel-label switch (emitted lazily, only ahead
-      of items that add cycles, so no spurious ``kernel_cycles``
-      entries).
-    * ``(2, base, nbytes)`` — ``note_resident_range`` call.
-    * ``(3, w, addrs, inv_lat, occ1, nbytes, n_lines, write, unit, iid,
-      nh0, ft)`` — a vector memory event with pending lines for the L2.
-      ``addrs`` holds one *byte address* per pending line (the
-      source-level granularity and shift are group constants, so they
-      are folded here once instead of per line per point; the point
-      pass recovers the L2 line as ``a >> l2_shift``).  ``nh0`` counts
-      lines touched before (guaranteed hits in a conflict-free L2) and
-      ``ft`` holds the first-touch lines' addresses; both are carried
-      by the ``.rpp`` layout, while tiers re-derive first touches from
-      the address column (:func:`_skeleton`).
-    * ``(4, w, addrs, inv_lat, occ1, write, nh0, ft)`` — a scalar
-      access with at least one L1 miss.
-    * ``(5, lines)`` — honoured software-prefetch fills into the L2.
-    * ``(6, w, cid)`` — (``defer_vpu`` mode only) a VPU-priced event
-      whose cycle cost depends on lane count / MLP / port width.  The
-      class table (``gc["classes"]``) maps ``cid`` to the event's
-      pricing inputs; each point resolves the table once against its
-      own VPU (:func:`_vpu_price_table`) and folds ``w * price``
-      exactly where the l2-mode float would have been.
+    * an *L2 event* (``ev_*`` columns): a vector memory access with
+      pending lines for the L2, keyed ``(3, w, inv_lat, occ1, nbytes,
+      n_lines, write, unit)``, or a scalar access with at least one L1
+      miss, keyed ``(4, w, inv_lat, occ1, write)``.  The key is interned
+      into ``ev_defs``; the pending lines go to ``addrs`` as *byte
+      addresses* (the source-level granularity and shift are group
+      constants, so they are folded here once instead of per line per
+      point; the point pass recovers the L2 line as ``a >> l2_shift``).
+    * a *VPU-priced* item (``t6_*`` columns) whose cycle cost depends
+      on lane count / MLP / port width, interned as ``(6, w, cid)`` into
+      ``t6_defs``.  The class table (``gc["classes"]``) maps ``cid`` to
+      the event's pricing inputs; each point resolves the table once
+      against its own VPU (:func:`_vpu_price_table`) and folds
+      ``w * price`` at the item.
+
+    ``note_resident_range`` calls ``(2, base, nbytes)`` and honoured
+    software-prefetch fills into the L2 ``(5, lines)`` are not items:
+    they go to ``side`` with their position in ``addrs``.
     """
 
-    def __init__(self, base: MachineConfig, defer_vpu: bool = False):
+    def __init__(self, base: MachineConfig):
         super().__init__()
         self.machine = base
         self.address_space = AddressSpace()
@@ -436,24 +442,20 @@ class _GroupCapture(SampledTraceBase):
         self._vc_assoc = vc.assoc if vc is not None else 0
         self._honors = base.honors_sw_prefetch
         self._noop_pf = base.sw_prefetch_is_noop_instr
-        self._vb_cycles = vbroadcast_cycles(vpu)
         # Vector pending lines are L1-granular on an L1-port machine,
         # L2-granular otherwise; scalar ones are always L1-granular.
         # Both are emitted as byte addresses (granularity folded at
-        # capture).  ``seen`` (the first-touch set, = the distinct-line
-        # set the eligibility checks use) is kept L2-granular.
-        self._v_shift = self._l1_shift if self._port_l1 else self._l2_shift
+        # capture): ``line * step``.
+        self._v_step = 1 << (self._l1_shift if self._port_l1 else self._l2_shift)
+        self._l1_step = 1 << self._l1_shift
 
-        self._prog: list = []
-        self._append = self._prog.append  # pre-bound: hot-path use
+        self._sk = _SkeletonBuilder()
+        self._put = self._sk.base.append  # pre-bound: a pre-priced item
         self._cur_label: Optional[str] = None  # forces the first switch
-        self._seen: set = set()
-        self._inv_ids: dict = {}
-        self._vmem_inv_memo: dict = {}
+        # (w, event shape) -> tag-6 id, one memo per event kind.
+        self._vmem_memo: dict = {}
         self._varith_memo: dict = {}
-        # Deferred VPU pricing: the memos above then cache class ids
-        # instead of cycle prices (the mode is fixed per instance).
-        self._defer = defer_vpu
+        self._vb_memo: dict = {}
         self._classes: list = []
         self._cls_ids: dict = {}
         self._has_fills = False
@@ -478,7 +480,7 @@ class _GroupCapture(SampledTraceBase):
         return self.address_space.alloc(name, nbytes)
 
     def note_resident_range(self, base: int, nbytes: int) -> None:
-        self._append((2, base, nbytes))
+        self._side((2, base, nbytes))
         if nbytes > 0:
             # Track the would-be range total under an infinite budget:
             # if it never exceeds a point's L2 capacity, that point
@@ -496,11 +498,66 @@ class _GroupCapture(SampledTraceBase):
             if total > self._max_range_total:
                 self._max_range_total = total
 
-    def _switch(self, append) -> None:
+    # -- program columns -----------------------------------------------
+    def _switch(self) -> None:
+        """Make the innermost kernel label current, if it is not."""
         label = self._kernel_stack[-1]
         if label != self._cur_label:
-            append((1, label))
-            self._cur_label = label
+            self._set_label(label)
+
+    def _set_label(self, label: str) -> None:
+        # Items appended from here on carry *label*'s id.
+        sk = self._sk
+        kid = sk.label_ids.get(label)
+        if kid is None:
+            kid = sk.label_ids[label] = len(sk.labels)
+            sk.labels.append(label)
+        sk.sw_pos.append(len(sk.base))
+        sk.sw_kid.append(kid)
+        self._cur_label = label
+
+    def _l2_item(self, key: tuple, addrs) -> None:
+        """Append an L2 event: its pricing key and pending byte addresses."""
+        sk = self._sk
+        ev_ids = sk.ev_ids
+        k = ev_ids.get(key)
+        if k is None:
+            k = ev_ids[key] = len(sk.ev_defs)
+            sk.ev_defs.append(key)
+        sk.ev_key.append(k)
+        cls_pos = sk.cls_pos
+        sk.ev_at.append(len(cls_pos))
+        base = sk.base
+        cls_pos.append(len(base))
+        base.append(0.0)
+        col = sk.addrs
+        col.extend(addrs)
+        sk.ev_off.append(len(col))
+
+    def _vpu_item(self, t6: int) -> None:
+        """Append a VPU-priced item of tag-6 id *t6* (see :meth:`_t6_id`)."""
+        sk = self._sk
+        sk.t6_cls.append(t6)
+        cls_pos = sk.cls_pos
+        sk.t6_at.append(len(cls_pos))
+        base = sk.base
+        cls_pos.append(len(base))
+        base.append(0.0)
+
+    def _t6_id(self, w: float, defn: tuple) -> int:
+        """Intern ``(6, w, cid)`` for pricing class *defn*; return its id."""
+        key = (6, w, self._class_id(defn))
+        sk = self._sk
+        t6 = sk.t6_ids.get(key)
+        if t6 is None:
+            t6 = sk.t6_ids[key] = len(sk.t6_defs)
+            sk.t6_defs.append(key)
+        return t6
+
+    def _side(self, item: tuple) -> None:
+        """Record a residency-range note or prefetch-fill list."""
+        sk = self._sk
+        sk.side.append((len(sk.addrs), item))
 
     def _class_id(self, defn: tuple) -> int:
         """Intern a VPU pricing-class descriptor, returning its id."""
@@ -514,12 +571,10 @@ class _GroupCapture(SampledTraceBase):
     def scalar(self, n: int = 1) -> None:
         w = self._w
         self._scalar_instrs += w * n
-        append = self._append
         label = self._kernel_stack[-1]
         if label != self._cur_label:
-            append((1, label))
-            self._cur_label = label
-        append(w * (n * self._scalar_cpi))
+            self._set_label(label)
+        self._put(w * (n * self._scalar_cpi))
 
     def scalar_load(self, addr: int, nbytes: int = 4) -> None:
         self._scalar_mem(addr, nbytes, False)
@@ -547,11 +602,9 @@ class _GroupCapture(SampledTraceBase):
                 self._bytes_stored += w * nbytes
             else:
                 self._bytes_loaded += w * nbytes
-            append = self._append
             label = self._kernel_stack[-1]
             if label != self._cur_label:
-                append((1, label))
-                self._cur_label = label
+                self._set_label(label)
             if dirty is not None:
                 ways[first] = dirty or write
                 self._l1_hits_c += w
@@ -564,9 +617,9 @@ class _GroupCapture(SampledTraceBase):
                         stall *= _STORE_STALL_FACTOR * (1.0 - self._ooo_hide)
                     else:
                         stall *= 1.0 - self._ooo_hide
-                    append(w * (self._scalar_cpi + stall + 0.0 + 0.0))
+                    self._put(w * (self._scalar_cpi + stall + 0.0 + 0.0))
                 else:
-                    append(w * self._scalar_cpi)
+                    self._put(w * self._scalar_cpi)
                 return
             ways[first] = write
             if len(ways) > self._l1_assoc:
@@ -576,17 +629,9 @@ class _GroupCapture(SampledTraceBase):
             self._l1_misses_c += w * 1
             # occ1 = 0.0 + fill_l1 and lat_i += l1_lat, as in the loop.
             lat_i += self._l1_lat
-            a = first << l1_shift
-            k = a >> self._l2_shift
-            seen = self._seen
-            if k in seen:
-                nh0 = 1
-                ft = ()
-            else:
-                seen.add(k)
-                nh0 = 0
-                ft = (a,)
-            append((4, w, (a,), lat_i, 0.0 + self._fill_l1, write, nh0, ft))
+            self._l2_item(
+                (4, w, lat_i, 0.0 + self._fill_l1, write), (first << l1_shift,)
+            )
             return
         tlb = self._tlb
         lat_i = tlb.access(addr, nbytes) if tlb is not None else 0
@@ -623,27 +668,13 @@ class _GroupCapture(SampledTraceBase):
         self._l1_hits_c += w * l1h
         if l1m:
             self._l1_misses_c += w * l1m
-        append = self._append
         label = self._kernel_stack[-1]
         if label != self._cur_label:
-            append((1, label))
-            self._cur_label = label
+            self._set_label(label)
         if pend:
-            seen = self._seen
-            l2_shift = self._l2_shift
-            nh0 = 0
-            addrs = []
-            ft = []
-            for la in pend:
-                a = la << l1_shift
-                addrs.append(a)
-                k = a >> l2_shift
-                if k in seen:
-                    nh0 += 1
-                else:
-                    seen.add(k)
-                    ft.append(a)
-            append((4, w, tuple(addrs), lat_i, occ1, write, nh0, tuple(ft)))
+            self._l2_item(
+                (4, w, lat_i, occ1, write), map(self._l1_step.__mul__, pend)
+            )
         else:
             # Lock-step with TraceSimulator.scalar_load/scalar_store
             # (occupancies are 0.0 without an L1 miss).
@@ -654,9 +685,9 @@ class _GroupCapture(SampledTraceBase):
                     stall *= _STORE_STALL_FACTOR * (1.0 - self._ooo_hide)
                 else:
                     stall *= 1.0 - self._ooo_hide
-                append(w * (self._scalar_cpi + stall + 0.0 + 0.0))
+                self._put(w * (self._scalar_cpi + stall + 0.0 + 0.0))
             else:
-                append(w * self._scalar_cpi)
+                self._put(w * self._scalar_cpi)
 
     def vload(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
         if n_elems <= 0:
@@ -752,7 +783,7 @@ class _GroupCapture(SampledTraceBase):
                             vc_len += 1
                         pend.append(la)
                 else:
-                    pend = list(range(first, last + 1))
+                    pend = range(first, last + 1)
                 occ1 = 0.0
                 l1h = l1m = 0
         else:
@@ -877,104 +908,59 @@ class _GroupCapture(SampledTraceBase):
             self._l1_misses_c += w * l1m
         if vch:
             self._vc_hits_c += w * vch
-        append = self._append
         label = self._kernel_stack[-1]
         if label != self._cur_label:
-            append((1, label))
-            self._cur_label = label
+            self._set_label(label)
         if pend:
-            key = (w, lat_i, occ1, nbytes, n_lines, write, unit)
-            inv_ids = self._inv_ids
-            iid = inv_ids.get(key)
-            if iid is None:
-                iid = inv_ids[key] = len(inv_ids)
-            seen = self._seen
-            v_shift = self._v_shift
-            l2_shift = self._l2_shift
-            nh0 = 0
-            addrs = []
-            ft = []
-            for la in pend:
-                a = la << v_shift
-                addrs.append(a)
-                k = a >> l2_shift
-                if k in seen:
-                    nh0 += 1
-                else:
-                    seen.add(k)
-                    ft.append(a)
-            append(
-                (3, w, tuple(addrs), lat_i, occ1, nbytes, n_lines, write,
-                 unit, iid, nh0, tuple(ft))
+            self._l2_item(
+                (3, w, lat_i, occ1, nbytes, n_lines, write, unit),
+                map(self._v_step.__mul__, pend),
             )
-        elif self._defer:
-            # Fully served upstream, but the price reads the VPU:
-            # defer it as a pricing class.
-            mkey = (lat_i, occ1, nbytes, n_lines, write, unit)
-            memo = self._vmem_inv_memo
-            cid = memo.get(mkey)
-            if cid is None:
-                cid = memo[mkey] = self._class_id(("m",) + mkey)
-            append((6, w, cid))
         else:
-            # Fully served upstream: the cycle cost is invariant.
-            mkey = (lat_i, occ1, nbytes, n_lines, write, unit)
-            memo = self._vmem_inv_memo
-            cycles = memo.get(mkey)
-            if cycles is None:
-                cycles = memo[mkey] = vmem_event_cycles(
-                    self._vpu, self._l1_lat, self._ooo_hide, lat_i, occ1,
-                    0.0, nbytes, n_lines, write, unit,
+            # Fully served upstream, but the price reads the VPU: a
+            # pricing class.
+            mkey = (w, lat_i, occ1, nbytes, n_lines, write, unit)
+            memo = self._vmem_memo
+            t6 = memo.get(mkey)
+            if t6 is None:
+                t6 = memo[mkey] = self._t6_id(
+                    w, ("m", lat_i, occ1, nbytes, n_lines, write, unit)
                 )
-            append(w * cycles)
+            self._vpu_item(t6)
 
     def varith(
         self, n_elems: int, n_instr: int = 1, flops_per_elem: float = 2.0, ew: int = 4
     ) -> None:
         if n_elems <= 0 or n_instr <= 0:
             return
-        vkey = (n_elems, n_instr, ew)
-        memo = self._varith_memo
-        cached = memo.get(vkey)
-        if cached is None:
-            if self._defer:
-                cached = memo[vkey] = self._class_id(("a",) + vkey)
-            else:
-                cached = memo[vkey] = varith_cycles(
-                    self._vpu, n_elems, n_instr, ew
-                )
         w = self._w
+        vkey = (w, n_elems, n_instr, ew)
+        memo = self._varith_memo
+        t6 = memo.get(vkey)
+        if t6 is None:
+            t6 = memo[vkey] = self._t6_id(w, ("a", n_elems, n_instr, ew))
         self._vec_instrs += w * n_instr
         self._vec_elems += w * n_instr * n_elems
         self._flops += w * n_instr * n_elems * flops_per_elem
-        append = self._append
         label = self._kernel_stack[-1]
         if label != self._cur_label:
-            append((1, label))
-            self._cur_label = label
-        if self._defer:
-            append((6, w, cached))
-        else:
-            append(w * cached)
+            self._set_label(label)
+        self._vpu_item(t6)
 
     def vbroadcast(self, n: int = 1) -> None:
         w = self._w
         self._vec_instrs += w * n
-        append = self._append
-        label = self._kernel_stack[-1]
-        if label != self._cur_label:
-            append((1, label))
-            self._cur_label = label
-        if self._defer:
-            append((6, w, self._class_id(("b", n))))
-        else:
-            append(w * (n * self._vb_cycles))
+        self._switch()
+        memo = self._vb_memo
+        t6 = memo.get((w, n))
+        if t6 is None:
+            t6 = memo[(w, n)] = self._t6_id(w, ("b", n))
+        self._vpu_item(t6)
 
     def sw_prefetch(self, addr: int, nbytes: int, level: str = "L1") -> None:
         if level not in ("L1", "L2"):
             raise ValueError(f"unknown prefetch level {level!r}")
         w = self._w
-        append = self._append
         if self._honors:
             self._has_fills = True
             if level == "L1":
@@ -995,19 +981,19 @@ class _GroupCapture(SampledTraceBase):
                         ways[la] = False
                         if len(ways) > l1_assoc:
                             ways.pop(next(iter(ways)))
-                append((5, tuple(fills)))
+                self._side((5, tuple(fills)))
             else:
                 l2_shift = self._l2_shift
                 firstp = addr >> l2_shift
                 lastp = (addr + nbytes - 1) >> l2_shift
-                append((5, tuple(range(firstp, lastp + 1))))
+                self._side((5, tuple(range(firstp, lastp + 1))))
             self._sw_prefetches_c += w
-            self._switch(append)
-            append(w * self._scalar_cpi)
+            self._switch()
+            self._put(w * self._scalar_cpi)
         elif self._noop_pf:
             self._scalar_instrs += w
-            self._switch(append)
-            append(w * self._scalar_cpi)
+            self._switch()
+            self._put(w * self._scalar_cpi)
         # else: dropped at compile time — free.
 
     def count_flops(self, n: float) -> None:
@@ -1025,14 +1011,13 @@ class _GroupCapture(SampledTraceBase):
                 self._vmem(0, n_elems, 4, 0, True)
                 self._vmem(0, n_elems, 4, 0, False)
         w = self._w
-        append = self._append
-        self._switch(append)
-        append(w * (n_registers * _SPILL_SERIALIZE_CYCLES))
+        self._switch()
+        self._put(w * (n_registers * _SPILL_SERIALIZE_CYCLES))
         self._spills_c += w * n_registers
 
     # -- freezing ------------------------------------------------------
     def finish(self):
-        """Return ``(prog, inv, gc)`` for the tier builders."""
+        """Return ``(skeleton, inv, gc)`` for the tier builders."""
         inv = SimStats()
         inv.scalar_instrs = self._scalar_instrs
         inv.vec_instrs = self._vec_instrs
@@ -1053,22 +1038,21 @@ class _GroupCapture(SampledTraceBase):
             "ooo_hide": self._ooo_hide,
             "scalar_cpi": self._scalar_cpi,
             "l2_shift": self._l2_shift,
-            "distinct": self._seen,
             "max_range_total": self._max_range_total,
             "has_fills": self._has_fills,
             "pf2_cfg": self._pf2_cfg,
             "classes": self._classes,
         }
-        return self._prog, inv, gc
+        return self._sk.build(self._l2_shift), inv, gc
 
 
 def _vpu_price_table(classes: list, vpu, l1_lat, ooo_hide) -> list:
     """Resolve deferred pricing classes against one point's VPU.
 
     Returns ``prices`` such that a tag-6 item ``(6, w, cid)`` folds
-    ``w * prices[cid]`` — the very float the shared pass would have
-    appended had the group been VPU-uniform (bitwise: the class holds
-    the exact arguments the l2-mode pre-pricing would have used).
+    ``w * prices[cid]`` — the very float the direct simulator adds for
+    the event (bitwise: the class holds the exact arguments of its
+    ``varith`` / ``vbroadcast`` / ``_vmem`` pricing call).
     """
     prices = []
     append = prices.append
@@ -1088,48 +1072,25 @@ def _vpu_price_table(classes: list, vpu, l1_lat, ooo_hide) -> list:
     return prices
 
 
-#: Engine knob for the trace-driven shared pass.  ``vec`` (the default)
-#: runs the NumPy column engine (:mod:`repro.machine.replay_vec`);
-#: ``python`` runs the per-event reference loop below.  The two are
-#: hex-identical on every SimStats field (tests/test_replay_vec.py);
-#: the loop is retained as the oracle the column engine is checked
-#: against, and as the fallback of record.
-_ENGINE_ENV = "REPRO_REPLAY_ENGINE"
-_ENGINES = ("vec", "vectorized", "python", "")
+def _shared_pass(trace: RecordedTrace, base: MachineConfig):
+    """Shared pass over *trace*: ``(skeleton, inv, gc)``.
 
-
-def _replay_engine() -> str:
-    from ..core.knobs import get_raw  # deferred: machine must not import core eagerly
-
-    val = get_raw(_ENGINE_ENV).lower()
-    if val not in _ENGINES:
-        raise ValueError(
-            f"{_ENGINE_ENV}={val!r}: expected 'vec' or 'python'"
-        )
-    return "python" if val == "python" else "vec"
-
-
-def _shared_pass(
-    trace: RecordedTrace, base: MachineConfig, defer_vpu: bool = False
-):
-    """Shared pass over *trace*: dispatches on ``REPRO_REPLAY_ENGINE``."""
-    if _replay_engine() == "python":
-        return _shared_pass_python(trace, base, defer_vpu=defer_vpu)
+    Runs the vectorized engine; :func:`_shared_pass_python` is the
+    oracle it is checked against (tests/test_replay_vec.py).
+    """
     from .replay_vec import _shared_pass_vec  # deferred: import cycle
 
-    return _shared_pass_vec(trace, base, defer_vpu=defer_vpu)
+    return _shared_pass_vec(trace, base)
 
 
-def _shared_pass_python(
-    trace: RecordedTrace, base: MachineConfig, defer_vpu: bool = False
-):
+def _shared_pass_python(trace: RecordedTrace, base: MachineConfig):
     """Drive a :class:`_GroupCapture` from a recorded trace's rows.
 
     The per-event reference loop — the oracle the vectorized engine
     (:func:`repro.machine.replay_vec._shared_pass_vec`) is verified
-    against, selectable via ``REPRO_REPLAY_ENGINE=python``.
+    against.
     """
-    cap = _GroupCapture(base, defer_vpu=defer_vpu)
+    cap = _GroupCapture(base)
     labels = trace.labels
     stack = cap._kernel_stack
     vmem = cap._vmem
@@ -1173,30 +1134,36 @@ def _shared_pass_python(
 
 
 class _Skeleton:
-    """The tier-independent columns of one shared-pass program.
+    """The shared-pass program: tier-independent NumPy columns.
 
-    Built once per program (:class:`_SkeletonBuilder`) and shared by
-    every tier compiled from it:
+    Written by the two emitters (:class:`_GroupCapture`,
+    :func:`repro.machine.replay_vec._shared_pass_vec`), stored as the
+    ``.rpp`` payload, and shared by every tier compiled from it:
 
     * the item columns of :class:`_VecProgram` — ``base`` (pre-priced
       floats, 0.0 at class items), ``kid`` (label id per item),
-      ``labels`` and ``cls_pos`` (item position of every class item);
-    * the fixed tag-6 classes: ``t6_at`` (class-item slot of each tag-6
-      item), ``t6_cls`` (its index into ``t6_defs``);
-    * per L2-reaching event (tags 3/4, stream order): ``ev_at`` (its
-      class-item slot), ``ev_key`` (index into ``ev_defs``, the
-      tier-independent part of its pricing class: ``iid`` for tag 3,
-      ``(w, inv_lat, occ1, write)`` for tag 4), ``ev_scalar`` (tag 4)
-      and ``ev_off`` (offsets into ``addrs``);
+      ``labels`` (first-appearance order) and ``cls_pos`` (item
+      position of every class item: L2 events and VPU-priced items);
+    * the VPU-priced items: ``t6_at`` (class-item slot of each),
+      ``t6_cls`` (its index into ``t6_defs``, the interned
+      ``(6, w, cid)`` keys in first-occurrence order);
+    * per L2-reaching event, in stream order: ``ev_at`` (its class-item
+      slot), ``ev_key`` (index into ``ev_defs``, the interned
+      tier-independent pricing keys ``(3, w, inv_lat, occ1, nbytes,
+      n_lines, write, unit)`` and ``(4, w, inv_lat, occ1, write)``),
+      ``ev_scalar`` (a tag-4 key: a scalar access) and ``ev_off``
+      (offsets into ``addrs``);
     * ``addrs``, the pending byte addresses of every event, flattened;
       ``lines``, the distinct L2 lines, and ``ft_pos``, the position of
       each line's first touch — the one access to it a conflict-free L2
       cannot hit without the residency-range model;
-    * ``side``, the ``note_resident_range`` (tag 2) and prefetch-fill
-      (tag 5) items as ``(address position, item)`` in stream order.
+    * ``side``, the residency-range notes ``(2, base, nbytes)`` and
+      prefetch fills ``(5, lines)`` as ``(address position, item)`` in
+      stream order.
 
-    A tier adds only each event's ``(hits, misses)`` split
-    (:func:`_intern`).
+    ``ev_scalar``, ``lines`` and ``ft_pos`` are derived here from the
+    other columns.  A tier adds only each event's ``(hits, misses)``
+    split (:func:`_intern`).
     """
 
     __slots__ = (
@@ -1218,142 +1185,84 @@ class _Skeleton:
         "side",
     )
 
+    def __init__(
+        self, l2_shift: int, *, base, kid, labels, cls_pos, t6_at, t6_cls,
+        t6_defs, ev_at, ev_key, ev_defs, ev_off, addrs, side,
+    ):
+        self.base = base
+        self.kid = kid
+        self.labels = labels
+        self.cls_pos = cls_pos
+        self.t6_at = t6_at
+        self.t6_cls = t6_cls
+        self.t6_defs = t6_defs
+        self.ev_at = ev_at
+        self.ev_key = ev_key
+        self.ev_defs = ev_defs
+        self.ev_off = ev_off
+        self.addrs = addrs
+        self.side = side
+        self.ev_scalar = np.array([d[0] == 4 for d in ev_defs], dtype=bool)[ev_key]
+        # A pending line is a first touch iff its L2 line never reached
+        # the L2 earlier in the stream: its first occurrence in the
+        # flattened address column (return_index picks the first).
+        self.lines, first = np.unique(addrs >> l2_shift, return_index=True)
+        self.ft_pos = np.sort(first)
+
 
 class _SkeletonBuilder:
-    """Streams shared-pass program items into :class:`_Skeleton` columns.
+    """Typed column buffers :class:`_GroupCapture` appends items to.
 
-    :meth:`extend` takes items in stream order, in as many batches as
-    the caller likes: :func:`_skeleton` passes a finished program in
-    one, the fused capture (:class:`_RecordingCapture`) passes what it
-    emitted every few thousand events, so that path never holds the
-    whole program.  Columns accumulate in typed ``array`` buffers (no
-    per-value Python objects) and become NumPy arrays without a copy.
+    Columns accumulate in ``array`` buffers (no per-item Python
+    objects) and become the :class:`_Skeleton`'s NumPy arrays without a
+    copy.  Label ids are recorded where they change (``sw_pos`` /
+    ``sw_kid``) and expanded to the per-item ``kid`` column once.
     """
 
     def __init__(self):
         self.base = array("d")
-        self.kid = array("q")
-        self.cls_pos = array("q")
+        self.sw_pos = array("q")
+        self.sw_kid = array("q")
         self.labels: list = []
         self.label_ids: dict = {}
+        self.cls_pos = array("q")
         self.t6_at = array("q")
         self.t6_cls = array("q")
-        self.t6_ids: dict = {}
         self.t6_defs: list = []
-        self.ev_key = array("q")
+        self.t6_ids: dict = {}
         self.ev_at = array("q")
-        self.ev_scalar = array("b")
+        self.ev_key = array("q")
         self.ev_defs: list = []
-        self.iid_keys: dict = {}
-        self.scalar_keys: dict = {}
-        self.addrs = array("q")
+        self.ev_ids: dict = {}
         self.ev_off = array("q", [0])
+        self.addrs = array("q")
         self.side: list = []
-        self.cur_kid = -1
-
-    def extend(self, items) -> None:
-        base_append = self.base.append
-        kid_append = self.kid.append
-        cls_pos = self.cls_pos
-        pos_append = cls_pos.append
-        ev_defs = self.ev_defs
-        iid_keys = self.iid_keys
-        scalar_keys = self.scalar_keys
-        ev_key_append = self.ev_key.append
-        ev_at_append = self.ev_at.append
-        ev_scalar_append = self.ev_scalar.append
-        addrs = self.addrs
-        addrs_extend = addrs.extend
-        off_append = self.ev_off.append
-        t6_ids = self.t6_ids
-        t6_defs = self.t6_defs
-        t6_cls_append = self.t6_cls.append
-        t6_at_append = self.t6_at.append
-        n = len(self.base)
-        cur_kid = self.cur_kid
-        for it in items:
-            if type(it) is float:
-                base_append(it)
-                kid_append(cur_kid)
-                n += 1
-                continue
-            tag = it[0]
-            if tag == 3:
-                k = iid_keys.get(it[9])
-                if k is None:
-                    k = iid_keys[it[9]] = len(ev_defs)
-                    ev_defs.append(
-                        (3, it[1], it[3], it[4], it[5], it[6], it[7], it[8])
-                    )
-                ev_key_append(k)
-                ev_at_append(len(cls_pos))
-                ev_scalar_append(False)
-                addrs_extend(it[2])
-                off_append(len(addrs))
-            elif tag == 4:
-                skey = (it[1], it[3], it[4], it[5])
-                k = scalar_keys.get(skey)
-                if k is None:
-                    k = scalar_keys[skey] = len(ev_defs)
-                    ev_defs.append((4,) + skey)
-                ev_key_append(k)
-                ev_at_append(len(cls_pos))
-                ev_scalar_append(True)
-                addrs_extend(it[2])
-                off_append(len(addrs))
-            elif tag == 6:
-                key = (6, it[1], it[2])
-                c = t6_ids.get(key)
-                if c is None:
-                    c = t6_ids[key] = len(t6_defs)
-                    t6_defs.append(key)
-                t6_cls_append(c)
-                t6_at_append(len(cls_pos))
-            elif tag == 1:
-                kid = self.label_ids.get(it[1])
-                if kid is None:
-                    kid = self.label_ids[it[1]] = len(self.labels)
-                    self.labels.append(it[1])
-                cur_kid = kid
-                continue
-            else:  # tag 2 (residency range) or 5 (prefetch fills)
-                self.side.append((len(addrs), it))
-                continue
-            pos_append(n)
-            base_append(0.0)
-            kid_append(cur_kid)
-            n += 1
-        self.cur_kid = cur_kid
 
     def build(self, l2_shift: int) -> _Skeleton:
-        skel = _Skeleton()
-        skel.base = np.frombuffer(self.base, dtype=np.float64)
-        skel.kid = np.frombuffer(self.kid, dtype=np.int64)
-        skel.labels = self.labels
-        skel.cls_pos = np.frombuffer(self.cls_pos, dtype=np.int64)
-        skel.t6_at = np.frombuffer(self.t6_at, dtype=np.int64)
-        skel.t6_cls = np.frombuffer(self.t6_cls, dtype=np.int64)
-        skel.t6_defs = self.t6_defs
-        skel.ev_at = np.frombuffer(self.ev_at, dtype=np.int64)
-        skel.ev_key = np.frombuffer(self.ev_key, dtype=np.int64)
-        skel.ev_defs = self.ev_defs
-        skel.ev_scalar = np.frombuffer(self.ev_scalar, dtype=np.int8).astype(bool)
-        skel.ev_off = np.frombuffer(self.ev_off, dtype=np.int64)
-        skel.addrs = np.frombuffer(self.addrs, dtype=np.int64)
-        # A pending line is a first touch iff its L2 line never reached
-        # the L2 earlier in the stream: its first occurrence in the
-        # flattened address column (return_index picks the first).
-        skel.lines, first = np.unique(skel.addrs >> l2_shift, return_index=True)
-        skel.ft_pos = np.sort(first)
-        skel.side = self.side
-        return skel
-
-
-def _skeleton(prog: list, gc: dict) -> _Skeleton:
-    """The :class:`_Skeleton` of a finished program (one pass)."""
-    builder = _SkeletonBuilder()
-    builder.extend(prog)
-    return builder.build(gc["l2_shift"])
+        n = len(self.base)
+        kid = np.full(n, -1, dtype=np.int64)
+        if self.sw_pos:
+            sw_pos = np.frombuffer(self.sw_pos, dtype=np.int64)
+            kid[sw_pos[0]:] = np.repeat(
+                np.frombuffer(self.sw_kid, dtype=np.int64),
+                np.diff(np.append(sw_pos, n)),
+            )
+        return _Skeleton(
+            l2_shift,
+            base=np.frombuffer(self.base, dtype=np.float64),
+            kid=kid,
+            labels=self.labels,
+            cls_pos=np.frombuffer(self.cls_pos, dtype=np.int64),
+            t6_at=np.frombuffer(self.t6_at, dtype=np.int64),
+            t6_cls=np.frombuffer(self.t6_cls, dtype=np.int64),
+            t6_defs=self.t6_defs,
+            ev_at=np.frombuffer(self.ev_at, dtype=np.int64),
+            ev_key=np.frombuffer(self.ev_key, dtype=np.int64),
+            ev_defs=self.ev_defs,
+            ev_off=np.frombuffer(self.ev_off, dtype=np.int64),
+            addrs=np.frombuffer(self.addrs, dtype=np.int64),
+            side=self.side,
+        )
 
 
 class _VecProgram:
@@ -1714,7 +1623,7 @@ def _tier_for(skel: _Skeleton, gc: dict, m: MachineConfig) -> dict:
 
 
 def _run_points(
-    prog,
+    skel: _Skeleton,
     inv: SimStats,
     gc: dict,
     machines: Sequence[MachineConfig],
@@ -1722,8 +1631,7 @@ def _run_points(
 ) -> List[SimStats]:
     """Price a shared-pass program on every machine of the group.
 
-    *prog* is the program or its :class:`_Skeleton`.  Every machine is
-    priced by :func:`_point_pass_vec` from one tier (:func:`_tier_for`):
+    Every machine is priced by :func:`_point_pass_vec` from one tier (:func:`_tier_for`):
     a conflict-free tier per L2 byte budget or a walk tier per L2
     geometry and prefetcher.  Each distinct tier is built once and
     dropped after its last point is priced.  Machines that share a tier
@@ -1737,7 +1645,6 @@ def _run_points(
     walk fingerprints of the machines they serve, which is what lets
     :func:`replay_sweep_cached` trust them without the program.
     """
-    skel = prog if isinstance(prog, _Skeleton) else _skeleton(prog, gc)
     if cache_ctx is not None:
         from ..core import tracecache
 
@@ -1839,7 +1746,7 @@ def _memo_put(key, value) -> None:
     _SHARED_PASS_MEMO[key] = value
 
 
-def _shared_pass_sig(m: MachineConfig, defer_vpu: bool):
+def _shared_pass_sig(m: MachineConfig):
     l2n = replace(m.l2, size_bytes=m.l2.line_bytes * 8, assoc=1, latency=0)
     norm = replace(
         m,
@@ -1849,15 +1756,13 @@ def _shared_pass_sig(m: MachineConfig, defer_vpu: bool):
         dram_bytes_per_cycle=1,
         peak_gflops=0.0,
     )
-    if defer_vpu:
-        # VPU pricing is deferred per point; only the walk fields bind.
-        v = m.vpu
-        return (
-            replace(norm, vpu=None),
-            v.mem_port,
-            v.vector_cache_bytes,
-        )
-    return norm
+    # VPU pricing is deferred per point; only the walk fields bind.
+    v = m.vpu
+    return (
+        replace(norm, vpu=None),
+        v.mem_port,
+        v.vector_cache_bytes,
+    )
 
 
 def _sig_token(sig) -> str:
@@ -1889,18 +1794,15 @@ def _inv_from_fields(fields: dict) -> SimStats:
     return inv
 
 
-def _shared_pass_cached(
-    trace: RecordedTrace, base: MachineConfig, defer_vpu: bool
-):
+def _shared_pass_cached(trace: RecordedTrace, base: MachineConfig):
     """``(skeleton, inv, gc)`` of *trace*'s shared pass: memo, ``.rpp``, or run."""
     if not trace.key:
-        prog, inv, gc = _shared_pass(trace, base, defer_vpu=defer_vpu)
-        return _skeleton(prog, gc), inv, gc
+        return _shared_pass(trace, base)
     from ..core import tracecache
 
     digest = trace.content_digest()
-    sig = _shared_pass_sig(base, defer_vpu)
-    key = (trace.key, digest, defer_vpu, sig)
+    sig = _shared_pass_sig(base)
+    key = (trace.key, digest, sig)
     hit = _SHARED_PASS_MEMO.get(key)
     if hit is not None:
         return hit
@@ -1911,18 +1813,18 @@ def _shared_pass_cached(
         else None
     )
     if loaded is not None:
-        _header, prog, inv_fields, gc = loaded
+        _header, skel, inv_fields, gc = loaded
         gc["vpu"] = base.vpu
         inv = _inv_from_fields(inv_fields)
     else:
-        prog, inv, gc = _shared_pass(trace, base, defer_vpu=defer_vpu)
+        skel, inv, gc = _shared_pass(trace, base)
         if use_disk:
             tracecache.store_pass(
-                prog, _inv_fields(inv), gc,
-                key=trace.key, sig=_sig_token(sig), defer=defer_vpu,
+                skel, _inv_fields(inv), gc,
+                key=trace.key, sig=_sig_token(sig),
                 trace_sha256=digest, compat=_trace_compat(trace),
             )
-    out = (_skeleton(prog, gc), inv, gc)
+    out = (skel, inv, gc)
     _memo_put(key, out)
     return out
 
@@ -1938,12 +1840,11 @@ def replay_sweep(
     VL sweep, whose event streams differ per point) — the caller
     should fall back to per-point simulation.
 
-    The shared pass always runs in deferred-VPU mode: tag-6 classes
-    resolve to the exact floats an eagerly-priced pass would have
-    appended (see :func:`_vpu_price_table`), so the result is bitwise
-    unchanged, and one cached pass serves *every* replayable axis of a
-    capture — L2 size, DRAM latency/bandwidth, and lane count — both
-    in the memo and in the on-disk compiled-pass cache.
+    The shared pass defers VPU pricing to per-point pricing classes
+    (see :func:`_vpu_price_table`), so one cached pass serves *every*
+    replayable axis of a capture — L2 size, DRAM latency/bandwidth, and
+    lane count — both in the memo and in the on-disk compiled-pass
+    cache.
     """
     machines = list(machines)
     if not machines:
@@ -1953,10 +1854,10 @@ def replay_sweep(
     mode = group_mode(machines)
     if mode is None:
         return None
-    skel, inv, gc = _shared_pass_cached(trace, machines[0], defer_vpu=True)
+    skel, inv, gc = _shared_pass_cached(trace, machines[0])
     ctx = None
     if trace.key:
-        sig = _shared_pass_sig(machines[0], True)
+        sig = _shared_pass_sig(machines[0])
         ctx = (
             trace.key,
             _sig_token(sig),
@@ -2053,10 +1954,10 @@ def replay_sweep_cached(
             or compat["l1_line_bytes"] != m.l1.line_bytes
         ):
             return None
-    sig = _shared_pass_sig(machines[0], True)
+    sig = _shared_pass_sig(machines[0])
     tok = _sig_token(sig)
     ctx = (key, tok, digest, compat)
-    memo_key = (key, digest, True, sig)
+    memo_key = (key, digest, sig)
     hit = _SHARED_PASS_MEMO.get(memo_key)
     if hit is not None:
         return _run_points(*hit, machines, cache_ctx=ctx)
@@ -2066,10 +1967,9 @@ def replay_sweep_cached(
     loaded = tracecache.load_pass(key, tok, digest)
     if loaded is None:
         return None
-    _header, prog, inv_fields, gc = loaded
+    _header, skel, inv_fields, gc = loaded
     gc["vpu"] = machines[0].vpu
-    out = (_skeleton(prog, gc), _inv_from_fields(inv_fields), gc)
-    del prog
+    out = (skel, _inv_from_fields(inv_fields), gc)
     _memo_put(memo_key, out)
     return _run_points(*out, machines, cache_ctx=ctx)
 
@@ -2140,22 +2040,8 @@ class _RecordingCapture(_EventLog, _GroupCapture):
     """
 
     def __init__(self, base: MachineConfig):
-        super().__init__(base, defer_vpu=True)
+        super().__init__(base)
         self._start_log()
-        self._skel = _SkeletonBuilder()
-
-    def _flush(self) -> None:
-        # Each frozen chunk of events also hands the program items they
-        # produced to the skeleton, so the program is never held whole.
-        super()._flush()
-        self._skel.extend(self._prog)
-        self._prog.clear()  # in place: ``_append`` stays bound to it
-
-    def finish(self):
-        """Return ``(skeleton, inv, gc)`` instead of the program."""
-        self._flush()
-        _prog, inv, gc = super().finish()
-        return self._skel.build(gc["l2_shift"]), inv, gc
 
     # Each event: the one row layout (``_EventLog``), then the walk.
     def note_resident_range(self, base: int, nbytes: int) -> None:
@@ -2258,8 +2144,7 @@ def capture_sweep(
     del trace
     skel, inv, gc = cap.finish()
     del cap
-    gc.pop("distinct")  # only an .rpp would carry it
-    sig = _shared_pass_sig(machines[0], True)
-    _memo_put((key, digest, True, sig), (skel, inv, gc))
+    sig = _shared_pass_sig(machines[0])
+    _memo_put((key, digest, sig), (skel, inv, gc))
     ctx = (key, _sig_token(sig), digest, compat)
     return _run_points(skel, inv, gc, machines, cache_ctx=ctx)

@@ -1,40 +1,46 @@
 """Vectorized shared pass: NumPy column arithmetic over a recorded trace.
 
-:func:`_shared_pass_vec` produces the same ``(prog, inv, gc)`` triple as
-the per-event reference loop in :mod:`repro.machine.replay`
-(``_shared_pass_python``), but lowers everything that does not read
-mutable cache state to NumPy column arithmetic over the trace's columnar
-arrays:
+:func:`_shared_pass_vec` produces the same ``(skeleton, inv, gc)``
+triple as the per-event reference loop in :mod:`repro.machine.replay`
+(``_shared_pass_python``) — the shared-pass program as
+:class:`~repro.machine.replay._Skeleton` columns — but lowers
+everything that does not read mutable cache state to NumPy column
+arithmetic over the trace's columnar arrays:
 
 * the nine *pure* invariant ``SimStats`` fields (instruction/byte/flop
   counters) are folded with ``np.add.accumulate`` over per-event
   contribution columns built with the exact operand order of the
   reference loop (inserting ``+ 0.0`` for non-contributing events is an
   exact identity on these non-negative accumulators);
-* pre-priced floats for compute events (``scalar``, ``varith``,
-  ``vbroadcast``, no-op prefetches, spill serialization tails) are
-  computed column-wise — ``varith_cycles`` runs once per *distinct*
-  ``(n_elems, n_instr, ew)`` key via ``np.unique``, mirroring the
-  reference loop's memo;
-* kernel-label switch items and every program item's final position are
-  derived from cumulative-sum index arithmetic, so the assembled
-  ``prog`` list is laid out item for item like the reference loop's.
+* the program has one item per event that adds cycles, so every item's
+  position, its label id (trace kernel ids renumbered by first
+  appearance) and the pre-priced floats of compute events (``scalar``,
+  no-op prefetches, spill serialization tails) are columns over those
+  events;
+* the VPU pricing classes of ``varith`` / ``vbroadcast`` events are
+  interned with ``np.unique`` (one class per distinct shape), and the
+  tag-6 keys ``(6, w, cid)`` of every VPU-priced item in first-occurrence
+  order.
 
 Only the *walk* events — scalar/vector memory accesses, honoured
 software prefetches and residency-range notes, whose outcome threads
 through the TLB/L1/prefetcher/VectorCache state — still run
 sequentially.  They are driven through a real
-:class:`~repro.machine.replay._GroupCapture` (the walk logic lives in
-exactly one place; this module never duplicates it) whose label state is
-pinned so it emits payload items only; the items are then scattered into
-the assembled program at the precomputed positions.  The three
-walk-dependent invariant fields (``l1_hits``, ``l1_misses``,
-``vc_hits``) are taken from that capture — they are only ever touched by
-walk events, in walk order, so the fold is unchanged.
+:class:`~repro.machine.replay._GroupCapture` (or its flattened
+transcription :func:`_walk_events_fast`), which records one outcome per
+walk event in its own columns: a float, a VPU-priced item, an L2 event
+(key and pending addresses), or a side note.  Those columns are merged
+into the program at the walk events' precomputed item positions; the L2
+event, address and side columns carry over unchanged, since only walk
+events produce them.  The three walk-dependent invariant fields
+(``l1_hits``, ``l1_misses``, ``vc_hits``) are taken from that capture —
+they are only ever touched by walk events, in walk order, so the fold is
+unchanged.
 
-Hex identity with the reference loop is enforced across all machine
-presets by tests/test_replay_vec.py; pick the loop explicitly with
-``REPRO_REPLAY_ENGINE=python`` (see ``replay._shared_pass``).
+Column identity with the reference loop (tag-6 classes compared through
+their descriptors, whose numbering may differ) and hex identity of every
+priced point are enforced across all machine presets by
+tests/test_replay_vec.py.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .simulator import (
     _SPILL_SERIALIZE_CYCLES,
     _STORE_STALL_FACTOR,
     SimStats,
-    vmem_event_cycles,
 )
 from .trace import (
     OP_COUNT_FLOPS,
@@ -63,9 +68,11 @@ from .trace import (
     OP_VSTORE,
     RecordedTrace,
 )
-from .vpu import varith_cycles
 
 __all__ = ["_shared_pass_vec"]
+
+#: Walk events whose operands are Python lists at any one time.
+_WALK_CHUNK = 1 << 16
 
 #: Internal pseudo-opcode for the serialization tail of an expanded
 #: OP_SPILL row (never appears in a trace; must not collide with real
@@ -151,6 +158,8 @@ def _unique_shapes(x0, x1, x2):
     return first, np.asarray(inverse).reshape(-1)
 
 
+
+
 def _walk_events_fast(cap, ops, ws, a0, a1, a2, a3) -> None:
     """Specialized walk loop for TLB-less, prefetcher-less configs.
 
@@ -159,17 +168,29 @@ def _walk_events_fast(cap, ops, ws, a0, a1, a2, a3) -> None:
     into a local and the method-call dispatch flattened into one loop —
     the arithmetic (operation, operand order, accumulation order) is
     kept exactly lock-step with the reference, and
-    tests/test_replay_vec.py enforces hex identity against it.  Only
+    tests/test_replay_vec.py enforces column identity against it.  Only
     valid when ``cap._tlb is None and cap._pf1 is None and not
     cap._honors`` (the rvv/sve preset family); richer configs take the
-    ``_GroupCapture``-driven loop in :func:`_shared_pass_vec`.
+    ``_GroupCapture``-driven loop :func:`_walk_events`.
 
-    Items are appended to ``cap._prog``; the three walk counters are
-    accumulated locally and written back.
+    Outcomes go straight to the capture's columns (an L2 event's appends
+    inlined, as in ``_GroupCapture._l2_item``); the three walk counters
+    are accumulated locally and written back.
     """
-    append = cap._prog.append
+    sk = cap._sk
+    base = sk.base
+    put = base.append
+    cls_pos = sk.cls_pos
+    cls_append = cls_pos.append
+    ev_at_append = sk.ev_at.append
+    ev_key_append = sk.ev_key.append
+    ev_defs = sk.ev_defs
+    ev_ids = sk.ev_ids
+    addrs = sk.addrs
+    off_append = sk.ev_off.append
+    vpu_item = cap._vpu_item
+    t6_id = cap._t6_id
     note_range = cap.note_resident_range
-    class_id = cap._class_id
     port_l1 = cap._port_l1
     l1_line = cap._l1_line
     l1_shift = cap._l1_shift
@@ -181,15 +202,11 @@ def _walk_events_fast(cap, ops, ws, a0, a1, a2, a3) -> None:
     l1_assoc = cap._l1_assoc
     vc_set = cap._vc_set
     vc_assoc = cap._vc_assoc
-    v_shift = cap._v_shift
+    l1_mul = cap._l1_step.__mul__
+    v_mul = cap._v_step.__mul__
     scalar_cpi = cap._scalar_cpi
     ooo_hide = cap._ooo_hide
-    vpu = cap._vpu
-    defer = cap._defer
-    seen = cap._seen
-    seen_add = seen.add
-    inv_ids = cap._inv_ids
-    vmem_memo = cap._vmem_inv_memo
+    vmem_memo = cap._vmem_memo
     l1_hits_c = cap._l1_hits_c
     l1_misses_c = cap._l1_misses_c
     vc_hits_c = cap._vc_hits_c
@@ -211,70 +228,51 @@ def _walk_events_fast(cap, ops, ws, a0, a1, a2, a3) -> None:
                 if dirty is not None:
                     ways[first] = dirty or write
                     l1_hits_c += w
-                    append(w * scalar_cpi)
+                    put(w * scalar_cpi)
                     continue
                 ways[first] = write
                 if len(ways) > l1_assoc:
                     ways.pop(next(iter(ways)))
                 l1_misses_c += w * 1
-                a = first << l1_shift
-                k = a >> l2_shift
-                if k in seen:
-                    nh0 = 1
-                    ft = ()
-                else:
-                    seen_add(k)
-                    nh0 = 0
-                    ft = (a,)
-                append((4, w, (a,), l1_lat, 0.0 + fill_l1, write, nh0, ft))
-                continue
-            lat_i = 0
-            occ1 = 0.0
-            l1h = l1m = 0
-            pend = []
-            for la in range(first, last + 1):
-                ways = l1_sets[la % l1_num]
-                dirty = ways.pop(la, None)
-                if dirty is not None:
-                    ways[la] = dirty or write
-                    lat_i += l1_lat
-                    l1h += 1
-                    continue
-                ways[la] = write
-                if len(ways) > l1_assoc:
-                    ways.pop(next(iter(ways)))
-                l1m += 1
-                occ1 += fill_l1
-                lat_i += l1_lat
-                pend.append(la)
-            l1_hits_c += w * l1h
-            if l1m:
-                l1_misses_c += w * l1m
-            if pend:
-                nh0 = 0
-                addrs = []
-                ft = []
-                for la in pend:
-                    a = la << l1_shift
-                    addrs.append(a)
-                    k = a >> l2_shift
-                    if k in seen:
-                        nh0 += 1
-                    else:
-                        seen_add(k)
-                        ft.append(a)
-                append((4, w, tuple(addrs), lat_i, occ1, write, nh0, tuple(ft)))
+                key = (4, w, l1_lat, 0.0 + fill_l1, write)
+                ev_addrs = (first << l1_shift,)
             else:
-                d = lat_i - l1_lat
-                if d > 0:
-                    stall = max(0.0, d) / _SCALAR_MLP
-                    if write:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
+                lat_i = 0
+                occ1 = 0.0
+                l1h = l1m = 0
+                pend = []
+                for la in range(first, last + 1):
+                    ways = l1_sets[la % l1_num]
+                    dirty = ways.pop(la, None)
+                    if dirty is not None:
+                        ways[la] = dirty or write
+                        lat_i += l1_lat
+                        l1h += 1
+                        continue
+                    ways[la] = write
+                    if len(ways) > l1_assoc:
+                        ways.pop(next(iter(ways)))
+                    l1m += 1
+                    occ1 += fill_l1
+                    lat_i += l1_lat
+                    pend.append(la)
+                l1_hits_c += w * l1h
+                if l1m:
+                    l1_misses_c += w * l1m
+                if not pend:
+                    d = lat_i - l1_lat
+                    if d > 0:
+                        stall = max(0.0, d) / _SCALAR_MLP
+                        if write:
+                            stall *= _STORE_STALL_FACTOR * (1.0 - ooo_hide)
+                        else:
+                            stall *= 1.0 - ooo_hide
+                        put(w * (scalar_cpi + stall + 0.0 + 0.0))
                     else:
-                        stall *= 1.0 - ooo_hide
-                    append(w * (scalar_cpi + stall + 0.0 + 0.0))
-                else:
-                    append(w * scalar_cpi)
+                        put(w * scalar_cpi)
+                    continue
+                key = (4, w, lat_i, occ1, write)
+                ev_addrs = map(l1_mul, pend)
         elif o == op_vl or o == op_vs:
             addr = a0[j]
             n_elems = a1[j]
@@ -330,7 +328,7 @@ def _walk_events_fast(cap, ops, ws, a0, a1, a2, a3) -> None:
                                 vc_len += 1
                             pend.append(la)
                     else:
-                        pend = list(range(first, last + 1))
+                        pend = range(first, last + 1)
                     occ1 = 0.0
                     l1h = l1m = 0
             else:
@@ -409,54 +407,144 @@ def _walk_events_fast(cap, ops, ws, a0, a1, a2, a3) -> None:
                 l1_misses_c += w * l1m
             if vch:
                 vc_hits_c += w * vch
-            if pend:
-                key = (w, lat_i, occ1, nbytes, n_lines, write, unit)
-                iid = inv_ids.get(key)
-                if iid is None:
-                    iid = inv_ids[key] = len(inv_ids)
-                nh0 = 0
-                addrs = []
-                ft = []
-                for la in pend:
-                    a = la << v_shift
-                    addrs.append(a)
-                    k = a >> l2_shift
-                    if k in seen:
-                        nh0 += 1
-                    else:
-                        seen_add(k)
-                        ft.append(a)
-                append(
-                    (3, w, tuple(addrs), lat_i, occ1, nbytes, n_lines,
-                     write, unit, iid, nh0, tuple(ft))
-                )
-            elif defer:
-                mkey = (lat_i, occ1, nbytes, n_lines, write, unit)
-                cid = vmem_memo.get(mkey)
-                if cid is None:
-                    cid = vmem_memo[mkey] = class_id(("m",) + mkey)
-                append((6, w, cid))
-            else:
-                mkey = (lat_i, occ1, nbytes, n_lines, write, unit)
-                cycles = vmem_memo.get(mkey)
-                if cycles is None:
-                    cycles = vmem_memo[mkey] = vmem_event_cycles(
-                        vpu, l1_lat, ooo_hide, lat_i, occ1, 0.0,
-                        nbytes, n_lines, write, unit,
+            if not pend:
+                mkey = (w, lat_i, occ1, nbytes, n_lines, write, unit)
+                t6 = vmem_memo.get(mkey)
+                if t6 is None:
+                    t6 = vmem_memo[mkey] = t6_id(
+                        w, ("m", lat_i, occ1, nbytes, n_lines, write, unit)
                     )
-                append(w * cycles)
+                vpu_item(t6)
+                continue
+            key = (3, w, lat_i, occ1, nbytes, n_lines, write, unit)
+            ev_addrs = map(v_mul, pend)
         else:  # OP_NOTE_RANGE (rare)
             note_range(a0[j], a1[j])
+            continue
+        # An L2 event: its interned key, its class item, its addresses.
+        k = ev_ids.get(key)
+        if k is None:
+            k = ev_ids[key] = len(ev_defs)
+            ev_defs.append(key)
+        ev_key_append(k)
+        ev_at_append(len(cls_pos))
+        cls_append(len(base))
+        put(0.0)
+        addrs.extend(ev_addrs)
+        off_append(len(addrs))
     cap._l1_hits_c = l1_hits_c
     cap._l1_misses_c = l1_misses_c
     cap._vc_hits_c = vc_hits_c
 
 
-def _shared_pass_vec(trace: RecordedTrace, base, defer_vpu: bool = False):
-    """Column-arithmetic twin of ``replay._shared_pass_python``."""
-    from .replay import _GroupCapture  # deferred: avoids a cycle at import
+def _walk_events(cap, ops, ws, a0, a1, a2, a3) -> None:
+    """Drive the capture's own event methods over walk events."""
+    vmem = cap._vmem
+    scalar_mem = cap._scalar_mem
+    note_range = cap.note_resident_range
+    sw_prefetch = cap.sw_prefetch
+    cur_w = cap._w
+    for j in range(len(ops)):
+        wv = ws[j]
+        if wv != cur_w:
+            cap._w = cur_w = wv
+        o = ops[j]
+        if o == OP_VLOAD:
+            vmem(a0[j], a1[j], a2[j], a3[j], False)
+        elif o == OP_VSTORE:
+            vmem(a0[j], a1[j], a2[j], a3[j], True)
+        elif o == OP_SCALAR_LOAD:
+            scalar_mem(a0[j], a1[j], False)
+        elif o == OP_SCALAR_STORE:
+            scalar_mem(a0[j], a1[j], True)
+        elif o == OP_NOTE_RANGE:
+            note_range(a0[j], a1[j])
+        else:  # honoured OP_SW_PREFETCH
+            sw_prefetch(a0[j], a1[j], "L1" if a2[j] == 0 else "L2")
 
-    cap = _GroupCapture(base, defer_vpu=defer_vpu)
+
+def _first_appearance_labels(item_kids, trace_labels):
+    """Renumber trace kernel ids by first appearance among the items.
+
+    The program switches labels lazily, only ahead of an item, so its
+    label table is the items' labels in first-appearance order.
+    Returns ``(labels, kid column)``.
+    """
+    labels: list = []
+    ids: dict = {}
+    remap = np.zeros(len(trace_labels), dtype=np.int64)
+    if len(item_kids):
+        u, first = np.unique(item_kids, return_index=True)
+        for k in u[np.argsort(first)].tolist():
+            name = trace_labels[k]
+            lid = ids.get(name)
+            if lid is None:
+                lid = ids[name] = len(labels)
+                labels.append(name)
+            remap[k] = lid
+    return labels, remap[item_kids]
+
+
+def _compute_classes(cap, va, vb, i0, i1, i2):
+    """Pricing-class ids of the ``varith`` (*va*) and ``vbroadcast``
+    (*vb*) events.
+
+    One class per distinct shape, interned into the capture's class
+    table in first-occurrence order — ahead of the walk's ``"m"``
+    classes, so ids may differ from the reference loop's interleaving;
+    every point resolves ``prices[cid]`` through the same table, so no
+    price changes.
+    """
+    keydefs = []  # (first event, descriptor, 0 = varith / 1 = vbroadcast, shape)
+    inverses = [np.zeros(0, np.int64), np.zeros(0, np.int64)]
+    n_shapes = [0, 0]
+    if len(va):
+        x0, x1, x2 = i0[va], i1[va], i2[va]
+        first, inverses[0] = _unique_shapes(x0, x1, x2)
+        n_shapes[0] = len(first)
+        for k, fi in enumerate(first.tolist()):
+            keydefs.append(
+                (int(va[fi]), ("a", int(x0[fi]), int(x1[fi]), int(x2[fi])), 0, k)
+            )
+    if len(vb):
+        uniq, first, inverse = np.unique(
+            i0[vb], return_index=True, return_inverse=True
+        )
+        inverses[1] = np.asarray(inverse).reshape(-1)
+        n_shapes[1] = len(uniq)
+        for k, fi in enumerate(first.tolist()):
+            keydefs.append((int(vb[fi]), ("b", int(uniq[k])), 1, k))
+    keydefs.sort(key=lambda t: t[0])
+    cids = [np.empty(n_shapes[0], np.int64), np.empty(n_shapes[1], np.int64)]
+    for _, defn, kind, k in keydefs:
+        cids[kind][k] = cap._class_id(defn)
+    return cids[0][inverses[0]], cids[1][inverses[1]]
+
+
+def _intern_t6(t6_w, t6_c):
+    """First-occurrence ids of the ``(6, w, cid)`` keys of VPU-priced items.
+
+    Returns ``(ids, defs)``: each item's index into ``defs``, the
+    distinct keys in order of first occurrence.
+    """
+    if not len(t6_w):
+        return np.zeros(0, np.int64), []
+    wu, winv = np.unique(t6_w, return_inverse=True)
+    packed = t6_c * len(wu) + np.asarray(winv).reshape(-1)
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), np.int64)
+    rank[order] = np.arange(len(first))
+    f = first[order]
+    defs = [(6, x, c) for x, c in zip(t6_w[f].tolist(), t6_c[f].tolist())]
+    return rank[np.asarray(inverse).reshape(-1)], defs
+
+
+def _shared_pass_vec(trace: RecordedTrace, base):
+    """Column-arithmetic twin of ``replay._shared_pass_python``."""
+    from .replay import _GroupCapture, _Skeleton  # deferred: import cycle
+
+    cap = _GroupCapture(base)
     cols = trace._columns()
     known = {
         OP_SCALAR, OP_SCALAR_LOAD, OP_SCALAR_STORE, OP_VLOAD, OP_VSTORE,
@@ -475,7 +563,6 @@ def _shared_pass_vec(trace: RecordedTrace, base, defer_vpu: bool = False):
 
     honors = cap._honors
     noop_pf = cap._noop_pf
-    defer = cap._defer
 
     is_scalar = op == OP_SCALAR
     is_sload = op == OP_SCALAR_LOAD
@@ -536,179 +623,101 @@ def _shared_pass_vec(trace: RecordedTrace, base, defer_vpu: bool = False):
 
     sw_prefetches = _acc(np.where(is_pf, w, 0.0)) if honors else 0.0
     spills = _acc(np.where(is_tail, w * i0, 0.0))
+    del c, zeros
 
     # ------------------------------------------------------------------
-    # Program layout: per-event payload counts, lazy label switches,
-    # and item positions, all from cumulative sums.
+    # Items: one per event that adds cycles, in event order.
     # ------------------------------------------------------------------
-    pf_items = 2 if honors else (1 if noop_pf else 0)
-    payload = np.zeros(n, dtype=np.int64)
-    payload[is_scalar | sm | is_vmem | is_varith | is_vb | is_nr | is_tail] = 1
-    if pf_items:
-        payload[is_pf] = pf_items
-    # Events that run the lazy switch check: every payload producer
-    # except note_range (which appends its tag-2 item unconditionally
-    # and never touches the label state).
-    checks = (payload > 0) & ~is_nr
-    flags = np.zeros(n, dtype=np.int64)
-    ck = np.flatnonzero(checks)
-    if len(ck):
-        ckids = kid[ck]
-        f = np.empty(len(ck), dtype=bool)
-        f[0] = True  # cur_label starts None: first check always switches
-        np.not_equal(ckids[1:], ckids[:-1], out=f[1:])
-        flags[ck] = f
-    counts = payload + flags
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    total = int(starts[-1])
-    starts = starts[:-1]
-    # Honoured prefetches append their tag-5 fills *before* the switch
-    # check; everything else switches first.
-    pre = np.zeros(n, dtype=np.int64)
-    if honors:
-        pre[is_pf] = 1
-    switch_pos = starts + pre
-    pay_pos = starts + pre + flags  # first (or only) payload slot
-
-    obj = np.empty(total, dtype=object)
-
-    # Switch items (few: one per kernel-label transition).
-    labels = trace.labels
-    for e in ck[flags[ck] > 0].tolist():
-        obj[switch_pos[e]] = (1, labels[kid[e]])
-
-    # ------------------------------------------------------------------
-    # Pre-priced compute floats (column-wise).
-    # ------------------------------------------------------------------
-    def _put_floats(mask, vals):
-        pos = pay_pos[mask]
-        if len(pos):
-            obj[pos] = vals.astype(object)  # python floats
-
-    _put_floats(is_scalar, w[is_scalar] * (i0[is_scalar] * cap._scalar_cpi))
-    _put_floats(is_tail, w[is_tail] * (i0[is_tail] * _SPILL_SERIALIZE_CYCLES))
+    has_item = is_scalar | sm | is_vmem | is_varith | is_vb | is_tail
+    if honors or noop_pf:
+        has_item |= is_pf
+    item_ev = np.flatnonzero(has_item)
+    n_items = len(item_ev)
+    item_of = np.cumsum(has_item) - 1  # item index of each item event
+    labels, item_kid = _first_appearance_labels(kid[item_ev], trace.labels)
+    base_col = np.zeros(n_items, dtype=np.float64)
+    base_col[item_of[is_scalar]] = w[is_scalar] * (i0[is_scalar] * cap._scalar_cpi)
+    base_col[item_of[is_tail]] = w[is_tail] * (
+        i0[is_tail] * _SPILL_SERIALIZE_CYCLES
+    )
     if noop_pf and not honors:
-        _put_floats(is_pf, w[is_pf] * cap._scalar_cpi)
-    if defer:
-        # Deferred VPU pricing: intern (kind, shape) classes with
-        # np.unique — ids are assigned in first-occurrence order among
-        # the priced events; the walk's "m" classes are appended after.
-        # (Class numbering may differ from the reference loop's global
-        # interleaving; prices[cid] lookups stay self-consistent, so
-        # every SimStats float is unchanged.)
-        va = np.flatnonzero(is_varith)
-        vb = np.flatnonzero(is_vb)
-        keydefs: list = []  # (first_pos, defn, event_positions, 'a'|'b')
-        if len(va):
-            x0, x1, x2 = i0[va], i1[va], i2[va]
-            first, inverse = _unique_shapes(x0, x1, x2)
-            for k, fi in enumerate(first.tolist()):
-                defn = ("a", int(x0[fi]), int(x1[fi]), int(x2[fi]))
-                keydefs.append((int(va[fi]), defn, va[inverse == k]))
-        if len(vb):
-            uniq, first, inverse = np.unique(
-                i0[vb], return_index=True, return_inverse=True
-            )
-            for k in range(len(uniq)):
-                defn = ("b", int(uniq[k]))
-                keydefs.append((int(vb[first[k]]), defn, vb[inverse == k]))
-        keydefs.sort(key=lambda t: t[0])
-        one = np.empty(1, dtype=object)
-        for _, defn, evs in keydefs:
-            cid = cap._class_id(defn)
-            # One (6, w, cid) tuple per distinct weight, broadcast to
-            # every event position carrying it (tag-6 items are only
-            # ever read, so sharing the tuple object is safe).
-            wv = w[evs]
-            for uw in np.unique(wv).tolist():
-                one[0] = (6, uw, cid)
-                obj[pay_pos[evs[wv == uw]]] = one
-    else:
-        va = np.flatnonzero(is_varith)
-        if len(va):
-            x0, x1, x2 = i0[va], i1[va], i2[va]
-            first, inverse = _unique_shapes(x0, x1, x2)
-            prices = np.empty(len(first), dtype=np.float64)
-            vpu = cap._vpu
-            for k, fi in enumerate(first.tolist()):
-                prices[k] = varith_cycles(vpu, int(x0[fi]), int(x1[fi]), int(x2[fi]))
-            _put_floats(is_varith, w[va] * prices[inverse])
-        _put_floats(is_vb, w[is_vb] * (i0[is_vb] * cap._vb_cycles))
+        base_col[item_of[is_pf]] = w[is_pf] * cap._scalar_cpi
+    va = np.flatnonzero(is_varith)
+    vb = np.flatnonzero(is_vb)
+    cid_va, cid_vb = _compute_classes(cap, va, vb, i0, i1, i2)
 
     # ------------------------------------------------------------------
     # Walk events: sequential, through the real _GroupCapture (the one
-    # place the TLB/L1/prefetcher/VC logic lives).  Pinning the label
-    # state suppresses its switch items, so its program contains the
-    # payload items only, in walk order — scattered into place below.
+    # place the TLB/L1/prefetcher/VC logic lives).  Pinning its label
+    # state leaves its label columns empty: it records outcomes only,
+    # one item per walk event but range notes, in walk order.
     # ------------------------------------------------------------------
-    cap._cur_label = cap._kernel_stack[-1]  # never emit (1, ...) items
+    cap._cur_label = cap._kernel_stack[-1]
     walk = sm | is_vmem | is_nr
     if honors:
         walk |= is_pf
     wk = np.flatnonzero(walk)
-    if len(wk):
-        w_op = op[wk].tolist()
-        w_w = w[wk].tolist()
-        w_i0 = i0[wk].tolist()
-        w_i1 = i1[wk].tolist()
-        w_i2 = i2[wk].tolist()
-        w_i3 = i3[wk].tolist()
-        if cap._tlb is None and cap._pf1 is None and not honors:
-            # Flattened transcription with hoisted locals — the hot
-            # configuration (rvv/sve preset family).
-            _walk_events_fast(cap, w_op, w_w, w_i0, w_i1, w_i2, w_i3)
-        else:
-            vmem = cap._vmem
-            scalar_mem = cap._scalar_mem
-            note_range = cap.note_resident_range
-            sw_prefetch = cap.sw_prefetch
-            cur_w = cap._w
-            for j in range(len(wk)):
-                wv = w_w[j]
-                if wv != cur_w:
-                    cap._w = cur_w = wv
-                o = w_op[j]
-                if o == OP_VLOAD:
-                    vmem(w_i0[j], w_i1[j], w_i2[j], w_i3[j], False)
-                elif o == OP_VSTORE:
-                    vmem(w_i0[j], w_i1[j], w_i2[j], w_i3[j], True)
-                elif o == OP_SCALAR_LOAD:
-                    scalar_mem(w_i0[j], w_i1[j], False)
-                elif o == OP_SCALAR_STORE:
-                    scalar_mem(w_i0[j], w_i1[j], True)
-                elif o == OP_NOTE_RANGE:
-                    note_range(w_i0[j], w_i1[j])
-                else:  # honoured OP_SW_PREFETCH
-                    sw_prefetch(w_i0[j], w_i1[j], "L1" if w_i2[j] == 0 else "L2")
-        items = cap._prog
-        # Scatter: each walk event occupies exactly its payload slots.
-        wp = pay_pos[wk]
-        if honors and is_pf[wk].any():
-            # An honoured prefetch occupies two slots: (5, fills) at
-            # ``starts`` and its float at ``starts + 1 + flag`` (which
-            # is ``pay_pos`` — ``pre`` reserved the tag-5 slot).
-            out_pos: list = []
-            for j in range(len(wk)):
-                e = int(wk[j])
-                if payload[e] == 2:
-                    out_pos.append(int(starts[e]))
-                out_pos.append(int(wp[j]))
-        else:
-            out_pos = wp.tolist()
-        if len(items) != len(out_pos):
-            raise AssertionError(
-                f"walk emitted {len(items)} items, layout reserved "
-                f"{len(out_pos)} (engine out of lock-step)"
-            )
-        if items:
-            # Single fancy scatter: fromiter keeps the mixed
-            # float/tuple items as opaque objects (a plain asarray
-            # would try to broadcast the tuples).
-            items_arr = np.fromiter(items, dtype=object, count=len(items))
-            obj[np.asarray(out_pos, dtype=np.int64)] = items_arr
+    # The flattened transcription serves the hot configuration (rvv/sve
+    # preset family).  Operands become Python lists a chunk at a time.
+    fast = cap._tlb is None and cap._pf1 is None and not honors
+    walk_events = _walk_events_fast if fast else _walk_events
+    for lo in range(0, len(wk), _WALK_CHUNK):
+        sel = wk[lo:lo + _WALK_CHUNK]
+        walk_events(
+            cap, op[sel].tolist(), w[sel].tolist(), i0[sel].tolist(),
+            i1[sel].tolist(), i2[sel].tolist(), i3[sel].tolist(),
+        )
+    out = cap._sk
+    wpos = item_of[wk[~is_nr[wk]]]  # program position of each walk outcome
+    if len(out.base) != len(wpos):
+        raise AssertionError(
+            f"walk emitted {len(out.base)} items, layout reserved "
+            f"{len(wpos)} (engine out of lock-step)"
+        )
+    base_col[wpos] = np.frombuffer(out.base, dtype=np.float64)
 
-    prog = obj.tolist()
+    # ------------------------------------------------------------------
+    # Class items: the walk's L2 events and "m" items plus the compute
+    # events' VPU-priced items, merged in program order.
+    # ------------------------------------------------------------------
+    w_cls = wpos[np.frombuffer(out.cls_pos, dtype=np.int64)]
+    c_items = np.concatenate([item_of[va], item_of[vb]])
+    is_cls = np.zeros(n_items, dtype=bool)
+    is_cls[w_cls] = True
+    is_cls[c_items] = True
+    cls_pos = np.flatnonzero(is_cls)
+    slot = np.cumsum(is_cls) - 1  # class-item slot of each item
+    ev_at = slot[w_cls[np.frombuffer(out.ev_at, dtype=np.int64)]]
+    w_t6 = np.frombuffer(out.t6_cls, dtype=np.int64)
+    t6_item = np.concatenate(
+        [w_cls[np.frombuffer(out.t6_at, dtype=np.int64)], c_items]
+    )
+    t6_w = np.concatenate([
+        np.array([d[1] for d in out.t6_defs], dtype=np.float64)[w_t6],
+        w[va], w[vb],
+    ])
+    t6_c = np.concatenate([
+        np.array([d[2] for d in out.t6_defs], dtype=np.int64)[w_t6],
+        cid_va, cid_vb,
+    ])
+    order = np.argsort(t6_item, kind="stable")
+    t6_cls, t6_defs = _intern_t6(t6_w[order], t6_c[order])
+    skel = _Skeleton(
+        cap._l2_shift,
+        base=base_col,
+        kid=item_kid,
+        labels=labels,
+        cls_pos=cls_pos,
+        t6_at=slot[t6_item[order]],
+        t6_cls=t6_cls,
+        t6_defs=t6_defs,
+        ev_at=ev_at,
+        ev_key=np.frombuffer(out.ev_key, dtype=np.int64),
+        ev_defs=out.ev_defs,
+        ev_off=np.frombuffer(out.ev_off, dtype=np.int64),
+        addrs=np.frombuffer(out.addrs, dtype=np.int64),
+        side=out.side,
+    )
 
     inv = SimStats()
     inv.scalar_instrs = scalar_instrs
@@ -730,10 +739,9 @@ def _shared_pass_vec(trace: RecordedTrace, base, defer_vpu: bool = False):
         "ooo_hide": cap._ooo_hide,
         "scalar_cpi": cap._scalar_cpi,
         "l2_shift": cap._l2_shift,
-        "distinct": cap._seen,
         "max_range_total": cap._max_range_total,
         "has_fills": cap._has_fills,
         "pf2_cfg": cap._pf2_cfg,
         "classes": cap._classes,
     }
-    return prog, inv, gc
+    return skel, inv, gc

@@ -12,6 +12,7 @@ its cold capture run — serial and parallel, spill on or off.
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 from repro.core import tracecache as tc
 from repro.core.codesign import sweep_cache_sizes, sweep_lanes, sweep_vector_lengths
 from repro.machine import rvv_gem5
+from repro.machine.config import CacheParams
 from repro.machine.replay import (
     _INVARIANT_FIELDS,
     _compile_fast,
     _run_points,
     _shared_pass,
-    _skeleton,
+    _Skeleton,
+    replay,
     replay_sweep,
     replay_sweep_cached,
 )
@@ -59,32 +62,114 @@ def hexs(stats: SimStats):
     return fields, kc
 
 
+#: Skeleton columns held as NumPy arrays (derived ones included).
+ARRAYS = (
+    "base", "kid", "cls_pos", "t6_at", "t6_cls", "ev_at", "ev_key",
+    "ev_scalar", "ev_off", "addrs", "lines", "ft_pos",
+)
+
+
+def assert_same_skeleton(a, b):
+    for name in ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.labels == b.labels
+    for name in ("ev_defs", "t6_defs", "side"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert len(x) == len(y), name
+        assert all(eq_item(tuple(p), tuple(q)) for p, q in zip(x, y)), name
+
+
+def build_skeleton(items, side=(), labels=("k",), ev_defs=(), t6_defs=()):
+    """A :class:`_Skeleton` from item specs ``(kid, x)``.
+
+    *x* is a pre-priced float, ``("ev", key, addrs)`` (an L2 event) or
+    ``("t6", cls)`` (a VPU-priced item).
+    """
+    base, kid, cls_pos, t6_at, t6_cls, ev_at, ev_key, addrs = ([] for _ in range(8))
+    ev_off = [0]
+    for k, x in items:
+        kid.append(k)
+        if type(x) is float:
+            base.append(x)
+            continue
+        if x[0] == "ev":
+            ev_at.append(len(cls_pos))
+            ev_key.append(x[1])
+            addrs.extend(x[2])
+            ev_off.append(len(addrs))
+        else:
+            t6_at.append(len(cls_pos))
+            t6_cls.append(x[1])
+        cls_pos.append(len(base))
+        base.append(0.0)
+
+    def i64(v):
+        return np.asarray(v, dtype=np.int64)
+
+    return _Skeleton(
+        6,
+        base=np.asarray(base, dtype=np.float64),
+        kid=i64(kid),
+        labels=list(labels),
+        cls_pos=i64(cls_pos),
+        t6_at=i64(t6_at),
+        t6_cls=i64(t6_cls),
+        t6_defs=list(t6_defs),
+        ev_at=i64(ev_at),
+        ev_key=i64(ev_key),
+        ev_defs=list(ev_defs),
+        ev_off=i64(ev_off),
+        addrs=i64(addrs),
+        side=list(side),
+    )
+
+
 # ----------------------------------------------------------------------
-# Property-based codec round-trip over the full prog-item grammar
+# Property-based codec round-trip over generated skeletons
 # ----------------------------------------------------------------------
 finite = st.floats(allow_nan=False, allow_infinity=False)
 posint = st.integers(min_value=0, max_value=2**40)
-addrs = st.lists(posint, min_size=0, max_size=4).map(tuple)
-
-item = st.one_of(
-    finite,
-    st.tuples(st.just(1), st.text(max_size=6)),
-    st.tuples(st.just(2), posint, posint),
+small = st.integers(min_value=0, max_value=64)
+ev_def = st.one_of(
     st.builds(
-        lambda w, a, lat, occ, nb, nl, wr, un, iid, nh, ft:
-            (3, w, a, lat, occ, nb, nl, wr, un, iid, nh, ft),
-        finite, addrs, posint, finite, posint,
-        st.integers(min_value=0, max_value=64), st.booleans(), st.booleans(),
-        posint, st.integers(min_value=0, max_value=64), addrs,
+        lambda w, lat, occ, nb, nl, wr, un: (3, w, lat, occ, nb, nl, wr, un),
+        finite, posint, finite, posint, small, st.booleans(), st.booleans(),
     ),
     st.builds(
-        lambda w, a, lat, occ, wr, nh, ft: (4, w, a, lat, occ, wr, nh, ft),
-        finite, addrs, posint, finite, st.booleans(),
-        st.integers(min_value=0, max_value=64), addrs,
+        lambda w, lat, occ, wr: (4, w, lat, occ, wr),
+        finite, posint, finite, st.booleans(),
     ),
-    st.tuples(st.just(5), addrs),
-    st.tuples(st.just(6), finite, st.integers(min_value=0, max_value=7)),
 )
+t6_def = st.tuples(st.just(6), finite, st.integers(min_value=0, max_value=7))
+side_item = st.one_of(
+    st.tuples(st.just(2), posint, posint),  # residency range
+    st.tuples(st.just(5), st.lists(posint, max_size=6).map(tuple)),  # fills
+)
+
+
+@st.composite
+def skeletons(draw):
+    labels = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True))
+    ev_defs = draw(st.lists(ev_def, min_size=1, max_size=4))
+    t6_defs = draw(st.lists(t6_def, min_size=1, max_size=4))
+    item = st.one_of(
+        finite,
+        st.tuples(
+            st.just("ev"),
+            st.integers(0, len(ev_defs) - 1),
+            st.lists(posint, max_size=4),
+        ),
+        st.tuples(st.just("t6"), st.integers(0, len(t6_defs) - 1)),
+    )
+    items = draw(
+        st.lists(st.tuples(st.integers(0, len(labels) - 1), item), max_size=30)
+    )
+    n_addrs = sum(len(x[2]) for _, x in items if type(x) is tuple and x[0] == "ev")
+    pos = sorted(draw(st.lists(st.integers(0, n_addrs), max_size=4)))
+    side = [(p, draw(side_item)) for p in pos]
+    return build_skeleton(items, side, labels, ev_defs, t6_defs)
+
 
 CLASSES = [
     ("a", 64, 2, 4),
@@ -94,7 +179,7 @@ CLASSES = [
 ]
 
 
-def make_gc(distinct):
+def make_gc():
     return {
         "vpu": None,
         "port_l1": True,
@@ -102,7 +187,6 @@ def make_gc(distinct):
         "ooo_hide": 0.5,
         "scalar_cpi": 1.0,
         "l2_shift": 6,
-        "distinct": set(distinct),
         "max_range_total": 1 << 20,
         "has_fills": False,
         "pf2_cfg": False,
@@ -110,24 +194,31 @@ def make_gc(distinct):
     }
 
 
+def encode(skel):
+    return tc.encode_pass(
+        skel, {"flops": 1.0}, make_gc(), key="k", sig="s" * 12,
+        trace_sha256="t" * 64, compat=COMPAT,
+    )
+
+
 class TestCodecRoundTrip:
-    @given(st.lists(item, max_size=40), st.lists(posint, max_size=8))
+    @given(skeletons())
     @settings(max_examples=60, deadline=None)
-    def test_pass_roundtrip_any_program(self, prog, distinct):
-        gc = make_gc(distinct)
+    def test_pass_roundtrip_any_program(self, skel):
+        gc = make_gc()
         inv = {f: float(i) * 1.5 for i, f in enumerate(_INVARIANT_FIELDS)}
         blob = tc.encode_pass(
-            prog, inv, gc, key="k", sig="s" * 12, defer=True,
+            skel, inv, gc, key="k", sig="s" * 12,
             trace_sha256="t" * 64, compat=COMPAT,
         )
-        header, prog2, inv2, gc2 = tc.decode_pass(blob)
-        assert len(prog) == len(prog2)
-        for x, y in zip(prog, prog2):
-            assert eq_item(x, y), (x, y)
+        header, skel2, inv2, gc2 = tc.decode_pass(blob)
+        assert_same_skeleton(skel, skel2)
         for f in _INVARIANT_FIELDS:
             assert inv[f].hex() == inv2[f].hex()
         assert gc2["vpu"] is None
-        assert gc2["distinct"] == gc["distinct"]
+        assert "distinct" not in gc2 and "defer" not in header
+        for k in gc.keys() - {"vpu", "classes"}:
+            assert eq_item(gc[k], gc2[k]), k
         for a, b in zip(gc["classes"], gc2["classes"]):
             assert eq_item(a, b)
         assert header["trace_sha256"] == "t" * 64
@@ -135,19 +226,19 @@ class TestCodecRoundTrip:
 
     def test_unknown_tag_raises(self):
         with pytest.raises(ValueError, match="tag"):
-            tc.encode_pass(
-                [(9, 1.0)], {}, make_gc([]), key="k", sig="s", defer=False,
-                trace_sha256="t" * 64, compat=COMPAT,
-            )
+            encode(build_skeleton([], side=[(0, (9, 1.0))]))
 
     def test_non_integral_operand_raises(self):
         # A half-integer byte count must refuse to encode, not silently
         # truncate through an int64 column.
         with pytest.raises(ValueError):
-            tc.encode_pass(
-                [(2, 100, 2.5)], {}, make_gc([]), key="k", sig="s",
-                defer=False, trace_sha256="t" * 64, compat=COMPAT,
-            )
+            encode(build_skeleton([], side=[(0, (2, 100, 2.5))]))
+
+    def test_inconsistent_columns_refused(self):
+        # Digest-valid but unusable: a label id with no label.
+        blob = encode(build_skeleton([(0, 1.0), (1, 2.0)]))
+        with pytest.raises(ValueError, match="inconsistent"):
+            tc.decode_pass(blob)
 
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda b: b"XXXX" + b[4:], id="bad-magic"),
@@ -158,11 +249,12 @@ class TestCodecRoundTrip:
         ),
     ])
     def test_corruption_raises(self, mutate):
-        blob = tc.encode_pass(
-            [1.0, (2, 64, 128), (6, 2.0, 1)], {"flops": 1.0}, make_gc([1, 2]),
-            key="k", sig="s" * 12, defer=True, trace_sha256="t" * 64,
-            compat=COMPAT,
+        skel = build_skeleton(
+            [(0, 1.0), (0, ("ev", 0, [64, 128])), (0, ("t6", 0))],
+            side=[(0, (2, 64, 128)), (2, (5, (1, 2, 3)))],
+            ev_defs=[(4, 1.0, 4, 0.5, False)], t6_defs=[(6, 2.0, 1)],
         )
+        blob = encode(skel)
         with pytest.raises(ValueError):
             tc.decode_pass(mutate(blob))
 
@@ -185,29 +277,32 @@ def cache_dir(tmp_path, monkeypatch):
     replay._SHARED_PASS_MEMO.clear()
 
 
-def shared_pass_fixture():
-    m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+def record_small(m, key):
     rec = TraceRecorder(m)
     small_net()._emit_trace(rec, KernelPolicy(), None, True)
-    trace = rec.finish(key="passchk")
-    prog, inv, gc = _shared_pass(trace, m, defer_vpu=True)
+    return rec.finish(key=key)
+
+
+def shared_pass_fixture():
+    m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+    trace = record_small(m, "passchk")
+    skel, inv, gc = _shared_pass(trace, m)
     inv_fields = {f: getattr(inv, f) for f in _INVARIANT_FIELDS}
-    return m, trace, prog, inv_fields, gc
+    return m, trace, skel, inv_fields, gc
 
 
 class TestStoreLoad:
     def test_roundtrip_and_digest_staleness(self, cache_dir):
-        m, trace, prog, inv_fields, gc = shared_pass_fixture()
+        m, trace, skel, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
         assert tc.store_pass(
-            prog, inv_fields, gc, key="k1", sig="s" * 12, defer=True,
+            skel, inv_fields, gc, key="k1", sig="s" * 12,
             trace_sha256=digest, compat=COMPAT,
         )
         out = tc.load_pass("k1", "s" * 12, digest)
         assert out is not None
-        _, prog2, inv2, gc2 = out
-        for x, y in zip(prog, prog2):
-            assert eq_item(x, y)
+        _, skel2, inv2, gc2 = out
+        assert_same_skeleton(skel, skel2)
         for f in _INVARIANT_FIELDS:
             assert inv_fields[f].hex() == inv2[f].hex()
         # A different trace digest is a stale derivative: miss, and the
@@ -216,10 +311,10 @@ class TestStoreLoad:
         assert os.path.exists(tc._pass_path("k1", "s" * 12))
 
     def test_corrupt_pass_is_quarantined(self, cache_dir):
-        m, trace, prog, inv_fields, gc = shared_pass_fixture()
+        m, trace, skel, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
         tc.store_pass(
-            prog, inv_fields, gc, key="k2", sig="s" * 12, defer=True,
+            skel, inv_fields, gc, key="k2", sig="s" * 12,
             trace_sha256=digest, compat=COMPAT,
         )
         path = tc._pass_path("k2", "s" * 12)
@@ -232,9 +327,9 @@ class TestStoreLoad:
         assert os.path.isdir(qdir) and os.listdir(qdir)
 
     def test_vecprog_roundtrip(self, cache_dir):
-        m, trace, prog, inv_fields, gc = shared_pass_fixture()
+        m, trace, skel, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
-        cols = _compile_fast(_skeleton(prog, gc), gc)
+        cols = _compile_fast(skel, gc)
         cols_dict = {s: getattr(cols, s) for s in cols.__slots__}
         tier = {"kind": "fast", "token": "f" * 12, "desc": "fast:None",
                 "fps": ["fp1"]}
@@ -252,6 +347,36 @@ class TestStoreLoad:
             assert eq_item(a, b)
         assert {"l1_lat", "ooo_hide", "scalar_cpi", "classes"} <= set(gcp)
         assert tc.load_vecprog("k3", "s" * 12, "f" * 12, "f" * 64) is None
+
+    def test_cached_sweep_prices_new_point_from_one_rpp(self, cache_dir):
+        """A shared pass over a loaded trace stores its skeleton; a new
+        process state pricing an L2 with no tier loads that one ``.rpp``
+        and nothing else, and prices exactly like ``replay()``."""
+        m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+        trace = record_small(m, "rppload")
+        tc.put("rppload", trace, spill=True)
+        tc.clear_registry()
+        loaded = tc.get("rppload", spill=True)
+        assert hexs(replay_sweep(loaded, [m])[0]) == hexs(replay(trace, m))
+        assert [n for n in os.listdir(cache_dir) if n.endswith(tc.PASS_SUFFIX)]
+        n_tiers = sum(n.endswith(tc.VECPROG_SUFFIX) for n in os.listdir(cache_dir))
+        from repro.machine import replay as R
+
+        tc.clear_registry()
+        R._SHARED_PASS_MEMO.clear()
+        tc.reset_load_counts()
+        # A small two-way L2 conflicts: a walk tier nobody built yet.
+        m2 = m.with_(l2=CacheParams(16 * 1024, 2, m.l2.line_bytes, m.l2.latency))
+        got = replay_sweep_cached("rppload", [m2])
+        assert got is not None
+        counts = tc.load_counts()
+        assert counts["pass_spill"] == 1 and counts["pass_shm"] == 0
+        assert counts["spill"] == 0 and counts["shm"] == 0  # no trace decode
+        assert counts["vecprog"] == 0
+        assert hexs(got[0]) == hexs(replay(trace, m2))
+        assert sum(
+            n.endswith(tc.VECPROG_SUFFIX) for n in os.listdir(cache_dir)
+        ) == n_tiers + 1
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +404,8 @@ class TestMemoDigestKeying:
         assert tr_a.content_digest() != tr_b.content_digest()
         got_a = replay_sweep(tr_a, [m])[0]
         got_b = replay_sweep(tr_b, [m])[0]
-        want_a = _run_points(*_shared_pass(tr_a, m, defer_vpu=True), [m])[0]
-        want_b = _run_points(*_shared_pass(tr_b, m, defer_vpu=True), [m])[0]
+        want_a = _run_points(*_shared_pass(tr_a, m), [m])[0]
+        want_b = _run_points(*_shared_pass(tr_b, m), [m])[0]
         assert hexs(got_a) == hexs(want_a)
         assert hexs(got_b) == hexs(want_b)
         assert hexs(got_a) != hexs(got_b)

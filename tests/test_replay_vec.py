@@ -1,20 +1,25 @@
-"""Vectorized shared-pass engine: bitwise identity vs the Python oracle.
+"""Vectorized shared-pass engine: column identity vs the Python oracle.
 
 ``repro.machine.replay_vec._shared_pass_vec`` re-implements the
-per-event reference loop (``replay._shared_pass_python``) with columnar
-NumPy passes.  The contract is the same strict one the rest of the
-replay engine lives under: the program it emits must price every design
-point to ``SimStats`` bitwise identical (``float.hex`` equal) to the
-oracle's — across presets, kernel policies, deferred-VPU mode, and a
+per-event reference loop (``replay._shared_pass_python``: a
+``_GroupCapture`` driven by a recorded trace's rows) with columnar
+NumPy passes.  Both emit the shared-pass program as ``_Skeleton``
+columns, and so does the ``_GroupCapture`` the kernels drive directly in
+``capture_sweep``.  The contract is the same strict one the rest of the
+replay engine lives under: every column must be identical — tag-6
+classes compared through their resolved descriptors, since the engines
+number pricing classes differently — the invariant stats hex-identical,
+and every design point priced to ``SimStats`` bitwise identical
+(``float.hex`` equal) — across presets, kernel policies, and a
 synthetic trace exercising every opcode.  These tests are the tripwire
-for any drift between the two engines.
+for any drift between the emitters.
 """
 
 import pytest
 
 from repro.machine import a64fx, rvv_gem5, sve_gem5
 from repro.machine.replay import (
-    _replay_engine,
+    _GroupCapture,
     _run_points,
     _shared_pass,
     _shared_pass_python,
@@ -39,65 +44,104 @@ def capture(machine, policy):
     return rec.finish(key="vecchk")
 
 
+def emit_synthetic(sim):
+    """Drive every opcode the wire format can carry into *sim*."""
+    a = sim.alloc("a", 1 << 20)
+    b = sim.alloc("b", 1 << 20)
+    with sim.kernel("k0"):  # no item yet: its label is numbered last
+        sim.count_flops(1.0)
+    with sim.kernel("k1"):
+        sim.scalar(3)
+        sim.scalar_load(a.base + 5, 4)
+        sim.scalar_load(a.base + 5, 4)
+        sim.scalar_store(a.base + 60, 8)  # straddles a line
+        sim.scalar_load(a.base + 62, 128)  # multi-line
+        sim.vload(a.base, 64, 4, 0)
+        sim.vstore(b.base + 3, 33, 4, 4)
+        sim.vload(b.base, 16, 4, 68)  # strided
+        sim.vstore(a.base + 7, 9, 8, 136)  # strided, straddling
+        sim.varith(64, 2, 2.0, 4)
+        sim.varith(64, 2, 2.0, 4)
+        sim.varith(16, 1, 1.0, 8)
+        sim.vbroadcast(2)
+        sim.vbroadcast(0)
+        sim.count_flops(123.5)
+        sim.sw_prefetch(a.base + 4096, 256, "L1")
+        sim.sw_prefetch(b.base + 8192, 64, "L2")
+        sim.spill(3)
+    with sim.region(2.5):
+        with sim.kernel("k2"):
+            sim.hierarchy.note_resident_range(a.base, 4096)
+            sim.vload(a.base + 100000, 128, 4, 0)
+            sim.scalar(0)
+            sim.spill(1)
+            for i in sim.loop(40):
+                sim.vload(a.base + 512 * i, 32, 4, 0)
+                sim.varith(32, 1, 2.0, 4)
+                sim.scalar_load(b.base + 64 * i, 4)
+        with sim.kernel("k1"):  # revisit an existing label
+            sim.vstore(b.base + 4096, 64, 4, 0)
+            sim.scalar(2)
+    with sim.kernel("k0"):
+        sim.scalar(1)
+
+
 def synthetic_trace(machine):
     """One trace touching every opcode the wire format can carry."""
     rec = TraceRecorder(machine)
-    a = rec.alloc("a", 1 << 20)
-    b = rec.alloc("b", 1 << 20)
-    with rec.kernel("k1"):
-        rec.scalar(3)
-        rec.scalar_load(a.base + 5, 4)
-        rec.scalar_load(a.base + 5, 4)
-        rec.scalar_store(a.base + 60, 8)  # straddles a line
-        rec.scalar_load(a.base + 62, 128)  # multi-line
-        rec.vload(a.base, 64, 4, 0)
-        rec.vstore(b.base + 3, 33, 4, 4)
-        rec.vload(b.base, 16, 4, 68)  # strided
-        rec.vstore(a.base + 7, 9, 8, 136)  # strided, straddling
-        rec.varith(64, 2, 2.0, 4)
-        rec.varith(64, 2, 2.0, 4)
-        rec.varith(16, 1, 1.0, 8)
-        rec.vbroadcast(2)
-        rec.vbroadcast(0)
-        rec.count_flops(123.5)
-        rec.sw_prefetch(a.base + 4096, 256, "L1")
-        rec.sw_prefetch(b.base + 8192, 64, "L2")
-        rec.spill(3)
-    with rec.region(2.5):
-        with rec.kernel("k2"):
-            rec.hierarchy.note_resident_range(a.base, 4096)
-            rec.vload(a.base + 100000, 128, 4, 0)
-            rec.scalar(0)
-            rec.spill(1)
-            for i in rec.loop(40):
-                rec.vload(a.base + 512 * i, 32, 4, 0)
-                rec.varith(32, 1, 2.0, 4)
-                rec.scalar_load(b.base + 64 * i, 4)
-        with rec.kernel("k1"):  # revisit an existing label
-            rec.vstore(b.base + 4096, 64, 4, 0)
-            rec.scalar(2)
+    emit_synthetic(rec)
     return rec.finish(key="synth")
 
 
-def assert_passes_price_identically(trace, machine, defer):
-    """Both engines' outputs must price the point bitwise identically.
+#: Skeleton columns compared byte for byte (dtype included).
+ARRAYS = (
+    "base", "kid", "cls_pos", "t6_at", "t6_cls", "ev_at", "ev_key",
+    "ev_scalar", "ev_off", "addrs", "lines", "ft_pos",
+)
 
-    Compared through ``_run_points`` rather than item-by-item: deferred
-    class ids may be numbered differently between engines, but the
-    resolved prices (and every stat) must match exactly.
+
+def exact(x):
+    """Type- and bit-exact fingerprint of a nested value."""
+    if isinstance(x, float):
+        return ("float", x.hex())
+    if isinstance(x, (tuple, list)):
+        return (type(x).__name__, tuple(exact(v) for v in x))
+    return (type(x).__name__, x)
+
+
+def hexs(st: SimStats):
+    fields = tuple(getattr(st, f).hex() for f in SimStats.FIELDS)
+    kc = tuple(sorted((k, v.hex()) for k, v in st.kernel_cycles.items()))
+    return fields, kc
+
+
+def assert_same_program(ref, got, machine):
+    """Two ``(skeleton, inv, gc)`` shared passes must be one program.
+
+    Tag-6 keys ``(6, w, cid)`` are compared with ``cid`` resolved to its
+    pricing-class descriptor: the engines intern classes in different
+    orders, so ids may differ while the program stays the same.
     """
-    py = _shared_pass_python(trace, machine, defer_vpu=defer)
-    vec = _shared_pass_vec(trace, machine, defer_vpu=defer)
-    assert len(py[0]) == len(vec[0])
+    (rs, rinv, rgc), (gs, ginv, ggc) = ref, got
+    for name in ARRAYS:
+        a, b = getattr(rs, name), getattr(gs, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert rs.labels == gs.labels
+    assert exact(rs.ev_defs) == exact(gs.ev_defs)
+    assert exact(rs.side) == exact(gs.side)
+
+    def resolved(skel, gc):
+        return exact([(w, gc["classes"][cid]) for _, w, cid in skel.t6_defs])
+
+    assert resolved(rs, rgc) == resolved(gs, ggc)
+    assert sorted(map(repr, rgc["classes"])) == sorted(map(repr, ggc["classes"]))
     for f in SimStats.FIELDS:
-        assert getattr(py[1], f).hex() == getattr(vec[1], f).hex(), f
-    a = _run_points(*py, [machine])[0]
-    b = _run_points(*vec, [machine])[0]
-    for f in SimStats.FIELDS:
-        assert getattr(a, f).hex() == getattr(b, f).hex(), f
-    assert {k: v.hex() for k, v in a.kernel_cycles.items()} == {
-        k: v.hex() for k, v in b.kernel_cycles.items()
-    }
+        assert getattr(rinv, f).hex() == getattr(ginv, f).hex(), f
+    for k in rgc.keys() - {"classes"}:
+        assert rgc[k] == ggc[k], k
+    assert hexs(_run_points(*ref, [machine])[0]) == hexs(
+        _run_points(*got, [machine])[0]
+    )
 
 
 MACHINES = [
@@ -112,51 +156,58 @@ POLICIES = [
 
 
 class TestEngineIdentity:
-    @pytest.mark.parametrize("factory", MACHINES)
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("defer", [False, True])
-    def test_network_trace(self, factory, policy, defer):
-        m = factory()
-        trace = capture(m, policy)
-        assert_passes_price_identically(trace, m, defer)
+    """``kernels`` picks who drives the reference ``_GroupCapture``:
+    the recorded trace's rows (``False``, the oracle) or the event
+    calls themselves (``True``, the fused capture's emitter).  Either
+    must emit exactly the vectorized engine's program."""
 
     @pytest.mark.parametrize("factory", MACHINES)
-    @pytest.mark.parametrize("defer", [False, True])
-    def test_synthetic_all_opcodes(self, factory, defer):
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("kernels", [False, True])
+    def test_network_trace(self, factory, policy, kernels):
+        m = factory()
+        trace = capture(m, policy)
+        if kernels:
+            cap = _GroupCapture(m)
+            small_net()._emit_trace(cap, policy, None, True)
+            ref = cap.finish()
+        else:
+            ref = _shared_pass_python(trace, m)
+        assert_same_program(ref, _shared_pass_vec(trace, m), m)
+
+    @pytest.mark.parametrize("factory", MACHINES)
+    @pytest.mark.parametrize("kernels", [False, True])
+    def test_synthetic_all_opcodes(self, factory, kernels):
         m = factory()
         trace = synthetic_trace(m)
-        assert_passes_price_identically(trace, m, defer)
+        if kernels:
+            cap = _GroupCapture(m)
+            emit_synthetic(cap)
+            ref = cap.finish()
+        else:
+            ref = _shared_pass_python(trace, m)
+        got = _shared_pass_vec(trace, m)
+        assert_same_program(ref, got, m)
+        # Every item kind is present: floats, L2 events of both kinds,
+        # VPU-priced items and (where prefetches are honoured) fills.
+        skel = got[0]
+        assert len(skel.base) > len(skel.cls_pos) > 0
+        assert skel.ev_scalar.any() and not skel.ev_scalar.all()
+        assert len(skel.t6_at) and {it[0] for _, it in skel.side} >= {2}
 
     def test_empty_trace(self):
         m = rvv_gem5(vlen_bits=512)
         rec = TraceRecorder(m)
         trace = rec.finish(key="empty")
-        assert_passes_price_identically(trace, m, True)
+        ref = _shared_pass_python(trace, m)
+        assert len(ref[0].base) == 0
+        assert_same_program(ref, _shared_pass_vec(trace, m), m)
 
 
 class TestEngineDispatch:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLAY_ENGINE", raising=False)
-        assert _replay_engine() == "vec"
-
-    @pytest.mark.parametrize("val,expect", [
-        ("python", "python"), ("vec", "vec"), ("vectorized", "vec"),
-    ])
-    def test_env_selects_engine(self, monkeypatch, val, expect):
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", val)
-        assert _replay_engine() == expect
-
-    def test_invalid_engine_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "cuda")
-        with pytest.raises(ValueError, match="REPRO_REPLAY_ENGINE"):
-            _replay_engine()
-
-    def test_dispatch_is_bitwise_equivalent(self, monkeypatch):
+    def test_dispatch_is_bitwise_equivalent(self):
+        """``_shared_pass`` runs the vectorized engine: the oracle's
+        program, priced identically."""
         m = rvv_gem5(vlen_bits=1024, lanes=4)
         trace = capture(m, KernelPolicy())
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "python")
-        via_py = _run_points(*_shared_pass(trace, m, defer_vpu=True), [m])[0]
-        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "vec")
-        via_vec = _run_points(*_shared_pass(trace, m, defer_vpu=True), [m])[0]
-        for f in SimStats.FIELDS:
-            assert getattr(via_py, f).hex() == getattr(via_vec, f).hex(), f
+        assert_same_program(_shared_pass_python(trace, m), _shared_pass(trace, m), m)

@@ -23,7 +23,6 @@ from repro.machine import a64fx, rvv_gem5
 from repro.machine.config import CacheParams, PrefetcherParams
 from repro.machine.replay import (
     _GroupCapture,
-    _skeleton,
     _tier_for,
     replay,
     replay_sweep,
@@ -58,10 +57,10 @@ def captured(family: str):
     trace = net.record_trace(
         base, POLICY, n_layers=N_LAYERS, key=f"tier-identity-{family}"
     )
-    cap = _GroupCapture(base, defer_vpu=True)
+    cap = _GroupCapture(base)
     net._emit_trace(cap, POLICY, N_LAYERS, True)
-    prog, _inv, gc = cap.finish()
-    return trace, _skeleton(prog, gc), gc
+    skel, _inv, gc = cap.finish()
+    return trace, skel, gc
 
 
 def machine(family, l2_kb, ways, dram, lanes, stream):

@@ -24,7 +24,6 @@ from repro.machine.replay import (
     _GroupCapture,
     _hot_sets,
     _point_pass_vec,
-    _skeleton,
     _tier_for,
     capture_sweep,
     group_mode,
@@ -244,10 +243,9 @@ class TestPointPassEngines:
         net = yolov3_tiny()
         m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
         trace = net.record_trace(m0, KernelPolicy(), n_layers=6)
-        cap = _GroupCapture(m0, defer_vpu=True)
+        cap = _GroupCapture(m0)
         net._emit_trace(cap, KernelPolicy(), 6, True)
-        prog, inv, gc = cap.finish()
-        return trace, _skeleton(prog, gc), inv, gc
+        return (trace,) + cap.finish()
 
     def test_hybrid_matches_full(self, captured):
         """The 1 MB point sits in hybrid territory — a few overcommitted
