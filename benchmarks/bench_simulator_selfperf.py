@@ -330,7 +330,7 @@ def test_vectorized_point_pass(benchmark, yolo_net):
             loop_stats = [replay(trace, m) for m in machines]
             t_loop = time.perf_counter() - t0
             t0 = time.perf_counter()
-            cols = _compile_fast(skel, gcfg)
+            cols = _compile_fast(skel, gcfg, machines[0])
             t_compile = time.perf_counter() - t0
             t0 = time.perf_counter()
             vec_stats = [

@@ -109,8 +109,7 @@ def atomic_replace(path: str, write: Callable[[str], None], suffix: str = ".tmp"
     Readers never observe a partial file, and the temp file is removed
     on any failure — including :class:`KeyboardInterrupt` mid-write,
     which used to leak partial ``.simcache/`` entries from interrupted
-    sweeps.  *suffix* matters for writers that key off the extension
-    (``numpy.savez`` appends ``.npz`` to anything else).
+    sweeps.  *suffix* is the temp file's extension.
     """
     directory = Path(path).parent
     directory.mkdir(parents=True, exist_ok=True)

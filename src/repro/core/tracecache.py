@@ -128,11 +128,12 @@ _MAGIC = b"RTRC"
 #: (``<key>.<sig>.<tier>.rvp``).  Both are derived artifacts of an
 #: ``.rtz`` trace and carry its content digest, so they can never
 #: outlive a re-captured trace.  Each family versions its own layout
-#: (``.rpp`` v2: the program's skeleton columns).
+#: (``.rpp`` v2: the program's skeleton columns; ``.rvp`` v2: label
+#: runs, a class-item bitmap and ``<u2`` class indices).
 PASS_SUFFIX = ".rpp"
 VECPROG_SUFFIX = ".rvp"
 PASS_FORMAT_VERSION = 2
-VECPROG_FORMAT_VERSION = 1
+VECPROG_FORMAT_VERSION = 2
 _PASS_MAGIC = b"RPSS"
 _VECPROG_MAGIC = b"RVPC"
 _FORMATS = {_PASS_MAGIC: PASS_FORMAT_VERSION, _VECPROG_MAGIC: VECPROG_FORMAT_VERSION}
@@ -534,11 +535,16 @@ _PASS_COLUMNS = (
     ("t5_lines", "delta", "<i8"),
 )
 
+#: Wire layout of a compiled tier: ``base`` raw; the per-item label ids
+#: as runs (``kid_at`` run starts, ``kid_run`` label per run); the
+#: class-item positions as a bitmap over the items (``np.packbits``);
+#: each class item's class as ``<u2``; the class hit/miss weights raw.
 _VECPROG_COLUMNS = (
     ("base", "raw", "<f8"),
-    ("kid", "delta", "<i8"),
-    ("cls_pos", "delta", "<i8"),
-    ("cls_idx", "varint", "<i8"),
+    ("kid_at", "delta", "<i8"),
+    ("kid_run", "varint", "<i8"),
+    ("cls_bits", "raw", "<u1"),
+    ("cls_idx", "raw", "<u2"),
     ("wh_by_cls", "raw", "<f8"),
     ("wm_by_cls", "raw", "<f8"),
 )
@@ -856,13 +862,35 @@ def encode_vecprog(
     ``cls_pos``, ``cls_idx``, ``cls_defs``, ``wh_by_cls``,
     ``wm_by_cls``, ``max_nm``).  The header embeds the invariant stats
     and the pricing subset of *gc*, so a warm singleton point needs
-    only this file — no trace decode, no ``.rpp`` decode.
+    only this file — no trace decode, no ``.rpp`` decode.  Raises
+    :class:`ValueError` on a tier the layout cannot carry exactly —
+    more than 65,535 classes, or class items out of order (callers
+    treat that as "don't cache").
     """
+    kid = np.asarray(cols["kid"], np.int64)
+    n_items = len(kid)
+    run_start = np.ones(n_items, dtype=bool)
+    run_start[1:] = kid[1:] != kid[:-1]
+    kid_at = np.flatnonzero(run_start)
+    cls_pos = np.asarray(cols["cls_pos"], np.int64)
+    cls_idx = np.asarray(cols["cls_idx"], np.int64)
+    n_cls = len(cols["cls_defs"])
+    if n_cls > 0xFFFF or (
+        len(cls_idx) and (cls_idx.min() < 0 or cls_idx.max() >= n_cls)
+    ):
+        raise ValueError("tier class ids do not fit the <u2 column")
+    if len(cls_pos) and (
+        cls_pos[0] < 0 or cls_pos[-1] >= n_items or (np.diff(cls_pos) <= 0).any()
+    ):
+        raise ValueError("tier class items are not rising item positions")
+    bits = np.zeros(n_items, dtype=bool)
+    bits[cls_pos] = True
     arrays = {
         "base": np.asarray(cols["base"], np.float64),
-        "kid": np.asarray(cols["kid"], np.int64),
-        "cls_pos": np.asarray(cols["cls_pos"], np.int64),
-        "cls_idx": np.asarray(cols["cls_idx"], np.int64),
+        "kid_at": kid_at,
+        "kid_run": kid[kid_at],
+        "cls_bits": np.packbits(bits),
+        "cls_idx": cls_idx,
         "wh_by_cls": np.asarray(cols["wh_by_cls"], np.float64),
         "wm_by_cls": np.asarray(cols["wm_by_cls"], np.float64),
     }
@@ -873,6 +901,7 @@ def encode_vecprog(
         "tier": tier,
         "trace_sha256": trace_sha256,
         "compat": compat,
+        "n_items": n_items,
         "labels": list(cols["labels"]),
         "cls_defs": _tuples_to_lists(cols["cls_defs"]),
         "max_nm": int(cols["max_nm"]),
@@ -893,12 +922,51 @@ def decode_vecprog(blob: bytes) -> Tuple[dict, dict, Dict[str, float], dict]:
     Returns ``(header, cols, inv_fields, gc_pricing)`` where *cols* is
     the column dict of :func:`encode_vecprog` and *gc_pricing* holds
     just the fields :func:`repro.machine.replay._point_pass_vec` reads.
+    Raises :class:`ValueError` on corruption, including digest-valid
+    columns that do not fit together (callers quarantine + miss).
     """
     header, arrays = _unpack_blocks(_VECPROG_MAGIC, blob, _VECPROG_COLUMNS)
-    cols = dict(arrays)
-    cols["labels"] = [str(s) for s in header["labels"]]
-    cols["cls_defs"] = _lists_to_tuples(header["cls_defs"])
-    cols["max_nm"] = int(header["max_nm"])
+    n = int(header["n_items"])
+    labels = [str(s) for s in header["labels"]]
+    cls_defs = _lists_to_tuples(header["cls_defs"])
+    kid_at, kid_run = arrays["kid_at"], arrays["kid_run"]
+    cls_bits = np.unpackbits(arrays["cls_bits"])
+    cls_idx = arrays["cls_idx"].astype(np.int64)
+    # Label runs start at item 0, rise strictly, stay below n and name
+    # a label; the bitmap covers the n items with one bit per class
+    # item (zero padding); class ids index the class table.
+    runs_fit = len(kid_at) == len(kid_run) and (n == 0) == (len(kid_at) == 0) and (
+        n == 0
+        or (
+            kid_at[0] == 0
+            and kid_at[-1] < n
+            and bool((np.diff(kid_at) > 0).all())
+            and kid_run.min() >= 0
+            and kid_run.max() < len(labels)
+        )
+    )
+    fits = (
+        runs_fit
+        and len(arrays["base"]) == n
+        and len(arrays["cls_bits"]) == (n + 7) // 8
+        and int(np.count_nonzero(cls_bits)) == len(cls_idx)
+        and not cls_bits[n:].any()
+        and (len(cls_idx) == 0 or cls_idx.max() < len(cls_defs))
+        and len(arrays["wh_by_cls"]) == len(arrays["wm_by_cls"]) == len(cls_defs)
+    )
+    if not fits:
+        raise ValueError("vecprog container: inconsistent tier columns")
+    cols = {
+        "base": arrays["base"],
+        "kid": np.repeat(kid_run, np.diff(kid_at, append=n)),
+        "labels": labels,
+        "cls_pos": np.flatnonzero(cls_bits),
+        "cls_idx": cls_idx,
+        "cls_defs": cls_defs,
+        "wh_by_cls": arrays["wh_by_cls"],
+        "wm_by_cls": arrays["wm_by_cls"],
+        "max_nm": int(header["max_nm"]),
+    }
     hgc = header["gc"]
     gc_pricing = {
         "l1_lat": hgc["l1_lat"],
@@ -1050,12 +1118,16 @@ def read_vecprog_header(
     Reads only the JSON header (no column decode, no payload check), so
     a warm sweep can pick each point's tier before decoding any; a
     corrupt file surfaces, and is quarantined, at :func:`load_vecprog`.
+    A tier of another format version is a miss.
     """
     try:
         header = read_pass_header(_vecprog_path(key, sig, tier_token))
     except (OSError, ValueError):
         return None
-    if header.get("trace_sha256") != trace_sha256:
+    if (
+        header.get("format") != VECPROG_FORMAT_VERSION
+        or header.get("trace_sha256") != trace_sha256
+    ):
         return None
     return header
 

@@ -55,16 +55,20 @@ resolved by one of two builders and interned into classes with one
   distinct lines than ways never evicts, so a line hits **iff** it was
   touched before; only its first touch needs the residency-range model.
   The tier depends only on the L2 byte budget (``None`` when the ranges
-  never trim), and resolving it visits just the first-touch lines.
-  Prefetcher and prefetch-hint fills rule it out (they insert lines
-  outside the demand stream).
+  never trim), and resolving it range-checks just the first-touch
+  lines.  Prefetcher and prefetch-hint fills rule it out (they insert
+  lines outside the demand stream).
 * :func:`_compile_walk` — the exact LRU walk of one L2 geometry and
   prefetcher.  Without fills only the sets that can overflow are
-  walked; every other line is a first-touch range check or a hit.
+  walked, all at once in lockstep (:func:`_lru_hits`); every other
+  line is a first-touch range check or a hit.  With fills or an L2
+  prefetcher it walks every line (:func:`_compile_walk_lines`).
 
-Tiers carry no latency or VPU, so one serves every point sharing its L2
-budget or geometry — a lane sweep prices from one tier — and each
-persists as an ``.rvp`` file next to the trace.
+Both builders run the residency-range model once per stretch between
+range notes (:func:`_range_misses`), not once per address.  Tiers carry
+no latency or VPU, so one serves every point sharing its L2 budget or
+geometry — a lane sweep prices from one tier — and each persists as an
+``.rvp`` file next to the trace.
 
 Bitwise identity
 ----------------
@@ -1353,89 +1357,171 @@ def _hot_sets(skel: _Skeleton, num_sets: int, assoc: int) -> np.ndarray:
     return np.bincount(skel.lines % num_sets, minlength=num_sets) > assoc
 
 
-def _compile_fast(skel: _Skeleton, gc: dict, hier=None) -> _VecProgram:
+def _range_misses(pos: np.ndarray, addrs: np.ndarray, side: list, hier) -> np.ndarray:
+    """Residency-range misses of the byte addresses *addrs*, in order.
+
+    The addresses sit at stream positions *pos* (into ``skel.addrs``,
+    rising) and are range-checked exactly as ``MemoryHierarchy`` would
+    check them there, interleaved with the skeleton's *side* notes:
+    returns ``miss`` with ``miss[j]`` true iff ``_range_hit(addrs[j])``
+    would fail.  *hier* (a :meth:`MemoryHierarchy.pricing_view`) holds
+    the range model and is advanced through every note.
+
+    Between two notes the ranges' membership is fixed and the ranges
+    are disjoint, so each stretch is one ``searchsorted`` containment
+    test.  Only their order moves: ``_range_hit`` refreshes a hit range
+    to the MRU end, so after the stretch the hit ranges follow the
+    unhit ones, ordered by their last hit — the order the next note's
+    trim picks victims by.  Notes run through ``note_resident_range``
+    itself.  *side* must hold no prefetch fills.
+    """
+    miss = np.ones(len(pos), dtype=bool)
+    cuts = np.searchsorted(pos, [p for p, _ in side], side="left").tolist()
+    cuts.append(len(pos))
+    notes = [it for _, it in side] + [None]
+    lo = 0
+    for hi, it in zip(cuts, notes):
+        ranges = hier._ranges
+        if ranges and hi > lo:
+            by_start = sorted(ranges)
+            starts = np.array([r[0] for r in by_start], dtype=np.int64)
+            ends = np.array([r[1] for r in by_start], dtype=np.int64)
+            seg = addrs[lo:hi]
+            j = np.searchsorted(starts, seg, side="right") - 1
+            inside = (j >= 0) & (seg < ends[j])
+            miss[lo:hi] = ~inside
+            hit_j = j[inside]
+            if len(hit_j):
+                # First index in the reversed hits = last hit in order.
+                hit, last = np.unique(hit_j[::-1], return_index=True)
+                mru = [by_start[k] for k in hit[np.argsort(-last)].tolist()]
+                ids = {id(r) for r in mru}
+                ranges[:] = [r for r in ranges if id(r) not in ids] + mru
+        lo = hi
+        if it is not None:
+            hier.note_resident_range(it[1], it[2])
+    return miss
+
+
+def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
+    """Per-access hit flags of an LRU cache walked by *lines*, in order.
+
+    The cache has *num_sets* sets of *assoc* ways and starts empty;
+    ``lines[i]`` hits iff it is resident when accessed — exactly the
+    outcome of a dict LRU per set.  The sets are walked in lockstep:
+    the accesses are grouped by set (most accessed set first) with one
+    stable sort, and step ``t`` applies the ``t``-th access of every set
+    that has one to an ``(assoc, sets)`` recency stack, row 0 the most
+    recent.  A hit is a match in the column; the rows above it shift
+    down one (every row on a miss, dropping the LRU line) and the
+    access goes on top.  ``-1`` marks an empty way, so sets that are not
+    yet full fill like the dict.
+    """
+    hits = np.zeros(len(lines), dtype=bool)
+    if not len(lines):
+        return hits
+    sets = lines % num_sets
+    counts = np.bincount(sets, minlength=num_sets)
+    by_count = np.argsort(-counts, kind="stable")
+    rank = np.empty(num_sets, dtype=np.uint16 if num_sets <= 1 << 16 else np.int64)
+    rank[by_count] = np.arange(num_sets)
+    order = np.argsort(rank[sets], kind="stable")
+    grouped = lines[order]
+    counts = counts[by_count]
+    counts = counts[counts > 0]
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    # Sets still walking at step t: those with more than t accesses,
+    # a prefix of the count-ranked sets.
+    active = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+    stack = np.full((assoc, len(counts)), -1, dtype=lines.dtype)
+    hit_grouped = np.empty(len(lines), dtype=bool)
+    for t, k in enumerate(active.tolist()):
+        at = starts[:k] + t
+        x = grouped[at]
+        s = stack[:, :k]
+        eq = s == x
+        # Rows below a match keep their line; the match and the rows
+        # above it shift down one, all rows on a miss.
+        keep = np.logical_or.accumulate(eq[:-1], axis=0)
+        hit_grouped[at] = eq.any(axis=0)
+        s[1:] = np.where(keep, s[1:], s[:-1])
+        s[0] = x
+    hits[order] = hit_grouped
+    return hits
+
+
+def _compile_fast(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProgram:
     """Conflict-free tier: no L2 set ever exceeds its associativity.
 
     Such an L2 never evicts, so a pending line hits iff its L2 line was
     touched before — except at its first touch (``skel.ft_pos``), where
     only the residency-range model can make it a hit.  This resolves
-    just those first touches.  With ``hier=None`` (points whose ranges
-    never trim) membership is tested against the infinite-budget range
-    list every such point's ``MemoryHierarchy`` would hold
-    (``note_resident_range`` with ``start == base``, no eviction, no
-    tail trim), with column arithmetic per stretch between range notes.
-    With a *hier* (:meth:`MemoryHierarchy.pricing_view` of any point in
-    the group) the true trimming, LRU-refreshed range model runs in
-    stream order — valid for every point sharing that L2 byte budget,
-    since the range outcome depends on nothing else.
+    just those first touches, through *machine*'s range model
+    (:func:`_range_misses`) — valid for every point sharing its L2 byte
+    budget, since the range outcome depends on nothing else.  A
+    ``fast:None`` tier may pass any member: no recorded range outgrows
+    its L2, so nothing ever trims.
     """
     side = skel.side
     if any(it[0] == 5 for _, it in side):
         raise ValueError("prefetch fills in a conflict-free tier")
     ft = skel.ft_pos
-    ft_addrs = skel.addrs[ft]
-    cuts = np.searchsorted(ft, [p for p, _ in side], side="left").tolist()
-    cuts.append(len(ft))
-    notes = [it for _, it in side] + [None]
-    lo = 0
-    if hier is None:
-        miss = np.ones(len(ft), dtype=bool)
-        inf_ranges: list = []
-        for hi, it in zip(cuts, notes):
-            if inf_ranges and hi > lo:
-                seg = ft_addrs[lo:hi]
-                inside = np.zeros(hi - lo, dtype=bool)
-                for b, e in inf_ranges:
-                    inside |= (seg >= b) & (seg < e)
-                miss[lo:hi] = ~inside
-            lo = hi
-            if it is not None and it[2] > 0:
-                b = it[1]
-                e = b + it[2]
-                inf_ranges = [r for r in inf_ranges if r[1] <= b or r[0] >= e]
-                inf_ranges.append((b, e))
-        miss_pos = ft[miss]
-    else:
-        range_hit = hier._range_hit
-        note_range = hier.note_resident_range
-        addrs = ft_addrs.tolist()
-        misses = []
-        for hi, it in zip(cuts, notes):
-            # _range_hit only reorders the range list in place;
-            # note_resident_range rebinds it, refreshed here.
-            ranges = hier._ranges
-            for j in range(lo, hi):
-                a = addrs[j]
-                if not (
-                    (ranges and ranges[-1][0] <= a < ranges[-1][1])
-                    or range_hit(a)
-                ):
-                    misses.append(j)
-            lo = hi
-            if it is not None:
-                note_range(it[1], it[2])
-        miss_pos = ft[np.asarray(misses, dtype=np.int64)]
-    return _intern(skel, _misses_per_event(skel, miss_pos))
+    miss = _range_misses(
+        ft, skel.addrs[ft], side, MemoryHierarchy.pricing_view(machine)
+    )
+    return _intern(skel, _misses_per_event(skel, ft[miss]))
 
 
 def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProgram:
     """Walk tier: resolve *machine*'s exact L2 walk once.
 
+    The walk reads only the L2 geometry, the L2 prefetcher and the
+    event stream, so the tier is valid for every point sharing those
+    with *machine* (a lane sweep, or a DRAM sweep over a conflicted
+    L2), whatever its latencies or VPU.
+
+    Without fills (no honoured prefetches, no L2 prefetcher) a set that
+    is not hot (:func:`_hot_sets`) never evicts, so its lines hit after
+    their first touch, and the first touch takes just the range check.
+    The hot sets' LRU hits come from one lockstep walk
+    (:func:`_lru_hits`); their LRU misses and the cold sets' first
+    touches, merged in stream order, then take the range check
+    (:func:`_range_misses`) — the ``_range_hit`` calls the full walk
+    makes, in its order, which matters because ``_range_hit``
+    LRU-refreshes the range list and a later trim picks its victims by
+    that order.  With fills the tier takes the full walk,
+    :func:`_compile_walk_lines`.
+    """
+    l2 = machine.l2
+    num_sets = l2.size_bytes // (l2.assoc * l2.line_bytes)
+    if gc["has_fills"] or machine.l2_prefetcher or num_sets <= 0:
+        return _compile_walk_lines(skel, gc, machine)
+    hot = _hot_sets(skel, num_sets, l2.assoc)
+    l2_lines = skel.addrs >> gc["l2_shift"]
+    hot_at = hot[l2_lines % num_sets]
+    hot_pos = np.flatnonzero(hot_at)
+    hot_lines = l2_lines[hot_pos]
+    del l2_lines
+    lru_miss = hot_pos[~_lru_hits(hot_lines, num_sets, l2.assoc)]
+    ft = skel.ft_pos
+    check = np.sort(np.concatenate([lru_miss, ft[~hot_at[ft]]]))
+    del hot_at, hot_pos, hot_lines, lru_miss
+    miss = _range_misses(
+        check, skel.addrs[check], skel.side, MemoryHierarchy.pricing_view(machine)
+    )
+    return _intern(skel, _misses_per_event(skel, check[miss]))
+
+
+def _compile_walk_lines(
+    skel: _Skeleton, gc: dict, machine: MachineConfig
+) -> _VecProgram:
+    """Walk tier, line by line: the L2 walk of ``MemoryHierarchy``.
+
     State transitions identical to ``MemoryHierarchy``'s L2 —
     conflicted sets evict LRU, honoured prefetch fills and L2
-    prefetcher fills land, residency ranges trim in stream order.  The
-    walk reads only the L2 geometry, the L2 prefetcher and the event
-    stream, so the tier is valid for every point sharing those with
-    *machine* (a lane sweep, or a DRAM sweep over a conflicted L2),
-    whatever its latencies or VPU.
-
-    Without fills (no honoured prefetches, no L2 prefetcher) only lines
-    of hot sets (:func:`_hot_sets`) are walked: every other set never
-    evicts, so its lines hit after their first touch, and the first
-    touch takes just the range check.  Those checks still run in
-    stream order, interleaved with the hot walk, because
-    ``_range_hit`` LRU-refreshes the range list and a later trim picks
-    its victims by that order.  Dirty bits only feed writeback counters
+    prefetcher fills land, residency ranges trim in stream order —
+    over every pending line.  Dirty bits only feed writeback counters
     ``SimStats`` never reads, so the walk stores ``True``
     unconditionally without perturbing residency or LRU order.
     """
@@ -1447,27 +1533,14 @@ def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
     note_range = hier.note_resident_range
     l2_shift = gc["l2_shift"]
     side = skel.side
-    if pf2 is None and not gc["has_fills"]:
-        l2_lines = skel.addrs >> l2_shift
-        hot_at = _hot_sets(skel, l2_num, l2_assoc)[l2_lines % l2_num]
-        del l2_lines
-        visit_mask = hot_at.copy()
-        visit_mask[skel.ft_pos] = True
-        visit = np.flatnonzero(visit_mask)
-        hot = hot_at[visit].tolist()
-        del hot_at, visit_mask
-    else:
-        visit = np.arange(len(skel.addrs), dtype=np.int64)
-        hot = [True] * len(visit)
-    addrs = skel.addrs[visit].tolist()
+    addrs = skel.addrs.tolist()
     if pf2 is not None and not gc["port_l1"]:
         # Only the L1-port vector path feeds the L2 prefetcher (the
         # L2-port path has none); the scalar path always does.
-        observes = np.repeat(skel.ev_scalar, np.diff(skel.ev_off))[visit].tolist()
+        observes = np.repeat(skel.ev_scalar, np.diff(skel.ev_off)).tolist()
     else:
         observes = None
-    cuts = np.searchsorted(visit, [p for p, _ in side], side="left").tolist()
-    cuts.append(len(visit))
+    cuts = [p for p, _ in side] + [len(addrs)]
     items = [it for _, it in side] + [None]
     misses = []
     lo = 0
@@ -1477,24 +1550,19 @@ def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
         ranges = hier._ranges
         for j in range(lo, hi):
             a = addrs[j]
-            if hot[j]:
-                l2a = a >> l2_shift
-                ways = l2_sets[l2a % l2_num]
-                if ways.pop(l2a, None) is not None:
-                    ways[l2a] = True
-                    continue
+            l2a = a >> l2_shift
+            ways = l2_sets[l2a % l2_num]
+            if ways.pop(l2a, None) is not None:
                 ways[l2a] = True
-                if len(ways) > l2_assoc:
-                    ways.pop(next(iter(ways)))
-                if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                    continue
-                misses.append(j)
-                if pf2 is not None and (observes is None or observes[j]):
-                    pf2.observe(l2, l2a)
-            elif not (
-                (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a)
-            ):
-                misses.append(j)
+                continue
+            ways[l2a] = True
+            if len(ways) > l2_assoc:
+                ways.pop(next(iter(ways)))
+            if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
+                continue
+            misses.append(j)
+            if pf2 is not None and (observes is None or observes[j]):
+                pf2.observe(l2, l2a)
         lo = hi
         if it is None:
             break
@@ -1507,7 +1575,7 @@ def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
                     ways[la] = False
                     if len(ways) > l2_assoc:
                         ways.pop(next(iter(ways)))
-    miss_pos = visit[np.asarray(misses, dtype=np.int64)]
+    miss_pos = np.asarray(misses, dtype=np.int64)
     return _intern(skel, _misses_per_event(skel, miss_pos))
 
 
@@ -1672,13 +1740,8 @@ def _run_points(
     for tier, first, idxs in plans.values():
         cols = _load_tier(cache_ctx, tier, inv, gc)
         if cols is None:
-            m = machines[first]
-            if tier["kind"] == "walk":
-                cols = _compile_walk(skel, gc, m)
-            elif _fast_budget(gc, m) is None:
-                cols = _compile_fast(skel, gc)
-            else:
-                cols = _compile_fast(skel, gc, MemoryHierarchy.pricing_view(m))
+            build = _compile_walk if tier["kind"] == "walk" else _compile_fast
+            cols = build(skel, gc, machines[first])
             _store_tier(cache_ctx, tier, cols, inv, gc)
         for i in idxs:
             results[i] = _point_pass_vec(cols, inv, machines[i], gc)

@@ -207,8 +207,7 @@ OP_NOTE_RANGE = 10
 #: v4 moved spill persistence to the compressed ``.rtz`` container
 #: (delta+zigzag+varint address/size columns, zlib/zstd block
 #: compression — see repro.core.tracecache) so reference traces are
-#: small enough to commit; the ``.npz`` writer below remains for
-#: ad-hoc export and analysis tooling.
+#: small enough to commit; it is the only on-disk trace format.
 TRACE_FORMAT_VERSION = 4
 
 
@@ -313,13 +312,13 @@ class RecordedTrace:
             stop = start + _CHUNK_ROWS
             yield from zip(*(c[start:stop].tolist() for c in cols))
 
-    # -- persistence ---------------------------------------------------
+    # -- content digest (checked by the .rtz codec) --------------------
     @staticmethod
     def _content_digest(cols, labels, buffers) -> str:
         """sha256 over the column bytes plus labels/buffers.
 
         Stored in (and checked against) the spill header so a torn or
-        bit-flipped ``.npz`` can never replay: the loader raises and
+        bit-flipped ``.rtz`` can never replay: the loader raises and
         the trace cache quarantines the file.
         """
         import hashlib
@@ -335,63 +334,6 @@ class RecordedTrace:
             ).encode("utf-8")
         )
         return h.hexdigest()
-
-    def save(self, path: str) -> None:
-        """Serialize to an ``.npz`` file (no pickling)."""
-        cols = self._columns()
-        np.savez(
-            path,
-            op=self.op, w=self.w, kid=self.kid,
-            i0=self.i0, i1=self.i1, i2=self.i2, i3=self.i3, f0=self.f0,
-            labels=np.array(self.labels, dtype=np.str_),
-            header=np.array(
-                json.dumps(
-                    {
-                        "key": self.key,
-                        "isa_name": self.isa_name,
-                        "vlen_bits": self.vlen_bits,
-                        "l1_line_bytes": self.l1_line_bytes,
-                        "format": TRACE_FORMAT_VERSION,
-                        "buffers": [list(b) for b in self.buffers],
-                        "meta": self.meta,
-                        "sha256": self._content_digest(
-                            cols, self.labels, self.buffers
-                        ),
-                    }
-                ),
-                dtype=np.str_,
-            ),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "RecordedTrace":
-        with np.load(path, allow_pickle=False) as z:
-            header = json.loads(str(z["header"]))
-            if header.get("format") != TRACE_FORMAT_VERSION:
-                raise ValueError(
-                    f"trace format {header.get('format')!r} != "
-                    f"{TRACE_FORMAT_VERSION} (stale spill file)"
-                )
-            labels = [str(s) for s in z["labels"].tolist()]
-            buffers = header.get("buffers", ())
-            cols = tuple(
-                z[name].copy() for name, _ in cls._COLUMNS
-            )
-            digest = cls._content_digest(cols, labels, buffers)
-            if header.get("sha256") != digest:
-                raise ValueError("trace content digest mismatch (corrupt spill)")
-            tr = cls(
-                header.get("key"),
-                header["isa_name"],
-                header["vlen_bits"],
-                header["l1_line_bytes"],
-                labels,
-                *cols,
-                meta=header.get("meta"),
-                buffers=buffers,
-            )
-            tr._digest = digest
-            return tr
 
 
 #: Row tuples an event log holds before freezing them into a column

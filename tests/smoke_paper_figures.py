@@ -25,13 +25,18 @@ sweep (one capture per VL, the 512-bit point replaying from the
 committed trace) followed by a warm re-run with the process-local
 registry and pass memo cleared, asserting every warm point is served
 from the persistent compiled-pass cache (``.rpp``/``.rvp``) with zero
-trace-column decodes — bitwise identical to the cold run.
+trace-column decodes — bitwise identical to the cold run.  Before its
+scratch trace dir goes, ``repro trace-cache verify --json`` fully
+decodes every file the phase wrote; each must be ``ok`` with its digest
+``verified``.
 
 Deliberately not named ``test_*.py``: pytest must not collect it.  CI
 runs it directly (``python tests/smoke_paper_figures.py``); it prints
 one machine-parseable ``BENCH`` line and exits 0 on success.
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -92,6 +97,28 @@ def assert_bitwise(a: SimStats, b: SimStats, what: str):
 
 
 VL_AXIS = [256, 512, 1024]
+
+
+def verify_trace_dir(what: str) -> int:
+    """Run ``repro trace-cache verify --json`` on ``$REPRO_TRACE_DIR``.
+
+    Every ``.rtz``/``.rpp``/``.rvp`` file is fully decoded (payload
+    digest recomputed); fails unless each is ``ok`` and ``verified``.
+    Returns the number of files checked.
+    """
+    from repro.cli import main as repro_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = repro_main(["trace-cache", "verify", "--json"])
+    rows = json.loads(out.getvalue())["files"]
+    bad = [r for r in rows if r.get("status") != "ok" or r.get("digest") != "verified"]
+    if code or bad or not rows:
+        raise SystemExit(
+            f"{what}: trace-cache verify exited {code} over {len(rows)} "
+            f"file(s); not ok/verified: {bad}"
+        )
+    return len(rows)
 
 
 def vl_axis_phase(net, policy, runtime_key, trace):
@@ -164,6 +191,7 @@ def vl_axis_phase(net, policy, runtime_key, trace):
             for v, a, b in zip(VL_AXIS, cold.stats, warm.stats):
                 assert_bitwise(a, b, f"VL axis vlen={v} warm-vs-cold")
             timings["compiled_pass_hits"] = hits
+            timings["verified_files"] = verify_trace_dir("VL axis")
         finally:
             for k, v in saved.items():
                 if v is None:

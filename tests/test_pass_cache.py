@@ -10,11 +10,13 @@ must quarantine, and a warm sweep must price bitwise identically to
 its cold capture run — serial and parallel, spill on or off.
 """
 
+import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import tracecache as tc
@@ -260,6 +262,160 @@ class TestCodecRoundTrip:
 
 
 # ----------------------------------------------------------------------
+# .rvp v2: label runs, class-item bitmap, <u2 class ids
+# ----------------------------------------------------------------------
+cls_def = st.one_of(
+    st.builds(lambda d, h, m: d + (h, m), ev_def, small, small), t6_def
+)
+
+
+@st.composite
+def tier_columns(draw):
+    """A tier's column dict: any item count (zero included), one or many
+    label runs, and no, some or every item a class item."""
+    labels = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 40))
+    label = st.integers(0, len(labels) - 1)
+    one_run = draw(st.booleans())
+    kid = [draw(label)] * n if one_run else draw(st.lists(label, min_size=n, max_size=n))
+    cls = draw(st.sampled_from(["none", "all", "some"]))
+    is_cls = (
+        draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if cls == "some" else [cls == "all"] * n
+    )
+    cls_defs = draw(st.lists(cls_def, min_size=1, max_size=5))
+    n_cls = sum(is_cls)
+    idx = st.integers(0, len(cls_defs) - 1)
+    weights = st.lists(finite, min_size=len(cls_defs), max_size=len(cls_defs))
+    return {
+        "base": np.asarray(draw(st.lists(finite, min_size=n, max_size=n)), np.float64),
+        "kid": np.asarray(kid, np.int64),
+        "labels": labels,
+        "cls_pos": np.flatnonzero(np.asarray(is_cls, dtype=bool)),
+        "cls_idx": np.asarray(draw(st.lists(idx, min_size=n_cls, max_size=n_cls)), np.int64),
+        "cls_defs": cls_defs,
+        "wh_by_cls": np.asarray(draw(weights), np.float64),
+        "wm_by_cls": np.asarray(draw(weights), np.float64),
+        "max_nm": draw(small),
+    }
+
+
+TIER = {"kind": "walk", "token": "w" * 12, "desc": "walk:x", "fps": []}
+
+
+def encode_tier(cols):
+    return tc.encode_vecprog(
+        cols, {"flops": 1.0}, make_gc(), key="k", sig="s" * 12, tier=TIER,
+        trace_sha256="t" * 64, compat=COMPAT,
+    )
+
+
+def assert_same_tier_dict(a, b):
+    for name in ("base", "kid", "cls_pos", "cls_idx", "wh_by_cls", "wm_by_cls"):
+        x, y = np.asarray(a[name]), np.asarray(b[name])
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a["labels"] == b["labels"] and a["max_nm"] == b["max_nm"]
+    assert len(a["cls_defs"]) == len(b["cls_defs"])
+    assert all(eq_item(x, y) for x, y in zip(a["cls_defs"], b["cls_defs"]))
+
+
+def tier_parts(cols):
+    """The header and wire arrays :func:`encode_vecprog` would pack."""
+    parts = {}
+
+    def grab(magic, header, arrays, layout):
+        parts.update(header=header, arrays=arrays)
+        return b""
+
+    with mock.patch.object(tc, "_pack_blocks", grab):
+        encode_tier(cols)
+    return parts["header"], parts["arrays"]
+
+
+EMPTY_TIER = {
+    "base": np.zeros(0), "kid": np.zeros(0, np.int64), "labels": ["k"],
+    "cls_pos": np.zeros(0, np.int64), "cls_idx": np.zeros(0, np.int64),
+    "cls_defs": [(6, 1.0, 0)], "wh_by_cls": np.zeros(1), "wm_by_cls": np.zeros(1),
+    "max_nm": 0,
+}
+
+#: Three label runs over nine items, class items at 1, 2, 5 and 8.
+SMALL_TIER = dict(
+    EMPTY_TIER,
+    base=np.arange(9, dtype=np.float64),
+    kid=np.array([0, 0, 1, 1, 1, 0, 0, 0, 0], np.int64),
+    labels=["a", "b"],
+    cls_pos=np.array([1, 2, 5, 8], np.int64),
+    cls_idx=np.array([0, 1, 1, 0], np.int64),
+    cls_defs=[(6, 1.0, 0), (4, 2.0, 7, 0.5, False, 1, 0)],
+    wh_by_cls=np.array([0.0, 2.0]),
+    wm_by_cls=np.array([0.0, 0.0]),
+)
+
+
+class TestVecprogCodec:
+    @given(tier_columns())
+    @settings(max_examples=80, deadline=None)
+    @example(EMPTY_TIER)
+    def test_roundtrip_any_tier(self, cols):
+        header, cols2, inv, gcp = tc.decode_vecprog(encode_tier(cols))
+        assert header["format"] == tc.VECPROG_FORMAT_VERSION == 2
+        assert header["n_items"] == len(cols["base"])
+        assert_same_tier_dict(cols, cols2)
+        assert inv == {"flops": 1.0} and gcp["classes"] == CLASSES
+
+    def test_label_runs_and_bitmap_on_the_wire(self):
+        header, arrays = tier_parts(SMALL_TIER)
+        assert arrays["kid_at"].tolist() == [0, 2, 5]
+        assert arrays["kid_run"].tolist() == [0, 1, 0]
+        assert np.unpackbits(arrays["cls_bits"]).tolist() == [
+            0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+        ]
+        assert tc._encode_col("raw", "<u2", arrays["cls_idx"]) == bytes(
+            [0, 0, 1, 0, 1, 0, 0, 0]
+        )
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"cls_idx": np.array([0, 1, 2, 0])}, id="id-past-table"),
+        pytest.param({"cls_idx": np.array([0, -1, 1, 0])}, id="negative-id"),
+        pytest.param({"cls_pos": np.array([1, 5, 2, 8])}, id="unordered-items"),
+        pytest.param({"cls_pos": np.array([1, 2, 5, 9])}, id="item-past-end"),
+        pytest.param({"kid": np.array([-1, 0, 1, 1, 1, 0, 0, 0, 0])}, id="no-label"),
+    ])
+    def test_unencodable_tier_raises(self, bad):
+        with pytest.raises(ValueError):
+            encode_tier(dict(SMALL_TIER, **bad))
+
+    def test_more_than_u2_classes_raise(self):
+        cols = dict(SMALL_TIER, cls_defs=[(6, 1.0, 0)] * 0x10000,
+                    wh_by_cls=np.zeros(0x10000), wm_by_cls=np.zeros(0x10000))
+        with pytest.raises(ValueError, match="<u2"):
+            encode_tier(cols)
+        cols = dict(cols, cls_defs=cols["cls_defs"][1:], wh_by_cls=np.zeros(0xFFFF),
+                    wm_by_cls=np.zeros(0xFFFF))
+        assert tc.decode_vecprog(encode_tier(cols))[1]["cls_idx"].tolist() == [0, 1, 1, 0]
+
+
+#: Digest-valid ``.rvp`` files whose columns do not fit together; each
+#: edits the wire arrays (or header) of SMALL_TIER.
+REFUSALS = {
+    "runs-start-late": lambda h, a: a.update(kid_at=np.array([1, 2, 5])),
+    "runs-not-rising": lambda h, a: a.update(kid_at=np.array([0, 5, 5])),
+    "run-past-end": lambda h, a: a.update(kid_at=np.array([0, 2, 9])),
+    "runs-uneven": lambda h, a: a.update(kid_run=np.array([0, 1])),
+    "no-runs": lambda h, a: a.update(kid_at=np.zeros(0, np.int64),
+                                     kid_run=np.zeros(0, np.int64)),
+    "run-label-missing": lambda h, a: a.update(kid_run=np.array([0, 2, 0])),
+    "bitmap-short": lambda h, a: a.update(cls_bits=a["cls_bits"][:1]),
+    "bitmap-popcount": lambda h, a: a.update(cls_bits=np.array([0x60, 0x80], np.uint8)),
+    "bitmap-padding": lambda h, a: a.update(cls_bits=np.array([0x64, 0x81], np.uint8)),
+    "class-id-past-table": lambda h, a: a.update(cls_idx=np.array([0, 1, 2, 0])),
+    "weights-uneven": lambda h, a: a.update(wm_by_cls=np.zeros(3)),
+    "items-vs-base": lambda h, a: h.update(n_items=10),
+}
+
+
+# ----------------------------------------------------------------------
 # Store/load against a real shared pass
 # ----------------------------------------------------------------------
 @pytest.fixture()
@@ -329,7 +485,7 @@ class TestStoreLoad:
     def test_vecprog_roundtrip(self, cache_dir):
         m, trace, skel, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
-        cols = _compile_fast(skel, gc)
+        cols = _compile_fast(skel, gc, m)
         cols_dict = {s: getattr(cols, s) for s in cols.__slots__}
         tier = {"kind": "fast", "token": "f" * 12, "desc": "fast:None",
                 "fps": ["fp1"]}
@@ -347,6 +503,82 @@ class TestStoreLoad:
             assert eq_item(a, b)
         assert {"l1_lat", "ooo_hide", "scalar_cpi", "classes"} <= set(gcp)
         assert tc.load_vecprog("k3", "s" * 12, "f" * 12, "f" * 64) is None
+
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_inconsistent_tier_is_quarantined(self, cache_dir, refusal):
+        header, arrays = tier_parts(SMALL_TIER)
+        REFUSALS[refusal](header, arrays)
+        blob = tc._pack_blocks(
+            tc._VECPROG_MAGIC, header, arrays, tc._VECPROG_COLUMNS
+        )
+        with pytest.raises(ValueError, match="inconsistent"):
+            tc.decode_vecprog(blob)
+        path = tc._vecprog_path("k", "s" * 12, TIER["token"])
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        assert tc.load_vecprog("k", "s" * 12, TIER["token"], "t" * 64) is None
+        assert not os.path.exists(path)
+        assert os.listdir(os.path.join(str(cache_dir), "quarantine"))
+
+    def test_v1_tier_never_served_and_rebuilt(self, cache_dir, monkeypatch):
+        """A tier left by the v1 layout (varint ``kid``/``cls_pos``/
+        ``cls_idx`` columns) is a miss: the warm group rebuilds it
+        bit-identically and the file on disk becomes v2."""
+        m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+        trace = record_small(m, "v1tier")
+        tc.put("v1tier", trace, spill=True)
+        want = hexs(replay(trace, m))
+        assert hexs(replay_sweep(trace, [m])[0]) == want
+        (name,) = [n for n in os.listdir(cache_dir) if n.endswith(tc.VECPROG_SUFFIX)]
+        path = os.path.join(str(cache_dir), name)
+        header, cols, _inv, _gcp = tc.decode_vecprog(open(path, "rb").read())
+        v1_layout = (
+            ("base", "raw", "<f8"), ("kid", "delta", "<i8"),
+            ("cls_pos", "delta", "<i8"), ("cls_idx", "varint", "<i8"),
+            ("wh_by_cls", "raw", "<f8"), ("wm_by_cls", "raw", "<f8"),
+        )
+        v1_header = {k: v for k, v in header.items()
+                     if k not in ("format", "columns", "sha256", "n_items")}
+        with monkeypatch.context() as mp:
+            mp.setitem(tc._FORMATS, tc._VECPROG_MAGIC, 1)
+            blob = tc._pack_blocks(tc._VECPROG_MAGIC, v1_header, cols, v1_layout)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        assert tc.read_pass_header(path)["format"] == 1
+        from repro.machine import replay as R
+
+        tc.clear_registry()
+        R._SHARED_PASS_MEMO.clear()
+        tc.reset_load_counts()
+        got = replay_sweep_cached("v1tier", [m])
+        assert got is not None and hexs(got[0]) == want
+        assert tc.load_counts()["vecprog"] == 0  # the v1 file was never served
+        assert tc.read_pass_header(path)["format"] == 2
+        _h, cols2, _inv, _g = tc.decode_vecprog(open(path, "rb").read())
+        assert_same_tier_dict(cols, cols2)
+
+    def test_tier_past_u2_classes_not_stored(self, cache_dir, monkeypatch):
+        """A tier with more classes than ``<u2`` ids can name is priced
+        but not cached."""
+        from repro.machine import replay as R
+
+        intern = R._intern
+
+        def wide(skel, nm):
+            cols = intern(skel, nm)
+            pad = 0x10000 - len(cols.cls_defs)
+            cols.cls_defs = list(cols.cls_defs) + [cols.cls_defs[0]] * pad
+            cols.wh_by_cls = np.append(cols.wh_by_cls, np.zeros(pad))
+            cols.wm_by_cls = np.append(cols.wm_by_cls, np.zeros(pad))
+            return cols
+
+        monkeypatch.setattr(R, "_intern", wide)
+        m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+        trace = record_small(m, "wide")
+        assert hexs(replay_sweep(trace, [m])[0]) == hexs(replay(trace, m))
+        names = os.listdir(cache_dir)
+        assert any(n.endswith(tc.PASS_SUFFIX) for n in names)
+        assert not any(n.endswith(tc.VECPROG_SUFFIX) for n in names)
 
     def test_cached_sweep_prices_new_point_from_one_rpp(self, cache_dir):
         """A shared pass over a loaded trace stores its skeleton; a new
@@ -548,3 +780,16 @@ class TestCliGc:
         # The survivors still serve a warm sweep, bitwise.
         warm = run_vl_sweep()
         assert warm.sources.count("replayed") >= len(VLENS) - 1
+
+    def test_verify_decodes_v2_tiers(self, cache_dir, capsys):
+        from repro.cli import main
+
+        run_vl_sweep()
+        capsys.readouterr()
+        assert main(["trace-cache", "verify", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["files"]
+        tiers = [r for r in rows if r["kind"] == "vecprog"]
+        assert len(tiers) == len(VLENS)
+        for r in rows:
+            assert r["status"] == "ok" and r["digest"] == "verified", r
+        assert {r["v"] for r in tiers} == {tc.VECPROG_FORMAT_VERSION} == {2}

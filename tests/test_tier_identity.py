@@ -3,26 +3,36 @@
 ``replay_sweep`` prices each machine of a group from one tier — a
 conflict-free tier per L2 byte budget (its residency ranges trimming or
 not), or a walk tier per L2 geometry that walks only the overcommitted
-sets when nothing but the demand stream fills the L2, and every line
-otherwise.  Which tier a point lands on depends on the drawn L2, so
-hypothesis draws legal groups (L2 size and ways, DRAM latency, lane
-count, optionally an L2 stream prefetcher) over one small captured
-trace per ISA family and checks every ``SimStats`` field bit for bit
-against :func:`repro.machine.replay.replay` — the per-event oracle.
-The pinned examples reach every tier kind; the a64fx family adds an L2
-prefetcher and honoured software prefetches.
+sets, all in lockstep, when nothing but the demand stream fills the L2,
+and every line otherwise.  Which tier a point lands on depends on the
+drawn L2, so hypothesis draws legal groups (L2 size and ways, DRAM
+latency, lane count, optionally an L2 stream prefetcher) over one small
+captured trace per ISA family and checks every ``SimStats`` field bit
+for bit against :func:`repro.machine.replay.replay` — the per-event
+oracle.  The pinned examples reach every tier kind; the a64fx family
+adds an L2 prefetcher and honoured software prefetches.
+
+The two array kernels under the tiers are checked on generated inputs
+against the per-line models they replace: :func:`_lru_hits` against a
+dict LRU per set (and Mattson's inclusion property), and
+:func:`_range_misses` against ``MemoryHierarchy``'s range model stepped
+address by address.
 """
 
 import functools
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import a64fx, rvv_gem5
 from repro.machine.config import CacheParams, PrefetcherParams
+from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.replay import (
     _GroupCapture,
+    _lru_hits,
+    _range_misses,
     _tier_for,
     replay,
     replay_sweep,
@@ -140,3 +150,120 @@ def test_examples_reach_every_tier_kind():
     assert kinds["walk"] == {"walk"}
     _trace, _skel, gc = captured("a64fx")
     assert gc["pf2_cfg"] and kinds["a64fx"] == {"walk"}
+
+
+# ----------------------------------------------------------------------
+# The array kernels against the per-line models they replace
+# ----------------------------------------------------------------------
+def dict_lru_hits(lines, num_sets, assoc):
+    """Per-access hits of one dict LRU per set, as ``MemoryHierarchy``'s
+    L2 walks them."""
+    sets = [{} for _ in range(num_sets)]
+    out = []
+    for line in lines:
+        ways = sets[line % num_sets]
+        out.append(ways.pop(line, None) is not None)
+        ways[line] = True
+        if len(ways) > assoc:
+            ways.pop(next(iter(ways)))
+    return out
+
+
+@st.composite
+def lru_streams(draw):
+    """``(lines, num_sets, assoc)``: a few active sets, tags spanning
+    more lines than ways; optionally one set far longer than the rest."""
+    num_sets = 1 << draw(st.integers(0, 12))
+    assoc = draw(st.integers(1, 16))
+    pool = draw(st.lists(
+        st.integers(0, num_sets - 1), min_size=1, max_size=8, unique=True
+    ))
+    if draw(st.booleans()):
+        pool = pool[:1] * 12 + pool
+    refs = draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(0, assoc + 4)), max_size=300
+    ))
+    lines = np.array([tag * num_sets + s for s, tag in refs], dtype=np.int64)
+    return lines, num_sets, assoc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lru_streams())
+@example((np.array([3, 5, 3, 7, 5, 3, 9, 3], dtype=np.int64), 1, 2))
+@example((np.zeros(0, dtype=np.int64), 64, 4))
+def test_lru_hits_match_dict_lru(stream):
+    lines, num_sets, assoc = stream
+    got = _lru_hits(lines, num_sets, assoc)
+    assert got.tolist() == dict_lru_hits(lines.tolist(), num_sets, assoc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lru_streams())
+def test_lru_hits_inclusion(stream):
+    """Mattson: at a fixed set count, one more way never loses a hit."""
+    lines, num_sets, assoc = stream
+    fewer = _lru_hits(lines, num_sets, assoc)
+    more = _lru_hits(lines, num_sets, assoc + 1)
+    assert not (fewer & ~more).any()
+
+
+@st.composite
+def range_streams(draw):
+    """``(budget, events, checked)``: stretches of byte addresses, many
+    on range edges, each after a residency-range note (overlapping, some
+    outgrowing the budget), plus which addresses get range-checked."""
+    budget = 64 * draw(st.integers(1, 32))
+    notes = draw(st.lists(
+        st.tuples(st.integers(0, 16).map(lambda i: 256 * i), st.integers(0, 600)),
+        min_size=1, max_size=8,
+    ))
+    edges = [a for b, n in notes for a in (b - 1, b, b + n // 2, b + n - 1, b + n)]
+    addrs = st.lists(
+        st.one_of(st.sampled_from(edges), st.integers(0, 8192)), max_size=12
+    )
+    events = [("addr", a) for a in draw(addrs)]
+    for note, stretch in draw(st.lists(
+        st.tuples(st.sampled_from(notes), addrs), max_size=10
+    )):
+        events.append(("note", note))
+        events.extend(("addr", a) for a in stretch)
+    n_addrs = sum(kind == "addr" for kind, _ in events)
+    checked = draw(st.lists(st.booleans(), min_size=n_addrs, max_size=n_addrs))
+    return budget, events, checked
+
+
+def range_view(budget):
+    base = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+    return MemoryHierarchy.pricing_view(
+        base.with_(l2=CacheParams(budget, 1, 64, base.l2.latency))
+    )
+
+
+#: Two ranges hit against their start order, then a note that evicts
+#: the least recently hit one: the refresh order decides the victim.
+REFRESH_ORDER = (256, [
+    ("note", (0, 100)), ("note", (200, 100)), ("addr", 250), ("addr", 50),
+    ("note", (1000, 100)), ("addr", 50), ("addr", 250),
+], [True] * 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(range_streams())
+@example(REFRESH_ORDER)
+def test_range_misses_match_stepped_range_model(stream):
+    budget, events, checked = stream
+    want, side, addrs = [], [], []
+    ref = range_view(budget)
+    for kind, x in events:
+        if kind == "note":
+            side.append((len(addrs), (2,) + x))
+            ref.note_resident_range(*x)
+            continue
+        if checked[len(addrs)]:
+            want.append(not ref._range_hit(max(x, 0)))
+        addrs.append(max(x, 0))
+    pos = np.flatnonzero(np.array(checked, dtype=bool))
+    hier = range_view(budget)
+    got = _range_misses(pos, np.array(addrs, dtype=np.int64)[pos], side, hier)
+    assert got.tolist() == want
+    assert hier._ranges == ref._ranges  # same survivors, same LRU order

@@ -11,13 +11,14 @@ drift (see the lock-step warning in ``repro/machine/replay.py``).
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from repro.core import sweep_cache_sizes, sweep_lanes, tracecache
 from repro.core.codesign import SweepResult
 from repro.machine import a64fx, rvv_gem5, sve_gem5
-from repro.machine.hierarchy import MemoryHierarchy
+from repro.machine.config import CacheParams
 from repro.machine.replay import (
     _compile_fast,
     _compile_walk,
@@ -35,7 +36,6 @@ from repro.machine.replay import (
 )
 from repro.machine import trace as trace_mod
 from repro.machine.simulator import SimStats, TraceSimulator
-from repro.machine.trace import RecordedTrace
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
 from repro.nets.zoo import yolov3_tiny
 
@@ -51,6 +51,13 @@ def assert_bitwise(a: SimStats, b: SimStats):
     for f in SimStats.FIELDS:
         assert getattr(a, f).hex() == getattr(b, f).hex(), f
     assert hexs(a)[1] == hexs(b)[1]
+
+
+def assert_same_tier(a, b):
+    """Two tiers hold the same classes and item columns, bit for bit."""
+    for name in ("base", "kid", "cls_pos", "cls_idx", "wh_by_cls", "wm_by_cls"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.cls_defs == b.cls_defs and a.max_nm == b.max_nm
 
 
 def direct(net, machine, policy, n_layers):
@@ -215,27 +222,17 @@ class TestBitwiseIdentity:
         with pytest.raises(ValueError):
             replay(trace, rvv_gem5(vlen_bits=2048, lanes=4))
 
-    def test_save_load_roundtrip(self, tmp_path):
-        net = yolov3_tiny()
-        m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        trace = net.record_trace(m, KernelPolicy(), n_layers=2, key="k123")
-        path = str(tmp_path / "t.npz")
-        trace.save(path)
-        loaded = RecordedTrace.load(path)
-        assert loaded.key == "k123"
-        assert loaded.n_events == trace.n_events
-        assert_bitwise(replay(trace, m), replay(loaded, m))
-
 
 class TestPointPassEngines:
     """Every tier builder must price exactly like :func:`replay`.
 
     ``_run_points`` prices each design point with ``_point_pass_vec``
     from one tier: conflict-free (``_compile_fast``, one per L2 byte
-    budget) or walk (``_compile_walk``, one per L2 geometry, walking
-    only the hot sets when nothing but the demand stream fills the L2).
-    Here each builder runs explicitly on one shared program and the
-    priced point is checked against ``replay()`` of the same trace.
+    budget) or walk (``_compile_walk``, one per L2 geometry: the
+    lockstep LRU over the hot sets when nothing but the demand stream
+    fills the L2, else the full per-line walk).  Here each builder runs
+    explicitly on one shared program and the priced point is checked
+    against ``replay()`` of the same trace.
     """
 
     @pytest.fixture(scope="class")
@@ -248,27 +245,37 @@ class TestPointPassEngines:
         return (trace,) + cap.finish()
 
     def test_hybrid_matches_full(self, captured):
-        """The 1 MB point sits in hybrid territory — a few overcommitted
-        sets, everything else conflict-free — so its walk tier walks
-        only the hot sets; it prices like the full walk and replay."""
+        """The 512 KB and 1 MB points sit in hybrid territory — a few
+        overcommitted sets, everything else conflict-free — and every
+        set is hot at 256 KB.  Each walk tier walks only the hot sets,
+        in lockstep; it equals the full walk's tier bit for bit and
+        prices like replay."""
+        from repro.machine import replay as R
+
         trace, skel, inv, gc = captured
         assert not gc["has_fills"] and not gc["pf2_cfg"]
-        m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        num_sets = m.l2.size_bytes // m.l2.line_bytes // m.l2.assoc
-        hot = _hot_sets(skel, num_sets, m.l2.assoc)[skel.lines % num_sets]
-        assert 0 < hot.sum() < len(skel.lines)
-        assert _tier_for(skel, gc, m)["kind"] == "walk"
-        want = replay(trace, m)
-        hot_walk = _compile_walk(skel, gc, m)
-        assert_bitwise(want, _point_pass_vec(hot_walk, inv, m, gc))
-        # A program with fills forces the walk over every line.
-        full_walk = _compile_walk(skel, dict(gc, has_fills=True), m)
-        assert_bitwise(want, _point_pass_vec(full_walk, inv, m, gc))
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        for kb, ways, hybrid in ((256, 8, False), (512, 16, True), (1024, 8, True)):
+            m = m0.with_(l2=CacheParams(kb * 1024, ways, 64, m0.l2.latency))
+            num_sets = m.l2.size_bytes // m.l2.line_bytes // m.l2.assoc
+            hot = _hot_sets(skel, num_sets, m.l2.assoc)[skel.lines % num_sets]
+            assert hot.any() and hybrid == (hot.sum() < len(skel.lines))
+            assert _tier_for(skel, gc, m)["kind"] == "walk"
+            with mock.patch.object(R, "_lru_hits", wraps=R._lru_hits) as spy:
+                hot_walk = _compile_walk(skel, gc, m)
+            assert spy.called
+            # A program with fills forces the walk over every line.
+            with mock.patch.object(R, "_lru_hits", wraps=R._lru_hits) as spy:
+                full_walk = _compile_walk(skel, dict(gc, has_fills=True), m)
+            assert not spy.called
+            assert_same_tier(hot_walk, full_walk)
+            assert_bitwise(replay(trace, m), _point_pass_vec(hot_walk, inv, m, gc))
 
     def test_fast_tiers_match_replay(self, captured):
-        """Conflict-free points whose ranges never trim share one tier."""
+        """Conflict-free points whose ranges never trim share one tier,
+        whichever member builds it."""
         trace, skel, inv, gc = captured
-        cols = _compile_fast(skel, gc)
+        cols = _compile_fast(skel, gc, rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=256))
         for mb in (64, 256):
             m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb)
             tier = _tier_for(skel, gc, m)
@@ -283,7 +290,7 @@ class TestPointPassEngines:
             m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb)
             assert gc["max_range_total"] > m.l2.size_bytes  # ranges trim here
             assert _tier_for(skel, gc, m)["desc"] == f"fast:{m.l2.size_bytes}"
-            cols = _compile_fast(skel, gc, MemoryHierarchy.pricing_view(m))
+            cols = _compile_fast(skel, gc, m)
             assert_bitwise(replay(trace, m), _point_pass_vec(cols, inv, m, gc))
 
     def test_walk_compile_matches_full_on_lane_group(self, captured):
