@@ -309,8 +309,8 @@ def test_vectorized_point_pass(benchmark, yolo_net):
     """
     from repro.machine.replay import (
         _compile_fast,
-        _GroupCapture,
         _point_pass_vec,
+        _shared_pass,
         replay,
     )
 
@@ -321,9 +321,7 @@ def test_vectorized_point_pass(benchmark, yolo_net):
 
     def run():
         trace = yolo_net.record_trace(machines[0], policy, n_layers=n_layers)
-        cap = _GroupCapture(machines[0])
-        yolo_net._emit_trace(cap, policy, n_layers, True)
-        skel, inv, gcfg = cap.finish()
+        skel, inv, gcfg = _shared_pass(trace, machines[0])
         gc.disable()
         try:
             t0 = time.perf_counter()
@@ -383,17 +381,15 @@ def test_vectorized_point_pass(benchmark, yolo_net):
 def test_shared_pass_engines(benchmark, yolo_net):
     """Vectorized shared pass vs the per-event Python oracle, same trace.
 
-    Times ``_shared_pass_vec`` (item layout by column arithmetic, one
-    sequential walk over the memory events) against
-    ``_shared_pass_python`` (the per-event reference loop) over one
-    captured YOLOv3 event stream, reporting events/second for both.
-    Both emit the program as skeleton columns; the two programs must
-    have the same items and price to bitwise identical statistics.
-    Both engines are L2-walk-bound on conflicted traces, so no speedup
-    is gated — the row exists to track the trajectory of both engines
-    across PRs (the follow-on that changes this picture, a
-    stack-distance batch walk, is sketched in ROADMAP.md); the gate is
-    only that the vectorized default stays within noise of the oracle.
+    Times ``_shared_pass_vec`` (column arithmetic over bounded row
+    chunks; on this rvv machine the L1 and VectorCache walk runs as LRU
+    kernels over the line stream) against ``_shared_pass_python`` (the
+    per-event reference loop, dict LRUs) over one captured YOLOv3 event
+    stream, reporting events/second for both.  Both emit the program as
+    skeleton columns; the two programs must have the same items and
+    price to bitwise identical statistics.  The vectorized pass measured
+    5.6x the oracle's events/s at 6 layers (2-vCPU VM); the gate sits
+    at 2x so machine noise does not flake CI.
     """
     from repro.machine.replay import _run_points, _shared_pass_python
     from repro.machine.replay_vec import _shared_pass_vec
@@ -455,10 +451,7 @@ def test_shared_pass_engines(benchmark, yolo_net):
     benchmark.extra_info.update(row)
 
     assert identical
-    # Non-regression only: the walk dominates both engines, so the
-    # vectorized default must merely not fall behind the oracle by more
-    # than timing noise allows.
-    assert eps_vec > 0.3 * eps_py
+    assert eps_vec >= 2.0 * eps_py
 
 
 def test_compiled_pass_cache_warm(benchmark, yolo_net, tmp_path):

@@ -10,6 +10,7 @@ and the ``sweep_*`` helpers reproduce the paper's parameter axes
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -32,6 +33,7 @@ from .resilience import (
 
 __all__ = [
     "DesignPoint",
+    "ReplayDegradedWarning",
     "SweepResult",
     "run_design_point",
     "sweep",
@@ -39,6 +41,11 @@ __all__ = [
     "sweep_cache_sizes",
     "sweep_lanes",
 ]
+
+
+class ReplayDegradedWarning(RuntimeWarning):
+    """A replay group failed to price and fell back to per-point
+    simulation: the numbers stay exact, only the sweep is slower."""
 
 
 @dataclass(frozen=True)
@@ -190,10 +197,10 @@ def _simulate_group(
     identical to per-point simulation regardless of the path taken.
 
     Supervision (see :mod:`repro.core.resilience`): a failing group
-    pricing degrades its whole group to the per-point loop — unless
-    ``use_trace=True``, where the error propagates, since the caller
-    asked for replay and a replay bug would otherwise surface only as
-    a slower sweep; a failing point retries per *retry* and finally
+    pricing degrades its whole group to the per-point loop with a
+    :class:`ReplayDegradedWarning` naming the trace key and the error —
+    unless ``use_trace=True``, where the error propagates, since the
+    caller asked for replay; a failing point retries per *retry* and finally
     degrades to a :class:`PointFailure` charged against *budget*.
     *on_point* / *on_failure* fire as each point settles — the
     journaling hook for resumable sweeps.
@@ -280,9 +287,15 @@ def _simulate_group(
                         meta=net._trace_meta(policy, n_layers),
                     )
                     labels = ["captured"] + ["replayed"] * (len(idxs) - 1)
-            except Exception:
+            except Exception as exc:
                 if use_trace is True:
                     raise  # replay was demanded: a pricing bug must surface
+                warnings.warn(
+                    f"replay group {key} degraded to per-point simulation: "
+                    f"{type(exc).__name__}: {exc}",
+                    ReplayDegradedWarning,
+                    stacklevel=2,
+                )
                 continue  # degrade the group to the per-point loop below
             if priced is None:
                 continue  # non-uniform group: per-point fallback below

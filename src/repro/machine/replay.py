@@ -24,22 +24,22 @@ Two entry points price a trace, and one runs the kernels:
   class*, and every point resolves the class table once against its
   own VPU — so one capture prices a lane sweep too.
 
-* :func:`capture_sweep` — the same split driven directly by the
-  kernels: one kernel run records the trace and builds the shared
-  pass.  It is the one cold path for every replayable group, singletons
-  (one VL point) included, and it keeps what it built for the next
-  sweep: the trace (spilled or registered), the shared pass (memo) and
-  one tier per point (``.rvp``).  :func:`replay_sweep_cached` answers a
-  warm group from those tiers alone.
+* :func:`capture_sweep` — the one cold path for every replayable group,
+  singletons (one VL point) included: one kernel run records the trace
+  (:class:`~repro.machine.trace.TraceRecorder`), which is spilled or
+  registered, and the shared pass runs over it.  It keeps what it built
+  for the next sweep: the trace, the shared pass (memo) and one tier
+  per point (``.rvp``).  :func:`replay_sweep_cached` answers a warm
+  group from those tiers alone.
 
 Skeleton and tiers
 ------------------
 The program exists in one form only: the NumPy columns of a
-:class:`_Skeleton`.  Two emitters write them — :class:`_GroupCapture`
-(driven by the kernels in :func:`capture_sweep`, or by a trace's rows
-in :func:`_shared_pass_python`, the oracle) and
+:class:`_Skeleton`.  :func:`_shared_pass` builds them with
 :func:`repro.machine.replay_vec._shared_pass_vec` (column arithmetic
-over a recorded trace) — and the ``.rpp`` file stores them.  The
+over a recorded trace, in bounded row chunks), checked against the
+per-event oracle :func:`_shared_pass_python` (a :class:`_GroupCapture`
+driven by the trace's rows); the ``.rpp`` file stores them.  The
 skeleton holds what no L2 can change: the pre-priced floats, the label
 of every item, the fixed VPU pricing classes, and for each L2-reaching
 event its tier-independent pricing key and its pending line addresses.
@@ -60,9 +60,9 @@ resolved by one of two builders and interned into classes with one
   lines outside the demand stream).
 * :func:`_compile_walk` — the exact LRU walk of one L2 geometry and
   prefetcher.  Without fills only the sets that can overflow are
-  walked, all at once in lockstep (:func:`_lru_hits`); every other
-  line is a first-touch range check or a hit.  With fills or an L2
-  prefetcher it walks every line (:func:`_compile_walk_lines`).
+  walked, all at once (:func:`_lru_hits`); every other line is a
+  first-touch range check or a hit.  With fills or an L2 prefetcher it
+  walks every line (:func:`_compile_walk_lines`).
 
 Both builders run the residency-range model once per stretch between
 range notes (:func:`_range_misses`), not once per address.  Tiers carry
@@ -97,7 +97,9 @@ tests/test_tier_identity.py:
 The hierarchy walks in :class:`_GroupCapture` mirror
 ``MemoryHierarchy._l1_path`` / ``_l2_path`` and their strided variants
 line for line (minus the L2 lookup, which is deferred): keep them in
-lock-step with hierarchy.py when the model changes.
+lock-step with hierarchy.py when the model changes.  The array walk of
+:mod:`repro.machine.replay_vec` is checked against them column for
+column.
 """
 
 from __future__ import annotations
@@ -132,10 +134,9 @@ from .trace import (
     OP_VLOAD,
     OP_VSTORE,
     TRACE_FORMAT_VERSION,
-    AddressSpace,
     RecordedTrace,
     SampledTraceBase,
-    _EventLog,
+    TraceRecorder,
 )
 from .vpu import varith_cycles, vbroadcast_cycles
 
@@ -373,13 +374,17 @@ def nonuniform_fields(machines: Sequence[MachineConfig]) -> List[str]:
 class _GroupCapture(SampledTraceBase):
     """Event-driven shared pass over the group-invariant hierarchy levels.
 
-    Presents the TraceSimulator event API (so kernels — or a recorded
-    trace — can drive it directly) and walks every memory event through
-    the levels that are identical across a sweep group: TLB, L1, L1
-    prefetcher, VectorCache.  It appends the shared-pass program
-    straight into :class:`_Skeleton` columns (a
-    :class:`_SkeletonBuilder`) and folds the invariant ``SimStats``
-    fields; :meth:`finish` returns both with the group constants.
+    Takes a recorded trace's events through TraceSimulator-style event
+    methods and walks every memory event through the levels that are
+    identical across a sweep group: TLB, L1, L1 prefetcher,
+    VectorCache.  It appends the shared-pass program straight into
+    :class:`_Skeleton` columns (a :class:`_SkeletonBuilder`) and folds
+    the invariant ``SimStats`` fields; :meth:`finish` returns both with
+    the group constants.  It serves two callers: the per-event oracle
+    :func:`_shared_pass_python`, and the walk of
+    :func:`~repro.machine.replay_vec._shared_pass_vec` on machines with
+    a TLB, an L1 prefetcher or honoured software prefetches (the group
+    constants and class table serve every machine).
 
     The program has one *item* per event that adds cycles, in event
     order, each carrying the id of the kernel label current at that
@@ -413,9 +418,6 @@ class _GroupCapture(SampledTraceBase):
     def __init__(self, base: MachineConfig):
         super().__init__()
         self.machine = base
-        self.address_space = AddressSpace()
-        # Kernels only reach the hierarchy via note_resident_range.
-        self.hierarchy = self
         # Only the levels above the L2 are walked here: a one-set L2 of
         # the same line size keeps every constant this pass reads and
         # skips allocating one dict per set of a large L2.
@@ -480,11 +482,11 @@ class _GroupCapture(SampledTraceBase):
         self._spills_c = 0.0
 
     # -- bookkeeping ---------------------------------------------------
-    def alloc(self, name, nbytes):
-        return self.address_space.alloc(name, nbytes)
-
     def note_resident_range(self, base: int, nbytes: int) -> None:
         self._side((2, base, nbytes))
+        self._track_range(base, nbytes)
+
+    def _track_range(self, base: int, nbytes: int) -> None:
         if nbytes > 0:
             # Track the would-be range total under an infinite budget:
             # if it never exceeds a point's L2 capacity, that point
@@ -579,12 +581,6 @@ class _GroupCapture(SampledTraceBase):
         if label != self._cur_label:
             self._set_label(label)
         self._put(w * (n * self._scalar_cpi))
-
-    def scalar_load(self, addr: int, nbytes: int = 4) -> None:
-        self._scalar_mem(addr, nbytes, False)
-
-    def scalar_store(self, addr: int, nbytes: int = 4) -> None:
-        self._scalar_mem(addr, nbytes, True)
 
     def _scalar_mem(self, addr: int, nbytes: int, write: bool) -> None:
         # Scalar accesses always take the L1 path (mirrors
@@ -692,29 +688,6 @@ class _GroupCapture(SampledTraceBase):
                 self._put(w * (self._scalar_cpi + stall + 0.0 + 0.0))
             else:
                 self._put(w * self._scalar_cpi)
-
-    def vload(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
-        if n_elems <= 0:
-            return
-        self._vmem(addr, n_elems, ew, stride, False)
-
-    def vstore(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
-        if n_elems <= 0:
-            return
-        self._vmem(addr, n_elems, ew, stride, True)
-
-    def vgather(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
-        if n_elems <= 0:
-            return
-        # Same lowering as TraceSimulator.vgather.
-        stride = max(ew, span_bytes // max(1, n_elems))
-        self._vmem(addr, n_elems, ew, stride, False)
-
-    def vscatter(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
-        if n_elems <= 0:
-            return
-        stride = max(ew, span_bytes // max(1, n_elems))
-        self._vmem(addr, n_elems, ew, stride, True)
 
     def _vmem(self, addr: int, n_elems: int, ew: int, stride: int, write: bool) -> None:
         nbytes = n_elems * ew
@@ -1007,8 +980,6 @@ class _GroupCapture(SampledTraceBase):
         # Mirrors TraceSimulator.spill: per register one full-vector
         # store and reload at stack address 0, then the serialization
         # penalty and the spill counter.
-        # (_vmem directly: a recording subclass logs the spill event
-        # itself, not its expansion.)
         n_elems = (self.machine.vlen_bits // 8) // 4
         if n_elems > 0:
             for _ in range(n_registers):
@@ -1035,7 +1006,11 @@ class _GroupCapture(SampledTraceBase):
         inv.vc_hits = self._vc_hits_c
         inv.sw_prefetches = self._sw_prefetches_c
         inv.spills = self._spills_c
-        gc = {
+        return self._sk.build(self._l2_shift), inv, self.constants()
+
+    def constants(self) -> dict:
+        """The group constants ``gc`` that go with the program."""
+        return {
             "vpu": self._vpu,
             "port_l1": self._port_l1,
             "l1_lat": self._l1_lat,
@@ -1047,7 +1022,6 @@ class _GroupCapture(SampledTraceBase):
             "pf2_cfg": self._pf2_cfg,
             "classes": self._classes,
         }
-        return self._sk.build(self._l2_shift), inv, gc
 
 
 def _vpu_price_table(classes: list, vpu, l1_lat, ooo_hide) -> list:
@@ -1079,8 +1053,9 @@ def _vpu_price_table(classes: list, vpu, l1_lat, ooo_hide) -> list:
 def _shared_pass(trace: RecordedTrace, base: MachineConfig):
     """Shared pass over *trace*: ``(skeleton, inv, gc)``.
 
-    Runs the vectorized engine; :func:`_shared_pass_python` is the
-    oracle it is checked against (tests/test_replay_vec.py).
+    Runs the vectorized engine over bounded row chunks;
+    :func:`_shared_pass_python` is the oracle it is checked against
+    (tests/test_replay_vec.py).
     """
     from .replay_vec import _shared_pass_vec  # deferred: import cycle
 
@@ -1140,9 +1115,9 @@ def _shared_pass_python(trace: RecordedTrace, base: MachineConfig):
 class _Skeleton:
     """The shared-pass program: tier-independent NumPy columns.
 
-    Written by the two emitters (:class:`_GroupCapture`,
-    :func:`repro.machine.replay_vec._shared_pass_vec`), stored as the
-    ``.rpp`` payload, and shared by every tier compiled from it:
+    Written by :func:`repro.machine.replay_vec._shared_pass_vec` (and
+    by the oracle's :class:`_GroupCapture`), stored as the ``.rpp``
+    payload, and shared by every tier compiled from it:
 
     * the item columns of :class:`_VecProgram` — ``base`` (pre-priced
       floats, 0.0 at class items), ``kid`` (label id per item),
@@ -1166,8 +1141,8 @@ class _Skeleton:
       stream order.
 
     ``ev_scalar``, ``lines`` and ``ft_pos`` are derived here from the
-    other columns.  A tier adds only each event's ``(hits, misses)``
-    split (:func:`_intern`).
+    other columns (the last two unless the emitter tracked them).  A
+    tier adds only each event's ``(hits, misses)`` split (:func:`_intern`).
     """
 
     __slots__ = (
@@ -1191,7 +1166,8 @@ class _Skeleton:
 
     def __init__(
         self, l2_shift: int, *, base, kid, labels, cls_pos, t6_at, t6_cls,
-        t6_defs, ev_at, ev_key, ev_defs, ev_off, addrs, side,
+        t6_defs, ev_at, ev_key, ev_defs, ev_off, addrs, side, lines=None,
+        ft_pos=None,
     ):
         self.base = base
         self.kid = kid
@@ -1207,20 +1183,25 @@ class _Skeleton:
         self.addrs = addrs
         self.side = side
         self.ev_scalar = np.array([d[0] == 4 for d in ev_defs], dtype=bool)[ev_key]
-        # A pending line is a first touch iff its L2 line never reached
-        # the L2 earlier in the stream: its first occurrence in the
-        # flattened address column (return_index picks the first).
-        self.lines, first = np.unique(addrs >> l2_shift, return_index=True)
-        self.ft_pos = np.sort(first)
+        if lines is None:
+            # A pending line is a first touch iff its L2 line never
+            # reached the L2 earlier in the stream: its first occurrence
+            # in the flattened address column (return_index picks it).
+            lines, first = np.unique(addrs >> l2_shift, return_index=True)
+            ft_pos = np.sort(first)
+        self.lines = lines
+        self.ft_pos = ft_pos
 
 
 class _SkeletonBuilder:
-    """Typed column buffers :class:`_GroupCapture` appends items to.
+    """Typed column buffers a shared pass appends items to.
 
-    Columns accumulate in ``array`` buffers (no per-item Python
-    objects) and become the :class:`_Skeleton`'s NumPy arrays without a
-    copy.  Label ids are recorded where they change (``sw_pos`` /
-    ``sw_kid``) and expanded to the per-item ``kid`` column once.
+    :class:`_GroupCapture` appends one item at a time, the vectorized
+    pass one chunk of columns at a time.  Columns accumulate in
+    ``array`` buffers (no per-item Python objects) and become the
+    :class:`_Skeleton`'s NumPy arrays without a copy.  Label ids are
+    recorded where they change (``sw_pos`` / ``sw_kid``) and expanded
+    to the per-item ``kid`` column once.
     """
 
     def __init__(self):
@@ -1242,7 +1223,7 @@ class _SkeletonBuilder:
         self.addrs = array("q")
         self.side: list = []
 
-    def build(self, l2_shift: int) -> _Skeleton:
+    def build(self, l2_shift: int, lines=None, ft_pos=None) -> _Skeleton:
         n = len(self.base)
         kid = np.full(n, -1, dtype=np.int64)
         if self.sw_pos:
@@ -1266,6 +1247,8 @@ class _SkeletonBuilder:
             ev_off=np.frombuffer(self.ev_off, dtype=np.int64),
             addrs=np.frombuffer(self.addrs, dtype=np.int64),
             side=self.side,
+            lines=lines,
+            ft_pos=ft_pos,
         )
 
 
@@ -1408,18 +1391,22 @@ def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
 
     The cache has *num_sets* sets of *assoc* ways and starts empty;
     ``lines[i]`` hits iff it is resident when accessed — exactly the
-    outcome of a dict LRU per set.  The sets are walked in lockstep:
-    the accesses are grouped by set (most accessed set first) with one
-    stable sort, and step ``t`` applies the ``t``-th access of every set
-    that has one to an ``(assoc, sets)`` recency stack, row 0 the most
-    recent.  A hit is a match in the column; the rows above it shift
-    down one (every row on a miss, dropping the LRU line) and the
-    access goes on top.  ``-1`` marks an empty way, so sets that are not
-    yet full fill like the dict.
+    outcome of a dict LRU per set.  One set (a fully associative cache,
+    such as the VectorCache) takes :func:`_lru_hits_one_set`.  Otherwise
+    the sets are walked in lockstep: the accesses are grouped by set
+    (most accessed set first) with one stable sort, and step ``t``
+    applies the ``t``-th access of every set that has one to an
+    ``(assoc, sets)`` recency stack, row 0 the most recent.  A hit is a
+    match in the column; the rows above it shift down one (every row on
+    a miss, dropping the LRU line) and the access goes on top.  ``-1``
+    marks an empty way, so sets that are not yet full fill like the
+    dict.
     """
     hits = np.zeros(len(lines), dtype=bool)
     if not len(lines):
         return hits
+    if num_sets == 1:
+        return _lru_hits_one_set(lines, assoc)
     sets = lines % num_sets
     counts = np.bincount(sets, minlength=num_sets)
     by_count = np.argsort(-counts, kind="stable")
@@ -1449,6 +1436,147 @@ def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
         s[0] = x
     hits[order] = hit_grouped
     return hits
+
+
+#: Accesses between two samples of the LRU horizon
+#: (:func:`_lru_hits_one_set`), and the widest window searched per
+#: sample or access before the bounds or a whole-span count take over.
+_HORIZON_STEP = 128
+_HORIZON_MAX = 1 << 12
+
+
+def _lru_hits_one_set(lines: np.ndarray, assoc: int) -> np.ndarray:
+    """:func:`_lru_hits` of one fully associative set of *assoc* ways.
+
+    Lockstep would take one NumPy step per access here; the *horizon*
+    does not.  With ``p(t)`` the previous access to ``lines[t]``'s line,
+    access ``t`` hits iff fewer than *assoc* distinct lines were
+    accessed in ``(p(t), t)``, that is iff ``p(t) >= H(t)``: the horizon
+    ``H(t)`` is the last access to the *assoc*-th most recent distinct
+    line before ``t`` (0 while fewer lines were seen).  ``H`` never
+    decreases, so it is sampled every ``_HORIZON_STEP`` accesses
+    (:func:`_horizon`): in the block after sample ``s``, ``p < H(s)``
+    proves a miss and ``p >= H(next sample)`` a hit.  The few accesses
+    left are counted exactly (:func:`_distinct_since`).
+    """
+    n = len(lines)
+    order = np.argsort(lines, kind="stable")
+    by_line = lines[order]
+    same = by_line[1:] == by_line[:-1]
+    earlier, later = order[:-1][same], order[1:][same]
+    del order, by_line, same
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[later] = earlier
+    nxt = np.full(n, n, dtype=np.int64)
+    nxt[earlier] = later
+    del earlier, later
+    step = _HORIZON_STEP
+    lo, hi = _horizon(nxt, np.append(np.arange(0, n, step), n), assoc)
+    hits = prev >= np.repeat(hi[1:], step)[:n]
+    unsure = np.flatnonzero(~hits & (prev >= np.repeat(lo[:-1], step)[:n]))
+    if len(unsure):
+        hits[unsure] = _distinct_since(prev, unsure, assoc)
+    return hits
+
+
+def _widening(n_rows: int, assoc: int, probe):
+    """Settle rows with ``probe(rows, width)``, which returns the rows it
+    settled, over windows widening 4x from ``2 * assoc`` to
+    ``_HORIZON_MAX`` in small slices; returns the rows left and the last
+    width."""
+    todo, width = np.arange(n_rows), 2 * assoc
+    while len(todo):
+        step = max(1, (1 << 16) // width)
+        parts = [todo[lo:lo + step] for lo in range(0, len(todo), step)]
+        todo = np.concatenate([part[~probe(part, width)] for part in parts])
+        if width >= _HORIZON_MAX:
+            break
+        width *= 4
+    return todo, width
+
+
+def _horizon(nxt: np.ndarray, samples: np.ndarray, assoc: int):
+    """Bounds ``(lo, hi)`` on the LRU horizon at each of *samples*.
+
+    ``H(s)`` is the *assoc*-th largest access ``j < s`` whose line is
+    not accessed again before ``s`` (``nxt[j] >= s``).  Each sample
+    searches a window before it (:func:`_widening`); one that reaches
+    the stream start has seen fewer than *assoc* lines, so ``H(s) = 0``.
+    A search given up at width ``w`` leaves ``H(s) < s - w``, and the
+    exact samples around it bound it further, since ``H`` never
+    decreases.
+    """
+    exact = np.full(len(samples), -1, dtype=np.int64)
+
+    def probe(part, width):
+        s = samples[part]
+        j = s[:, None] - 1 - np.arange(width)
+        alive = (j >= 0) & (nxt[np.maximum(j, 0)] >= s[:, None])
+        count = np.cumsum(alive, axis=1)
+        found = count[:, -1] >= assoc
+        exact[part] = np.where(found, s - 1 - np.argmax(count >= assoc, axis=1), 0)
+        return found | (s <= width)
+
+    todo, width = _widening(len(samples), assoc, probe)
+    exact[todo] = -1
+    known = exact >= 0
+    lo = np.maximum.accumulate(np.where(known, exact, 0))
+    hi = np.minimum.accumulate(np.where(known, exact, len(nxt))[::-1])[::-1]
+    hi[todo] = np.minimum(hi[todo], samples[todo] - width - 1)
+    return lo, hi
+
+
+def _distinct_since(prev: np.ndarray, at: np.ndarray, assoc: int) -> np.ndarray:
+    """Hit flags of the accesses *at* of a one-set LRU stream.
+
+    Access ``t`` hits iff fewer than *assoc* distinct lines were
+    accessed in ``(p, t)``, ``p = prev[t]``: the accesses ``j`` there
+    with ``prev[j] < p`` (each is the first access of its line since
+    ``p``).  They are counted backwards from ``t`` in widening windows
+    (:func:`_widening`), stopping at *assoc*; a span still open after
+    the widest is counted whole.
+    """
+    p = prev[at]
+    hit = np.zeros(len(at), dtype=bool)
+
+    def probe(part, width):
+        t, pp = at[part], p[part]
+        j = t[:, None] - 1 - np.arange(width)
+        new = (j > pp[:, None]) & (prev[np.maximum(j, 0)] < pp[:, None])
+        count = new.sum(axis=1)
+        hit[part] = count < assoc
+        return (count >= assoc) | (t - 1 - pp <= width)
+
+    todo, _ = _widening(len(at), assoc, probe)
+    for k in todo.tolist():
+        t, pk = int(at[k]), int(p[k])
+        hit[k] = np.count_nonzero(prev[pk + 1:t] < pk) < assoc
+    return hit
+
+
+def _lru_resident(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
+    """The lines an LRU cache holds after a walk of *lines* from empty.
+
+    Each set holds its *assoc* most recently accessed distinct lines.
+    They come grouped by set, oldest first within a set: an empty cache
+    that sees them in that order ends in the same state, which is how a
+    walk carries residency from one chunk of its stream to the next.
+    Only a tail of *lines* is read, widened until every set is full in
+    it or it spans the stream.
+    """
+    n = len(lines)
+    width = 4 * assoc
+    while True:
+        tail = lines[max(0, n - width):]
+        # recency 0 is the most recent access of the tail
+        u, recency = np.unique(tail[::-1], return_index=True)
+        sets = u % num_sets
+        order = np.lexsort((recency, sets))
+        u, sets = u[order], sets[order]
+        keep = np.arange(len(u)) - np.searchsorted(sets, sets) < assoc
+        if width >= n or np.count_nonzero(keep) == num_sets * assoc:
+            return u[keep][::-1].copy()
+        width *= 4
 
 
 def _compile_fast(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProgram:
@@ -2091,77 +2219,6 @@ def _price_from_tiers(
     return results
 
 
-class _RecordingCapture(_EventLog, _GroupCapture):
-    """A :class:`_GroupCapture` that records the event stream as it walks.
-
-    Each event is logged by the :class:`_EventLog` method that
-    :class:`TraceRecorder` uses too — same guards, same row tuple, same
-    chunked column log — and then walked, so one kernel run yields both
-    the shared-pass program and the :class:`RecordedTrace` that
-    :meth:`Network.record_trace` would capture: same columns, labels
-    and buffers, hence the same content digest.
-    """
-
-    def __init__(self, base: MachineConfig):
-        super().__init__(base)
-        self._start_log()
-
-    # Each event: the one row layout (``_EventLog``), then the walk.
-    def note_resident_range(self, base: int, nbytes: int) -> None:
-        _EventLog.note_resident_range(self, base, nbytes)
-        _GroupCapture.note_resident_range(self, base, nbytes)
-
-    def scalar(self, n: int = 1) -> None:
-        _EventLog.scalar(self, n)
-        _GroupCapture.scalar(self, n)
-
-    def scalar_load(self, addr: int, nbytes: int = 4) -> None:
-        _EventLog.scalar_load(self, addr, nbytes)
-        _GroupCapture.scalar_load(self, addr, nbytes)
-
-    def scalar_store(self, addr: int, nbytes: int = 4) -> None:
-        _EventLog.scalar_store(self, addr, nbytes)
-        _GroupCapture.scalar_store(self, addr, nbytes)
-
-    def vload(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
-        _EventLog.vload(self, addr, n_elems, ew, stride)
-        _GroupCapture.vload(self, addr, n_elems, ew, stride)
-
-    def vstore(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
-        _EventLog.vstore(self, addr, n_elems, ew, stride)
-        _GroupCapture.vstore(self, addr, n_elems, ew, stride)
-
-    def vgather(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
-        _EventLog.vgather(self, addr, n_elems, span_bytes, ew)
-        _GroupCapture.vgather(self, addr, n_elems, span_bytes, ew)
-
-    def vscatter(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
-        _EventLog.vscatter(self, addr, n_elems, span_bytes, ew)
-        _GroupCapture.vscatter(self, addr, n_elems, span_bytes, ew)
-
-    def varith(
-        self, n_elems: int, n_instr: int = 1, flops_per_elem: float = 2.0, ew: int = 4
-    ) -> None:
-        _EventLog.varith(self, n_elems, n_instr, flops_per_elem, ew)
-        _GroupCapture.varith(self, n_elems, n_instr, flops_per_elem, ew)
-
-    def vbroadcast(self, n: int = 1) -> None:
-        _EventLog.vbroadcast(self, n)
-        _GroupCapture.vbroadcast(self, n)
-
-    def sw_prefetch(self, addr: int, nbytes: int, level: str = "L1") -> None:
-        _EventLog.sw_prefetch(self, addr, nbytes, level)
-        _GroupCapture.sw_prefetch(self, addr, nbytes, level)
-
-    def count_flops(self, n: float) -> None:
-        _EventLog.count_flops(self, n)
-        _GroupCapture.count_flops(self, n)
-
-    def spill(self, n_registers: int = 1) -> None:
-        _EventLog.spill(self, n_registers)
-        _GroupCapture.spill(self, n_registers)
-
-
 def capture_sweep(
     emit: Callable,
     machines: Sequence[MachineConfig],
@@ -2170,26 +2227,28 @@ def capture_sweep(
 ) -> Optional[List[SimStats]]:
     """Run the kernels once and price every machine of a sweep group.
 
-    *emit* is called with a simulator-API object (a recording
-    :class:`_GroupCapture`) and must drive the kernel event stream into
-    it — e.g. ``lambda sim: net._emit_trace(sim, policy, n, True)``.
-    The kernels run against ``machines[0]``; since a replayable group
-    only varies in fields kernels never read (L2 geometry, DRAM, VPU
-    pricing parameters), the event stream is valid for the whole group.
-    A singleton group is a valid group, so this is the one cold path
-    for every capture a sweep needs.
+    *emit* is called with a :class:`~repro.machine.trace.TraceRecorder`
+    and must drive the kernel event stream into it — e.g.
+    ``lambda sim: net._emit_trace(sim, policy, n, True)``.  The kernels
+    run against ``machines[0]``; since a replayable group only varies
+    in fields kernels never read (L2 geometry, DRAM, VPU pricing
+    parameters), the event stream is valid for the whole group.  A
+    singleton group is a valid group, so this is the one cold path for
+    every capture a sweep needs.
 
     Returns one ``SimStats`` per machine (bitwise identical to direct
     simulation), or ``None`` for unsupported groups — the caller should
     fall back to per-point simulation.
 
-    The same kernel run records the trace under *key*
-    (:func:`repro.core.tracecache.trace_key`; *meta* becomes its
-    metadata), and the capture is kept for later sweeps: the trace is
-    spilled to disk when spilling is on (and then not held in memory)
-    or registered in-process otherwise, the shared pass is memoized,
-    and every tier persists as an ``.rvp`` when the pass cache is on.
-    No ``.rpp`` is written: every point this capture priced has a tier.
+    The recorded trace is the one :meth:`Network.record_trace` would
+    capture, keyed *key* (:func:`repro.core.tracecache.trace_key`;
+    *meta* becomes its metadata).  It is kept for later sweeps — spilled
+    to disk when spilling is on (and then not held in memory), or
+    registered in-process otherwise — and the shared pass then runs
+    over it (:func:`_shared_pass`, in bounded chunks).  The pass is
+    memoized and every tier persists as an ``.rvp`` when the pass cache
+    is on.  No ``.rpp`` is written: every point this capture priced has
+    a tier.
     """
     machines = list(machines)
     if not machines:
@@ -2198,15 +2257,20 @@ def capture_sweep(
         return None
     from ..core import tracecache
 
-    cap = _RecordingCapture(machines[0])
-    emit(cap)
-    trace = cap.recorded_trace(key, meta)
+    rec = TraceRecorder(machines[0])
+    emit(rec)
+    trace = rec.finish(key, meta)
+    del rec
     digest = trace.content_digest()
     compat = _trace_compat(trace)
     tracecache.put(key, trace, resident=False)
+    skel, inv, gc = _shared_pass(trace, machines[0])
     del trace
-    skel, inv, gc = cap.finish()
-    del cap
+    # The pass grew these columns in buffers while the trace was alive:
+    # exact-size copies made now can take the trace's memory.
+    for name in ("base", "kid", "cls_pos", "t6_at", "t6_cls", "ev_at",
+                 "ev_key", "ev_off", "addrs"):
+        setattr(skel, name, getattr(skel, name).copy())
     sig = _shared_pass_sig(machines[0])
     _memo_put((key, digest, sig), (skel, inv, gc))
     ctx = (key, _sig_token(sig), digest, compat)

@@ -359,9 +359,10 @@ def _rows_to_columns(rows: list) -> list:
 class _EventLog:
     """The recording half of a capture: a chunked, columnar event log.
 
-    Mixed into :class:`TraceRecorder` and into the fused group capture
-    of :mod:`repro.machine.replay`, so both freeze the very same
-    :class:`RecordedTrace` for one kernel run.  The host class provides
+    Mixed into :class:`TraceRecorder`, which every capture uses
+    (``Network.record_trace`` and ``replay.capture_sweep`` alike), so
+    both freeze the very same :class:`RecordedTrace` for one kernel
+    run.  The host class provides
     ``machine``, ``address_space`` and the :class:`SampledTraceBase`
     weight/kernel state.  Each event is one row tuple ``(op, w, kid,
     i0, i1, i2, i3, f0)``; every ``_CHUNK_ROWS`` rows are frozen into

@@ -763,7 +763,7 @@ class TestCliGc:
         names = os.listdir(cache_dir)
         traces = sorted(n for n in names if n.endswith(tc.SPILL_SUFFIX))
         assert len(traces) == len(VLENS)
-        # A fused capture leaves its trace and one tier per point, no .rpp.
+        # A capture leaves its trace and one tier per point, no .rpp.
         assert not any(n.endswith(tc.PASS_SUFFIX) for n in names)
         # Orphan one key's compiled passes by removing its trace.
         victim = traces[0][: -len(tc.SPILL_SUFFIX)]

@@ -3,23 +3,29 @@
 ``repro.machine.replay_vec._shared_pass_vec`` re-implements the
 per-event reference loop (``replay._shared_pass_python``: a
 ``_GroupCapture`` driven by a recorded trace's rows) with columnar
-NumPy passes.  Both emit the shared-pass program as ``_Skeleton``
-columns, and so does the ``_GroupCapture`` the kernels drive directly in
-``capture_sweep``.  The contract is the same strict one the rest of the
-replay engine lives under: every column must be identical — tag-6
-classes compared through their resolved descriptors, since the engines
-number pricing classes differently — the invariant stats hex-identical,
-and every design point priced to ``SimStats`` bitwise identical
-(``float.hex`` equal) — across presets, kernel policies, and a
-synthetic trace exercising every opcode.  These tests are the tripwire
-for any drift between the emitters.
+NumPy passes over bounded row chunks, and on TLB-less, prefetcher-less
+machines with LRU kernels for the L1 and VectorCache walk.  Both emit
+the shared-pass program as ``_Skeleton`` columns.  The contract is the
+same strict one the rest of the replay engine lives under: every column
+must be identical — tag-6 classes compared through their resolved
+descriptors, since the engines number pricing classes differently —
+the invariant stats hex-identical, and every design point priced to
+``SimStats`` bitwise identical (``float.hex`` equal) — across presets,
+kernel policies, a synthetic trace exercising every opcode, chunk
+sizes small enough that every carried state crosses a chunk boundary,
+and generated event streams.  These tests are the tripwire for any
+drift between the engines.
 """
 
-import pytest
+from dataclasses import replace
+from unittest import mock
 
-from repro.machine import a64fx, rvv_gem5, sve_gem5
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.machine import a64fx, replay_vec, rvv_gem5, sve_gem5
 from repro.machine.replay import (
-    _GroupCapture,
     _run_points,
     _shared_pass,
     _shared_pass_python,
@@ -155,39 +161,41 @@ POLICIES = [
 ]
 
 
+#: Pass chunk size small enough that every carried state — counter
+#: folds, interning, cache residency, side-note positions — crosses a
+#: chunk boundary many times.
+SMALL_CHUNK = 7
+
+
 class TestEngineIdentity:
-    """``kernels`` picks who drives the reference ``_GroupCapture``:
-    the recorded trace's rows (``False``, the oracle) or the event
-    calls themselves (``True``, the fused capture's emitter).  Either
-    must emit exactly the vectorized engine's program."""
+    """The vectorized pass emits exactly the oracle's program.
+
+    ``chunked`` runs it over ``SMALL_CHUNK``-row chunks instead of the
+    default ``_CHUNK_ROWS``."""
+
+    @pytest.fixture(params=[False, True], ids=["False", "True"])
+    def chunked(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(replay_vec, "_CHUNK_ROWS", SMALL_CHUNK)
+        return request.param
 
     @pytest.mark.parametrize("factory", MACHINES)
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("kernels", [False, True])
-    def test_network_trace(self, factory, policy, kernels):
+    def test_network_trace(self, chunked, factory, policy):
         m = factory()
         trace = capture(m, policy)
-        if kernels:
-            cap = _GroupCapture(m)
-            small_net()._emit_trace(cap, policy, None, True)
-            ref = cap.finish()
-        else:
-            ref = _shared_pass_python(trace, m)
-        assert_same_program(ref, _shared_pass_vec(trace, m), m)
+        if chunked:
+            assert trace.n_events > 100 * SMALL_CHUNK
+        assert_same_program(
+            _shared_pass_python(trace, m), _shared_pass_vec(trace, m), m
+        )
 
     @pytest.mark.parametrize("factory", MACHINES)
-    @pytest.mark.parametrize("kernels", [False, True])
-    def test_synthetic_all_opcodes(self, factory, kernels):
+    def test_synthetic_all_opcodes(self, chunked, factory):
         m = factory()
         trace = synthetic_trace(m)
-        if kernels:
-            cap = _GroupCapture(m)
-            emit_synthetic(cap)
-            ref = cap.finish()
-        else:
-            ref = _shared_pass_python(trace, m)
         got = _shared_pass_vec(trace, m)
-        assert_same_program(ref, got, m)
+        assert_same_program(_shared_pass_python(trace, m), got, m)
         # Every item kind is present: floats, L2 events of both kinds,
         # VPU-priced items and (where prefetches are honoured) fills.
         skel = got[0]
@@ -195,13 +203,104 @@ class TestEngineIdentity:
         assert skel.ev_scalar.any() and not skel.ev_scalar.all()
         assert len(skel.t6_at) and {it[0] for _, it in skel.side} >= {2}
 
-    def test_empty_trace(self):
+    def test_empty_trace(self, monkeypatch):
         m = rvv_gem5(vlen_bits=512)
         rec = TraceRecorder(m)
         trace = rec.finish(key="empty")
         ref = _shared_pass_python(trace, m)
         assert len(ref[0].base) == 0
-        assert_same_program(ref, _shared_pass_vec(trace, m), m)
+        for rows in (replay_vec._CHUNK_ROWS, SMALL_CHUNK):
+            monkeypatch.setattr(replay_vec, "_CHUNK_ROWS", rows)
+            assert_same_program(ref, _shared_pass_vec(trace, m), m)
+
+
+# ----------------------------------------------------------------------
+# Generated memory-event streams
+# ----------------------------------------------------------------------
+#: Byte addresses over a few L1 sets, several tags each (the L1 has
+#: 256 sets), so the L1 and VectorCache both evict and hit.
+addresses = st.builds(
+    lambda s, tag, off: 4096 + (s + 256 * tag) * 64 + off,
+    st.integers(0, 3), st.integers(0, 7), st.integers(0, 63),
+)
+#: Element strides: unit (0 or the element width), line-straddling,
+#: and whole-set jumps.
+STRIDES = [0, "ew", 12, 68, 136, 4096, 16384]
+
+events = st.one_of(
+    st.tuples(
+        st.sampled_from(["scalar_load", "scalar_store"]), addresses,
+        st.sampled_from([1, 4, 8, 60, 130]),
+    ),
+    st.tuples(
+        st.sampled_from(["vload", "vstore"]), addresses, st.integers(1, 40),
+        st.sampled_from([1, 2, 4, 8]), st.sampled_from(STRIDES),
+    ),
+    st.tuples(st.just("note"), addresses, st.integers(0, 8192)),
+    st.tuples(st.just("scalar"), st.integers(0, 3)),
+    st.tuples(st.just("spill"), st.integers(1, 2)),
+)
+#: Kernel-labelled groups of events, each at its own sampling weight.
+streams = st.lists(
+    st.tuples(
+        st.sampled_from(["k0", "k1", "k2"]), st.sampled_from([1.0, 2.5, 0.75]),
+        st.lists(events, max_size=25),
+    ),
+    min_size=1, max_size=4,
+)
+VC_BYTES = [64, 128, 256, 512, 1024, 2048, 4096]
+
+
+def drive(rec, stream):
+    for label, weight, evs in stream:
+        with rec.kernel(label), rec.region(weight):
+            for kind, *args in evs:
+                if kind == "note":
+                    rec.hierarchy.note_resident_range(*args)
+                elif kind in ("vload", "vstore"):
+                    addr, n, ew, stride = args
+                    stride = ew if stride == "ew" else stride
+                    getattr(rec, kind)(addr, n, ew, stride)
+                else:
+                    getattr(rec, kind)(*args)
+
+
+#: Two range notes between accesses that reach the L2, in one chunk.
+NOTES = [("k0", 1.0, [
+    ("vload", 4096, 16, 4, 0), ("note", 4096, 100), ("vload", 8192, 16, 4, 0),
+    ("note", 8192, 64), ("scalar_load", 12288, 4),
+])]
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.sampled_from(["rvv", "sve"]), st.sampled_from(VC_BYTES), streams,
+    st.sampled_from([1, 3, SMALL_CHUNK, None]),
+)
+@example("rvv", 2048, NOTES, None)
+@example("sve", 2048, NOTES, None)
+def test_generated_streams_match_oracle(family, vc_bytes, stream, rows):
+    """Loads and stores (unit, strided, line-straddling), scalar
+    accesses and range notes, recorded on rvv with a VectorCache of
+    64 B to 4 KB, or on sve (L1 port), in chunks of a few rows or of
+    the default size: the vectorized program is the oracle's."""
+    if family == "rvv":
+        m = rvv_gem5(vlen_bits=512, lanes=4)
+        m = m.with_(vpu=replace(m.vpu, vector_cache_bytes=vc_bytes))
+    else:
+        m = sve_gem5(vlen_bits=512)
+    rec = TraceRecorder(m)
+    drive(rec, stream)
+    trace = rec.finish(key="generated")
+    ref = _shared_pass_python(trace, m)
+    with mock.patch.object(
+        replay_vec, "_CHUNK_ROWS", rows or replay_vec._CHUNK_ROWS
+    ):
+        got = _shared_pass_vec(trace, m)
+    assert_same_program(ref, got, m)
 
 
 class TestEngineDispatch:

@@ -16,7 +16,11 @@ The two array kernels under the tiers are checked on generated inputs
 against the per-line models they replace: :func:`_lru_hits` against a
 dict LRU per set (and Mattson's inclusion property), and
 :func:`_range_misses` against ``MemoryHierarchy``'s range model stepped
-address by address.
+address by address.  The one-set path of :func:`_lru_hits` (the
+shared pass's VectorCache walk) gets its own streams: long single-line
+runs, working sets re-streamed just above and below the way count,
+spans beyond the horizon search.  A walk split into chunks that carry
+residency (``replay_vec._Level``) hits exactly like one whole walk.
 """
 
 import functools
@@ -30,13 +34,15 @@ from repro.machine import a64fx, rvv_gem5
 from repro.machine.config import CacheParams, PrefetcherParams
 from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.replay import (
-    _GroupCapture,
+    _HORIZON_MAX,
     _lru_hits,
     _range_misses,
+    _shared_pass,
     _tier_for,
     replay,
     replay_sweep,
 )
+from repro.machine.replay_vec import _Level
 from repro.machine.simulator import SimStats
 from repro.nets import KernelPolicy
 from repro.nets.zoo import yolov3_tiny
@@ -67,9 +73,7 @@ def captured(family: str):
     trace = net.record_trace(
         base, POLICY, n_layers=N_LAYERS, key=f"tier-identity-{family}"
     )
-    cap = _GroupCapture(base)
-    net._emit_trace(cap, POLICY, N_LAYERS, True)
-    skel, _inv, gc = cap.finish()
+    skel, _inv, gc = _shared_pass(trace, base)
     return trace, skel, gc
 
 
@@ -205,6 +209,85 @@ def test_lru_hits_inclusion(stream):
     fewer = _lru_hits(lines, num_sets, assoc)
     more = _lru_hits(lines, num_sets, assoc + 1)
     assert not (fewer & ~more).any()
+
+
+@st.composite
+def one_set_streams(draw):
+    """``(lines, assoc)`` for one fully associative set: random lines
+    around the way count, runs of one line (some longer than a horizon
+    sample block), or a working set just above or below the way count
+    streamed again and again."""
+    assoc = draw(st.integers(1, 64))
+    shape = draw(st.sampled_from(["random", "runs", "restream"]))
+    if shape == "random":
+        lines = draw(st.lists(st.integers(0, 2 * assoc + 2), max_size=400))
+    elif shape == "runs":
+        runs = draw(st.lists(
+            st.tuples(st.integers(0, assoc + 3), st.integers(1, 300)), max_size=8
+        ))
+        lines = [line for line, n in runs for _ in range(n)]
+    else:
+        size = max(1, assoc + draw(st.integers(-2, 2)))
+        lines = list(range(size)) * draw(st.integers(1, 8))
+        for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+            lines.insert(at, size + at)  # a stray line now and then
+    return np.array(lines, dtype=np.int64), assoc
+
+
+#: One line re-accessed after a run of another longer than the horizon
+#: search: hit with two ways, miss with one.
+LONG_RUN = np.array([1] + [2] * (_HORIZON_MAX + 900) + [1], dtype=np.int64)
+#: Three lines, a run of a fourth longer than twice the horizon search,
+#: the first line again (a miss with three ways, a hit with four), and
+#: more of the run, so no sample near the re-access finds the horizon.
+LONG_GAP = np.array(
+    [0, 1, 2] + [3] * (2 * _HORIZON_MAX) + [0] + [3] * 300, dtype=np.int64
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(one_set_streams())
+@example((np.zeros(0, dtype=np.int64), 32))
+@example((LONG_RUN, 1))
+@example((LONG_RUN, 2))
+@example((LONG_GAP, 3))
+@example((LONG_GAP, 4))
+@example((np.tile(np.arange(40, dtype=np.int64), 60), 39))
+@example((np.tile(np.arange(40, dtype=np.int64), 60), 40))
+def test_one_set_lru_hits_match_dict_lru(stream):
+    lines, assoc = stream
+    got = _lru_hits(lines, 1, assoc)
+    assert got.tolist() == dict_lru_hits(lines.tolist(), 1, assoc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(one_set_streams())
+def test_one_set_lru_hits_inclusion(stream):
+    """Mattson on the one-set path: one more way never loses a hit."""
+    lines, assoc = stream
+    fewer = _lru_hits(lines, 1, assoc)
+    more = _lru_hits(lines, 1, assoc + 1)
+    assert not (fewer & ~more).any()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        lru_streams(),
+        one_set_streams().map(lambda s: (s[0], 1, s[1])),
+    ),
+    st.lists(st.integers(0, 400), max_size=6),
+)
+def test_lru_residency_carry(stream, cuts):
+    """A walk split anywhere into chunks that carry residency (the
+    resident lines, oldest first per set, ahead of the next chunk) hits
+    exactly like one whole walk, on both the lockstep and the one-set
+    path."""
+    lines, num_sets, assoc = stream
+    level = _Level(num_sets, assoc)
+    parts = np.split(lines, sorted(min(c, len(lines)) for c in cuts))
+    got = np.concatenate([level.hits(part) for part in parts])
+    assert got.tolist() == _lru_hits(lines, num_sets, assoc).tolist()
 
 
 @st.composite

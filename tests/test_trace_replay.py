@@ -2,7 +2,7 @@
 
 The contract under test is strict: pricing a recorded kernel event
 stream — via :func:`repro.machine.replay.replay`, a shared-pass
-``replay_sweep``, or the fused ``capture_sweep`` — must produce
+``replay_sweep``, or the cold path ``capture_sweep`` — must produce
 ``SimStats`` *bitwise identical* (``float.hex`` equal) to driving the
 kernels straight into a :class:`TraceSimulator`.  Equality within an
 epsilon is not enough; the replay engines mirror the simulator's
@@ -16,15 +16,15 @@ from unittest import mock
 import pytest
 
 from repro.core import sweep_cache_sizes, sweep_lanes, tracecache
-from repro.core.codesign import SweepResult
-from repro.machine import a64fx, rvv_gem5, sve_gem5
+from repro.core.codesign import ReplayDegradedWarning, SweepResult
+from repro.machine import a64fx, replay_vec, rvv_gem5, sve_gem5
 from repro.machine.config import CacheParams
 from repro.machine.replay import (
     _compile_fast,
     _compile_walk,
-    _GroupCapture,
     _hot_sets,
     _point_pass_vec,
+    _shared_pass,
     _tier_for,
     capture_sweep,
     group_mode,
@@ -75,7 +75,7 @@ def small_net():
 
 
 @pytest.fixture
-def fused(monkeypatch):
+def cold(monkeypatch):
     """``capture_sweep`` exactly as a sweep runs it: keyed and
     recording, from an empty registry, the trace kept in memory."""
     monkeypatch.setenv("REPRO_TRACE_SPILL", "0")
@@ -135,7 +135,7 @@ CASES = [
 
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("mk,policy,n", CASES)
-    def test_replay_and_sweeps_match_direct(self, mk, policy, n, fused):
+    def test_replay_and_sweeps_match_direct(self, mk, policy, n, cold):
         net = yolov3_tiny()
         machines = [mk(mb) for mb in L2_SIZES]
         ds = [direct(net, m, policy, n) for m in machines]
@@ -148,7 +148,7 @@ class TestBitwiseIdentity:
         for d, r in zip(ds, replayed):
             assert_bitwise(d, r)
 
-        captured = fused(net, machines, policy, n)
+        captured = cold(net, machines, policy, n)
         assert captured is not None
         for d, c in zip(ds, captured):
             assert_bitwise(d, c)
@@ -182,7 +182,7 @@ class TestBitwiseIdentity:
         trace = net.record_trace(m, KernelPolicy(), n_layers=0)
         assert_bitwise(direct(net, m, KernelPolicy(), 0), replay(trace, m))
 
-    def test_lane_group_replays_deferred(self, fused):
+    def test_lane_group_replays_deferred(self, cold):
         """Lanes change pricing arithmetic, not the walk: the engines
         defer the VPU-dependent terms and replay bitwise."""
         net = yolov3_tiny()
@@ -195,7 +195,7 @@ class TestBitwiseIdentity:
         trace = net.record_trace(group[0], KernelPolicy(), n_layers=2)
         for d, r in zip(ds, replay_sweep(trace, group)):
             assert_bitwise(d, r)
-        for d, r in zip(ds, fused(net, group, KernelPolicy(), 2)):
+        for d, r in zip(ds, cold(net, group, KernelPolicy(), 2)):
             assert_bitwise(d, r)
 
     def test_vl_group_declined(self):
@@ -240,9 +240,7 @@ class TestPointPassEngines:
         net = yolov3_tiny()
         m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
         trace = net.record_trace(m0, KernelPolicy(), n_layers=6)
-        cap = _GroupCapture(m0)
-        net._emit_trace(cap, KernelPolicy(), 6, True)
-        return (trace,) + cap.finish()
+        return (trace,) + _shared_pass(trace, m0)
 
     def test_hybrid_matches_full(self, captured):
         """The 512 KB and 1 MB points sit in hybrid territory — a few
@@ -305,7 +303,7 @@ class TestPointPassEngines:
         for m in machines:
             assert_bitwise(replay(trace, m), _point_pass_vec(cols, inv, m, gc))
 
-    def test_run_points_selects_all_engines(self, monkeypatch, fused):
+    def test_run_points_selects_all_engines(self, monkeypatch, cold):
         """An L2 sweep of this net builds every tier kind once."""
         from repro.machine import replay as R
 
@@ -321,7 +319,7 @@ class TestPointPassEngines:
         net = yolov3_tiny()
         sizes = [1, 2, 4, 64]  # hot walk; two trimming budgets; never trims
         machines = [rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb) for mb in sizes]
-        for m, f in zip(machines, fused(net, machines, KernelPolicy(), 6)):
+        for m, f in zip(machines, cold(net, machines, KernelPolicy(), 6)):
             assert_bitwise(direct(net, m, KernelPolicy(), 6), f)
         assert calls.count("_compile_walk") == 1
         assert calls.count("_compile_fast") == 3
@@ -329,7 +327,7 @@ class TestPointPassEngines:
 
 
 class TestRecordedTrace:
-    """The fused capture records exactly what ``record_trace`` records."""
+    """The cold capture records exactly what ``record_trace`` records."""
 
     @pytest.mark.parametrize("policy", [
         pytest.param(KernelPolicy(), id="3loop"),
@@ -340,11 +338,11 @@ class TestRecordedTrace:
         pytest.param(lambda: sve_gem5(vlen_bits=512, l2_mb=1), id="sve"),
         pytest.param(a64fx, id="a64fx"),
     ])
-    def test_capture_sweep_records_record_trace(self, fused, mk, policy):
+    def test_capture_sweep_records_record_trace(self, cold, mk, policy):
         net = yolov3_tiny()
         m = mk()
         key = tracecache.trace_key(net, m, policy, 3)
-        priced = fused(net, [m], policy, 3)
+        priced = cold(net, [m], policy, 3)
         got = tracecache.get(key)
         want = net.record_trace(m, policy, n_layers=3, key=key)
         assert got is not None and got is not want
@@ -354,18 +352,19 @@ class TestRecordedTrace:
         assert got.meta == want.meta
         assert_bitwise(replay(want, m), priced[0])
 
-    def test_capture_spanning_many_chunks(self, monkeypatch, fused):
-        """A capture whose log freezes many column chunks (and feeds the
-        skeleton chunk by chunk) records the trace a single-chunk
-        ``record_trace`` does and prices every point like direct
-        simulation; replay walks the chunked rows just as well."""
+    def test_capture_spanning_many_chunks(self, monkeypatch, cold):
+        """A capture whose log freezes many column chunks (and whose
+        shared pass runs over as many row chunks) records the trace a
+        single-chunk ``record_trace`` does and prices every point like
+        direct simulation; replay walks the chunked rows just as well."""
         net = yolov3_tiny()
         policy = KernelPolicy()
         machines = [rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb) for mb in (1, 4, 64)]
         want = net.record_trace(machines[0], policy, n_layers=4)
         monkeypatch.setattr(trace_mod, "_CHUNK_ROWS", 1000)
+        monkeypatch.setattr(replay_vec, "_CHUNK_ROWS", 1000)
         assert want.n_events > 10 * 1000
-        priced = fused(net, machines, policy, 4)
+        priced = cold(net, machines, policy, 4)
         got = tracecache.get(tracecache.trace_key(net, machines[0], policy, 4))
         assert got.content_digest() == want.content_digest()
         for m, p in zip(machines, priced):
@@ -492,7 +491,8 @@ class TestSweepIntegration:
 
     def test_pricing_error_raises_when_trace_forced(self, monkeypatch):
         """A replay bug must not hide behind the per-point fallback when
-        the caller demanded replay; the default mode still degrades."""
+        the caller demanded replay; the default mode still degrades, and
+        says so with a warning."""
         from repro.machine import replay as R
 
         def broken(*_args):
@@ -507,7 +507,8 @@ class TestSweepIntegration:
 
         with pytest.raises(RuntimeError, match="tier bug"):
             sweep_cache_sizes(net, [1, 4], factory, use_trace=True)
-        res = sweep_cache_sizes(net, [1, 4], factory)
+        with pytest.warns(ReplayDegradedWarning, match="tier bug"):
+            res = sweep_cache_sizes(net, [1, 4], factory)
         assert res.sources == ["direct", "direct"]
         off = sweep_cache_sizes(net, [1, 4], factory, use_trace=False)
         for a, b in zip(res.stats, off.stats):
