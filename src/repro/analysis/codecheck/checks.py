@@ -536,9 +536,9 @@ def check_shm_leak(ctx: Context) -> List[RawFinding]:
 
     out = []
     for qual, info in sorted(ctx.functions.items()):
-        if info.name in ("publish_shm", "publish_pass_shm"):
-            continue  # the publishers themselves
-        if not calls_named(info.node, ("publish_shm", "publish_pass_shm")):
+        if info.name == "publish_shm":
+            continue  # the publisher itself
+        if not calls_named(info.node, ("publish_shm",)):
             continue
         released = any(
             isinstance(node, ast.Try)

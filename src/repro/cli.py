@@ -274,13 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "action", choices=["list", "verify", "gc"],
-        help="list: sizes, event counts, codec versions and compiled-pass "
-             "counts from the container headers (.rtz traces plus their "
-             ".rpp/.rvp compiled passes); verify: full decode + digest "
-             "check per file; gc: delete stale-format spills and compiled "
-             "passes orphaned by a pruned or re-captured trace, and "
-             "quarantine corrupt files (PR-5 semantics: never served "
-             "twice)",
+        help="list: sizes, event counts, codec versions and tier counts "
+             "from the container headers (.rtz traces plus their .rvp "
+             "compiled tiers); verify: full decode + digest check per "
+             "file; gc: delete stale-format and foreign files and tiers "
+             "orphaned by a pruned or re-captured trace, and quarantine "
+             "corrupt files (never served twice)",
     )
     p.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -977,15 +976,14 @@ def cmd_autotune(args) -> int:
 def cmd_trace_cache(args) -> int:
     """``repro trace-cache``: report on (and clean up) cache artifacts.
 
-    Covers all three cache families: spilled traces (``.rtz``), shared
-    passes (``.rpp``), and compiled point-pass tiers (``.rvp``).
-    ``list`` is header-only and cheap; ``verify`` fully decodes every
-    container, recomputing the sha256 payload digest; ``gc`` deletes
-    stale-format files and compiled passes orphaned by a pruned or
-    re-captured trace (all regenerable by any sweep) and *quarantines*
-    corrupt ones — the same never-served-twice semantics the loader
-    applies (see repro.core.resilience).  Exit code 1 when any file is
-    corrupt.
+    Covers both cache families: spilled traces (``.rtz``) and compiled
+    point-pass tiers (``.rvp``).  ``list`` is header-only and cheap;
+    ``verify`` fully decodes every container, recomputing the sha256
+    payload digest; ``gc`` deletes stale-format and foreign files and
+    tiers orphaned by a pruned or re-captured trace (all regenerable by
+    any sweep) and *quarantines* corrupt ones — the same
+    never-served-twice semantics the loader applies (see
+    repro.core.resilience).  Exit code 1 when any file is corrupt.
     """
     from pathlib import Path
 
@@ -1003,7 +1001,7 @@ def cmd_trace_cache(args) -> int:
         children = []
     entries = []
     trace_digest: dict = {}  # live trace key -> content sha256
-    n_passes: dict = {}  # trace key -> compiled artifacts bound to it
+    n_tiers: dict = {}  # trace key -> compiled tiers bound to it
     for child in children:
         if not child.is_file():
             continue
@@ -1019,7 +1017,7 @@ def cmd_trace_cache(args) -> int:
                 hdr = {}
             trace_digest[info["key"]] = hdr.get("sha256")
         else:
-            n_passes[info["key"]] = n_passes.get(info["key"], 0) + 1
+            n_tiers[info["key"]] = n_tiers.get(info["key"], 0) + 1
     rows, n_corrupt, freed = [], 0, 0
     for name, path, info in entries:
         size = Path(path).stat().st_size
@@ -1027,7 +1025,9 @@ def cmd_trace_cache(args) -> int:
         row = {"file": name, "kind": kind, "kb": round(size / 1024.0, 1)}
         header, status = None, "ok"
         if info is None:
-            status = "stale"  # pre-v4 spill (.npz) or foreign leftover
+            # A pre-v4 spill (.npz), a shared pass (.rpp) from a version
+            # that persisted them, or another foreign leftover.
+            status = "stale"
         elif kind == "trace":
             try:
                 header = tracecache.read_header(path)
@@ -1041,24 +1041,19 @@ def cmd_trace_cache(args) -> int:
                 row["events"] = n
                 row["ratio"] = round(n * row_bytes / size, 1) if size else 0.0
                 row["digest"] = "yes" if header.get("sha256") else "missing"
-                row["passes"] = n_passes.get(info["key"], 0)
+                row["tiers"] = n_tiers.get(info["key"], 0)
         else:
             try:
                 header = tracecache.read_pass_header(path)
                 row["v"] = header.get("format")
-                want = (
-                    tracecache.PASS_FORMAT_VERSION
-                    if kind == "pass"
-                    else tracecache.VECPROG_FORMAT_VERSION
-                )
-                if header.get("format") != want:
+                if header.get("format") != tracecache.VECPROG_FORMAT_VERSION:
                     status = "stale"
             except Exception:
                 status = "corrupt"
             if status == "ok":
                 live = trace_digest.get(info["key"])
                 if live is None:
-                    # The trace this pass derives from is gone (pruned,
+                    # The trace this tier derives from is gone (pruned,
                     # quarantined, or never spilled here): regenerable
                     # dead weight.
                     status = "orphan"
@@ -1071,11 +1066,7 @@ def cmd_trace_cache(args) -> int:
                 if kind == "trace":
                     tracecache.load_compressed(path)
                 else:
-                    blob = Path(path).read_bytes()
-                    if kind == "pass":
-                        tracecache.decode_pass(blob)
-                    else:
-                        tracecache.decode_vecprog(blob)
+                    tracecache.decode_vecprog(Path(path).read_bytes())
                 row["digest"] = "verified"
             except Exception:
                 status = "corrupt"

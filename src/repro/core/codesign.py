@@ -181,7 +181,7 @@ def _simulate_group(
     each replayable group (:func:`repro.machine.replay.group_mode` —
     L2/DRAM sweeps and VPU-pricing sweeps like lanes/MLP; a singleton,
     such as one point of a VL sweep, is a group too) is priced from
-    the compiled-pass cache when it can be
+    the shared-pass memo or stored ``.rvp`` tiers when it can be
     (:func:`~repro.machine.replay.replay_sweep_cached`), else from a
     registered or spilled trace
     (:func:`~repro.machine.replay.replay_sweep`), else by one kernel
@@ -266,9 +266,9 @@ def _simulate_group(
             except Exception:
                 continue  # a failing point: the per-point loop retries it
             try:
-                # Warm path first: when the compiled-pass cache holds a
-                # digest-matching pass (or tier) for this key, the group
-                # prices without ever decoding the trace columns.
+                # Warm path first: when the memo holds this key's shared
+                # pass, or every point has a digest-matching tier, the
+                # group prices without ever decoding the trace columns.
                 priced = replay_sweep_cached(key, group)
                 if priced is not None:
                     labels = ["replayed"] * len(idxs)
@@ -537,10 +537,10 @@ def sweep_vector_lengths(
     A VL change alters the event stream itself (kernels tile on it),
     so each point records **one capture per VL** — but that capture
     then serves *every* pricing axis and figure at that VL, and its
-    compiled passes persist (``.rpp``/``.rvp``, see
-    docs/TRACE_REPLAY.md "Persistent compiled passes"): a warm re-run
-    of this sweep replays every point from the compiled-pass cache
-    without decoding a single trace column.
+    compiled tiers persist (``.rvp``, see docs/TRACE_REPLAY.md
+    "Persistent compiled passes"): a warm re-run of this sweep replays
+    every point from its stored tier without decoding a single trace
+    column.
     """
     if policy is None:
         policy = KernelPolicy()

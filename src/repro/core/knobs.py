@@ -53,7 +53,7 @@ class Knob:
     ``float``, ``str``, ``path``): the accessor called at the read
     site determines the actual parsing.  ``default`` is the
     human-readable default shown by ``repro knobs`` — dynamic defaults
-    ("follows REPRO_TRACE_SPILL") are described, not computed.
+    ("per-command") are described, not computed.
     """
 
     name: str
@@ -124,11 +124,12 @@ _declare(
 )
 _declare(
     "REPRO_TRACE_SPILL", "bool", "off",
-    "spill captured traces to disk as .rtz containers",
+    "spill captured traces to disk as .rtz containers, and each priced "
+    "point's compiled tier as .rvp",
 )
 _declare(
     "REPRO_TRACE_DIR", "path", "<simcache>/traces",
-    "directory for spilled traces and compiled passes",
+    "directory for spilled traces and their .rvp tiers",
 )
 _declare(
     "REPRO_TRACE_VERIFY", "bool", "off",
@@ -137,10 +138,6 @@ _declare(
 _declare(
     "REPRO_TRACE_LOAD_LOG", "path", "off",
     "append one '<pid> <source> <key>' line per cross-process trace load",
-)
-_declare(
-    "REPRO_PASS_CACHE", "tristate", "follows REPRO_TRACE_SPILL",
-    "persist compiled shared/point passes (.rpp/.rvp) next to traces",
 )
 # -- testing / benchmarks ----------------------------------------------
 _declare(

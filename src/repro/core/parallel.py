@@ -115,9 +115,8 @@ def _run_chunk(task: _Chunk) -> Tuple[List[SimStats], List[str]]:
         from . import simcache, tracecache
         from ..machine.replay import replay_sweep, replay_sweep_cached
 
-        # Compiled-pass warm path first: a digest-matching .rpp (shared
-        # by the parent via shm, or on disk from a previous sweep)
-        # prices the chunk without attaching or decoding the trace.
+        # Warm path first: the shared-pass memo or stored .rvp tiers
+        # price the chunk without attaching or decoding the trace.
         priced = replay_sweep_cached(tkey, machines)
         if priced is None:
             trace = tracecache.get(tkey, spill=True)
@@ -403,15 +402,6 @@ def simulate_points(
             # per worker lifetime instead of re-reading the spill per
             # task.  Best-effort; released after the pool is done.
             tracecache.publish_shm(key)
-            if tracecache.pass_cache_enabled():
-                # Likewise for a previously compiled shared pass: a
-                # warm .rpp in shm lets every worker skip the event
-                # walk (replay_sweep_cached) without touching disk.
-                from ..machine.replay import _shared_pass_sig, _sig_token
-
-                tracecache.publish_pass_shm(
-                    key, _sig_token(_shared_pass_sig(group[0]))
-                )
     else:
         trace_groups[None] = list(range(len(machines)))
 

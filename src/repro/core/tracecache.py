@@ -44,7 +44,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +58,6 @@ try:  # optional: the container may not ship zstandard
     import zstandard as _zstd  # type: ignore
 except ImportError:  # pragma: no cover - environment-dependent
     _zstd = None
-
-if TYPE_CHECKING:
-    from ..machine.replay import _Skeleton
 
 __all__ = [
     "trace_enabled",
@@ -82,20 +79,13 @@ __all__ = [
     "load_counts",
     "reset_load_counts",
     "SPILL_SUFFIX",
-    "PASS_SUFFIX",
     "VECPROG_SUFFIX",
-    "pass_cache_enabled",
-    "encode_pass",
-    "decode_pass",
-    "store_pass",
-    "load_pass",
     "encode_vecprog",
     "decode_vecprog",
     "store_vecprog",
     "load_vecprog",
     "read_vecprog_header",
     "read_pass_header",
-    "publish_pass_shm",
     "split_cache_filename",
 ]
 
@@ -107,11 +97,6 @@ _ENV_VERIFY = "REPRO_TRACE_VERIFY"
 #: attach or spill read) appends one ``"<pid> <source> <key>"`` line —
 #: the observability hook the single-load-per-worker test asserts on.
 _ENV_LOAD_LOG = "REPRO_TRACE_LOAD_LOG"
-#: Tri-state switch for the compiled-pass cache (``.rpp``/``.rvp``
-#: files next to the trace spills).  Unset, it follows
-#: :func:`spill_enabled` — persisting compiled passes only makes sense
-#: alongside persisted traces.
-_ENV_PASS = "REPRO_PASS_CACHE"
 
 #: In-process registry: key -> RecordedTrace.  Bounded — a 20-layer
 #: YOLOv3 trace is ~1.4M events (~60 MB columnar, more once decoded), so
@@ -123,20 +108,14 @@ _REGISTRY_CAP = 4
 SPILL_SUFFIX = ".rtz"
 _MAGIC = b"RTRC"
 
-#: Compiled-pass containers: a serialized shared-pass output
-#: (``<key>.<sig>.rpp``) and a compiled point-pass tier
-#: (``<key>.<sig>.<tier>.rvp``).  Both are derived artifacts of an
-#: ``.rtz`` trace and carry its content digest, so they can never
-#: outlive a re-captured trace.  Each family versions its own layout
-#: (``.rpp`` v2: the program's skeleton columns; ``.rvp`` v2: label
-#: runs, a class-item bitmap and ``<u2`` class indices).
-PASS_SUFFIX = ".rpp"
+#: Compiled point-pass tier container (``<key>.<sig>.<tier>.rvp``): the
+#: one artifact derived from an ``.rtz`` trace.  It carries the trace's
+#: content digest, so it can never outlive a re-captured trace.  Format
+#: v2: label runs, a class-item bitmap and ``<u2`` class indices.
 VECPROG_SUFFIX = ".rvp"
-PASS_FORMAT_VERSION = 2
 VECPROG_FORMAT_VERSION = 2
-_PASS_MAGIC = b"RPSS"
 _VECPROG_MAGIC = b"RVPC"
-_FORMATS = {_PASS_MAGIC: PASS_FORMAT_VERSION, _VECPROG_MAGIC: VECPROG_FORMAT_VERSION}
+_FORMATS = {_VECPROG_MAGIC: VECPROG_FORMAT_VERSION}
 
 
 def trace_enabled(flag: Optional[bool] = None, default: bool = False) -> bool:
@@ -154,21 +133,6 @@ def spill_enabled(flag: Optional[bool] = None) -> bool:
     if flag is not None:
         return flag
     return knobs.get_bool(_ENV_SPILL)
-
-
-def pass_cache_enabled(flag: Optional[bool] = None) -> bool:
-    """Resolve the compiled-pass-cache tri-state.
-
-    ``REPRO_PASS_CACHE=1/0`` forces it; unset, it follows
-    :func:`spill_enabled` so a spilling sweep persists its compiled
-    passes alongside the traces they derive from.
-    """
-    if flag is not None:
-        return flag
-    env = knobs.get_tristate(_ENV_PASS)
-    if env is not None:
-        return env
-    return spill_enabled()
 
 
 def spill_dir() -> str:
@@ -230,7 +194,7 @@ def _compress(blob: bytes) -> Tuple[str, bytes]:
 
 
 def _compress_fast(blob: bytes) -> Tuple[str, bytes]:
-    """Low-effort codec for hot-path writes (spills, compiled passes).
+    """Low-effort codec for hot-path writes (spills, compiled tiers).
 
     The archive codec above costs seconds per sweep-sized trace; cache
     artifacts are rewritten often and read back through the same
@@ -494,46 +458,21 @@ def read_header(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Compiled-pass cache (.rpp / .rvp)
+# Compiled point-pass tiers (.rvp)
 # ----------------------------------------------------------------------
-# A shared pass over a multi-million-event trace costs seconds; its
-# output — the replay program, the folded invariant stats, and the
-# group constants — depends only on (trace content, group signature).
-# Serializing it means a warm sweep re-prices points without ever
-# re-walking the event stream.  The compiled point-pass tiers
-# (``_VecProgram`` columns) additionally capture the resolved L2 walk,
-# so a warm group whose points all have a tier decodes nothing else and
-# prices each point with column arithmetic.
+# A compiled point-pass tier (``_VecProgram`` columns) holds the
+# resolved L2 walk of one shared pass on one L2, so a warm group whose
+# points all have a tier decodes nothing else and prices each point
+# with column arithmetic.  The shared pass itself is never persisted:
+# it lives in the in-process memo, and a warm group with a point that
+# has no tier decodes the trace and runs the pass again.
 #
-# Both containers mirror the ``.rtz`` layout: magic + version + JSON
+# The container mirrors the ``.rtz`` layout: magic + version + JSON
 # header + per-column compressed blocks, with two sha256 digests — the
 # source trace's (staleness) and the payload's own (corruption).  Any
 # decode failure quarantines the file and reports a miss; a digest
 # mismatch against a re-captured trace is a silent miss (the next
 # store overwrites the stale file).
-
-#: Wire layout of a serialized shared-pass program: the integer
-#: columns of its :class:`~repro.machine.replay._Skeleton`, delta- or
-#: varint-coded, and ``base`` as raw f8.  Side notes travel as columns
-#: too (``side_pos``/``side_tag`` per note; tag-2 operands, tag-5 fill
-#: counts and the flattened fill lines), since fill lists can be long.
-_PASS_COLUMNS = (
-    ("base", "raw", "<f8"),
-    ("kid", "delta", "<i8"),
-    ("cls_pos", "delta", "<i8"),
-    ("t6_at", "delta", "<i8"),
-    ("t6_cls", "varint", "<i8"),
-    ("ev_at", "delta", "<i8"),
-    ("ev_key", "varint", "<i8"),
-    ("ev_off", "delta", "<i8"),
-    ("addrs", "delta", "<i8"),
-    ("side_pos", "delta", "<i8"),
-    ("side_tag", "raw", "<u1"),
-    ("t2_base", "delta", "<i8"),
-    ("t2_nbytes", "delta", "<i8"),
-    ("t5_n", "varint", "<i8"),
-    ("t5_lines", "delta", "<i8"),
-)
 
 #: Wire layout of a compiled tier: ``base`` raw; the per-item label ids
 #: as runs (``kid_at`` run starts, ``kid_run`` label per run); the
@@ -550,27 +489,8 @@ _VECPROG_COLUMNS = (
 )
 
 
-def _pass_path(key: str, sig: str) -> str:
-    return str(Path(spill_dir()) / f"{key}.{sig}{PASS_SUFFIX}")
-
-
 def _vecprog_path(key: str, sig: str, tier: str) -> str:
     return str(Path(spill_dir()) / f"{key}.{sig}.{tier}{VECPROG_SUFFIX}")
-
-
-def _pass_shm_name(key: str, sig: str) -> str:
-    digest = hashlib.sha256(f"{key}.{sig}".encode("utf-8")).hexdigest()
-    return _SHM_PREFIX + "p" + digest[:23]
-
-
-def _int_col(vals) -> np.ndarray:
-    """Exact int64 column; refuses silently-truncating inputs."""
-    if len(vals) == 0:
-        return np.zeros(0, np.int64)
-    arr = np.asarray(vals)
-    if arr.dtype.kind not in "iu":
-        raise ValueError("non-integral value in an integer pass column")
-    return arr.astype(np.int64, copy=False)
 
 
 def _encode_col(filt: str, wire: str, arr: np.ndarray) -> bytes:
@@ -670,181 +590,6 @@ def _unpack_blocks(magic: bytes, blob: bytes, layout) -> Tuple[dict, dict]:
     return header, cols
 
 
-def encode_pass(
-    skel,
-    inv_fields: Dict[str, float],
-    gc: dict,
-    *,
-    key: str,
-    sig: str,
-    trace_sha256: str,
-    compat: dict,
-) -> bytes:
-    """Serialize a shared pass — its skeleton, invariant stats and group
-    constants — into ``.rpp``.
-
-    *skel* is a :class:`~repro.machine.replay._Skeleton`; its derived
-    columns (``ev_scalar``, ``lines``, ``ft_pos``) are not stored.
-    Exact by construction: floats travel as f8 (bit-preserving), ints
-    as int64 columns that refuse non-integral values, and the interned
-    keys (``labels``, ``ev_defs``, ``t6_defs``, pricing classes) as
-    JSON, which round-trips ints, bools and floats exactly.
-    ``gc["vpu"]`` is *not* stored — no point engine reads it, and the
-    loader rebinds the requesting machine's VPU.  Raises
-    :class:`ValueError` on any operand the layout cannot carry exactly
-    (callers treat that as "don't cache").
-    """
-    side_tag = []
-    t2_base = []
-    t2_nbytes = []
-    t5_n = []
-    t5_lines: list = []
-    for _, it in skel.side:
-        tag = it[0]
-        if tag == 2:
-            t2_base.append(it[1])
-            t2_nbytes.append(it[2])
-        elif tag == 5:
-            t5_n.append(len(it[1]))
-            t5_lines.extend(it[1])
-        else:
-            raise ValueError(f"unknown side item tag {tag!r}")
-        side_tag.append(tag)
-    cols = {
-        "base": np.asarray(skel.base, np.float64),
-        "kid": _int_col(skel.kid),
-        "cls_pos": _int_col(skel.cls_pos),
-        "t6_at": _int_col(skel.t6_at),
-        "t6_cls": _int_col(skel.t6_cls),
-        "ev_at": _int_col(skel.ev_at),
-        "ev_key": _int_col(skel.ev_key),
-        "ev_off": _int_col(skel.ev_off),
-        "addrs": _int_col(skel.addrs),
-        "side_pos": _int_col([p for p, _ in skel.side]),
-        "side_tag": np.asarray(side_tag, np.uint8),
-        "t2_base": _int_col(t2_base),
-        "t2_nbytes": _int_col(t2_nbytes),
-        "t5_n": _int_col(t5_n),
-        "t5_lines": _int_col(t5_lines),
-    }
-    header = {
-        "kind": "pass",
-        "key": key,
-        "sig": sig,
-        "trace_sha256": trace_sha256,
-        "compat": compat,
-        "labels": list(skel.labels),
-        "ev_defs": _tuples_to_lists(skel.ev_defs),
-        "t6_defs": _tuples_to_lists(skel.t6_defs),
-        "inv": dict(inv_fields),
-        "gc": {
-            "port_l1": gc["port_l1"],
-            "l1_lat": gc["l1_lat"],
-            "ooo_hide": gc["ooo_hide"],
-            "scalar_cpi": gc["scalar_cpi"],
-            "l2_shift": gc["l2_shift"],
-            "max_range_total": gc["max_range_total"],
-            "has_fills": gc["has_fills"],
-            "pf2_cfg": gc["pf2_cfg"],
-            "classes": _tuples_to_lists(gc["classes"]),
-        },
-    }
-    return _pack_blocks(_PASS_MAGIC, header, cols, _PASS_COLUMNS)
-
-
-def _check_pass_columns(cols: dict, header: dict) -> None:
-    """Refuse a decoded ``.rpp`` whose columns do not fit together."""
-    n_ev = len(cols["ev_key"])
-    ev_off = cols["ev_off"]
-    side_tag = cols["side_tag"]
-    fits = (
-        len(ev_off) == n_ev + 1
-        and int(ev_off[0]) == 0
-        and int(ev_off[-1]) == len(cols["addrs"])
-        and bool((np.diff(ev_off) >= 0).all())
-        and len(cols["ev_at"]) == n_ev
-        and len(cols["kid"]) == len(cols["base"])
-        and len(cols["t6_at"]) == len(cols["t6_cls"])
-        and len(cols["ev_at"]) + len(cols["t6_at"]) == len(cols["cls_pos"])
-        and len(cols["side_pos"]) == len(side_tag)
-        and int((side_tag == 2).sum()) == len(cols["t2_base"]) == len(cols["t2_nbytes"])
-        and int((side_tag == 5).sum()) == len(cols["t5_n"])
-        and int(cols["t5_n"].sum()) == len(cols["t5_lines"])
-    )
-    bounds = (
-        ("kid", len(header["labels"])),
-        ("ev_key", len(header["ev_defs"])),
-        ("t6_cls", len(header["t6_defs"])),
-        ("cls_pos", len(cols["base"])),
-        ("ev_at", len(cols["cls_pos"])),
-        ("t6_at", len(cols["cls_pos"])),
-        ("side_pos", len(cols["addrs"]) + 1),
-    )
-    if not fits or any(
-        len(cols[name]) and (cols[name].min() < 0 or cols[name].max() >= hi)
-        for name, hi in bounds
-    ):
-        raise ValueError("pass container: inconsistent skeleton columns")
-
-
-def decode_pass(blob: bytes) -> Tuple[dict, _Skeleton, Dict[str, float], dict]:
-    """Inverse of :func:`encode_pass`.
-
-    Returns ``(header, skeleton, inv_fields, gc)``; ``gc["vpu"]`` is
-    ``None`` — the caller rebinds the requesting machine's VPU.  Raises
-    :class:`ValueError` on corruption (callers quarantine + miss).
-    """
-    from ..machine import replay  # deferred: only pass loads need it
-
-    header, cols = _unpack_blocks(_PASS_MAGIC, blob, _PASS_COLUMNS)
-    _check_pass_columns(cols, header)
-    t2 = zip(cols["t2_base"].tolist(), cols["t2_nbytes"].tolist())
-    counts = iter(cols["t5_n"].tolist())
-    lines = cols["t5_lines"].tolist()
-    at = 0
-    side = []
-    for pos, tag in zip(cols["side_pos"].tolist(), cols["side_tag"].tolist()):
-        if tag == 2:
-            side.append((pos, (2,) + next(t2)))
-        elif tag == 5:
-            n = next(counts)
-            side.append((pos, (5, tuple(lines[at:at + n]))))
-            at += n
-        else:
-            raise ValueError("pass container: unknown side item tag")
-    hgc = header["gc"]
-    skel = replay._Skeleton(
-        hgc["l2_shift"],
-        base=cols["base"],
-        kid=cols["kid"],
-        labels=[str(s) for s in header["labels"]],
-        cls_pos=cols["cls_pos"],
-        t6_at=cols["t6_at"],
-        t6_cls=cols["t6_cls"],
-        t6_defs=_lists_to_tuples(header["t6_defs"]),
-        ev_at=cols["ev_at"],
-        ev_key=cols["ev_key"],
-        ev_defs=_lists_to_tuples(header["ev_defs"]),
-        ev_off=cols["ev_off"],
-        addrs=cols["addrs"],
-        side=side,
-    )
-    gc = {
-        "vpu": None,
-        "port_l1": bool(hgc["port_l1"]),
-        "l1_lat": hgc["l1_lat"],
-        "ooo_hide": hgc["ooo_hide"],
-        "scalar_cpi": hgc["scalar_cpi"],
-        "l2_shift": hgc["l2_shift"],
-        "max_range_total": hgc["max_range_total"],
-        "has_fills": bool(hgc["has_fills"]),
-        "pf2_cfg": bool(hgc["pf2_cfg"]),
-        "classes": _lists_to_tuples(hgc["classes"]),
-    }
-    inv_fields = {str(k): float(v) for k, v in header["inv"].items()}
-    return header, skel, inv_fields, gc
-
-
 def encode_vecprog(
     cols: dict,
     inv_fields: Dict[str, float],
@@ -862,7 +607,7 @@ def encode_vecprog(
     ``cls_pos``, ``cls_idx``, ``cls_defs``, ``wh_by_cls``,
     ``wm_by_cls``, ``max_nm``).  The header embeds the invariant stats
     and the pricing subset of *gc*, so a warm singleton point needs
-    only this file — no trace decode, no ``.rpp`` decode.  Raises
+    only this file — no trace decode.  Raises
     :class:`ValueError` on a tier the layout cannot carry exactly —
     more than 65,535 classes, or class items out of order (callers
     treat that as "don't cache").
@@ -979,82 +724,13 @@ def decode_vecprog(blob: bytes) -> Tuple[dict, dict, Dict[str, float], dict]:
 
 
 def read_pass_header(path: str) -> dict:
-    """Parse just the JSON header of an ``.rpp``/``.rvp`` container."""
+    """Parse just the JSON header of an ``.rvp`` container."""
     with Path(path).open("rb") as fh:
         head = fh.read(9)
-        if head[:4] not in (_PASS_MAGIC, _VECPROG_MAGIC):
+        if head[:4] != _VECPROG_MAGIC:
             raise ValueError("not a compiled-pass container (bad magic)")
         hlen = int.from_bytes(head[5:9], "little")
         return json.loads(fh.read(hlen).decode("utf-8"))
-
-
-def store_pass(
-    skel,
-    inv_fields: Dict[str, float],
-    gc: dict,
-    *,
-    key: str,
-    sig: str,
-    trace_sha256: str,
-    compat: dict,
-) -> bool:
-    """Best-effort write of a shared-pass output to the cache dir."""
-    try:
-        blob = encode_pass(
-            skel, inv_fields, gc, key=key, sig=sig,
-            trace_sha256=trace_sha256, compat=compat,
-        )
-    except ValueError:
-        return False  # an operand the wire layout cannot carry exactly
-    path = _pass_path(key, sig)
-
-    def write(tmp: str) -> None:
-        Path(tmp).write_bytes(blob)
-        faults.maybe_fault("passcache.write", key=key, path=tmp)
-
-    try:
-        atomic_replace(path, write, suffix=PASS_SUFFIX)
-    except OSError:
-        return False
-    faults.maybe_fault("passcache.spill", key=key, path=path)
-    return True
-
-
-def load_pass(
-    key: str, sig: str, trace_sha256: str
-) -> Optional[Tuple[dict, _Skeleton, Dict[str, float], dict]]:
-    """Load a cached shared pass; ``None`` on miss, stale, or corrupt.
-
-    Checks shared memory first (a sweeping parent may have published
-    the blob for its workers), then the cache directory.  A container
-    whose embedded trace digest does not match *trace_sha256* is a
-    stale derivative of a re-captured trace: treated as a miss (the
-    next store overwrites it), never served.  Corrupt disk files are
-    quarantined via the resilience layer.
-    """
-    blob = _shm_read(_pass_shm_name(key, sig))
-    if blob is not None:
-        try:
-            out = decode_pass(blob)
-        except ValueError:
-            out = None
-        if out is not None and out[0].get("trace_sha256") == trace_sha256:
-            _note_load("pass_shm", key)
-            return out
-    path = _pass_path(key, sig)
-    try:
-        blob = Path(path).read_bytes()
-    except OSError:
-        return None
-    try:
-        out = decode_pass(blob)
-    except ValueError as exc:
-        quarantine(path, f"unreadable compiled pass: {exc}")
-        return None
-    if out[0].get("trace_sha256") != trace_sha256:
-        return None
-    _note_load("pass_spill", key)
-    return out
 
 
 def store_vecprog(
@@ -1132,38 +808,15 @@ def read_vecprog_header(
     return header
 
 
-def publish_pass_shm(key: str, sig: str) -> bool:
-    """Publish an on-disk ``.rpp`` blob to shared memory for workers.
-
-    Mirrors :func:`publish_shm` for traces: the sweeping parent calls
-    this before forking its pool so each worker decodes the compiled
-    pass from memory instead of re-reading the cache file.  Best-effort.
-    """
-    owner = f"{key}.{sig}{PASS_SUFFIX}"
-    if owner in _SHM_OWNED:
-        return True
-    try:
-        blob = Path(_pass_path(key, sig)).read_bytes()
-    except OSError:
-        return False
-    return _shm_create(_pass_shm_name(key, sig), blob, owner)
-
-
 def split_cache_filename(fn: str) -> Optional[dict]:
     """Classify a cache-directory entry by suffix and name shape.
 
-    Returns ``{"kind": "trace"|"pass"|"vecprog", "key": ..., ...}``
-    with ``sig`` (pass/vecprog) and ``tier`` (vecprog) components, or
-    ``None`` for files that belong to none of the three families.
+    Returns ``{"kind": "trace"|"vecprog", "key": ..., ...}`` with
+    ``sig`` and ``tier`` components for a tier, or ``None`` for files
+    that belong to neither family.
     """
     if fn.endswith(SPILL_SUFFIX):
         return {"kind": "trace", "key": fn[: -len(SPILL_SUFFIX)]}
-    if fn.endswith(PASS_SUFFIX):
-        stem = fn[: -len(PASS_SUFFIX)]
-        key, _, sig = stem.rpartition(".")
-        if not key or not sig:
-            return None
-        return {"kind": "pass", "key": key, "sig": sig}
     if fn.endswith(VECPROG_SUFFIX):
         stem = fn[: -len(VECPROG_SUFFIX)]
         parts = stem.rsplit(".", 2)
@@ -1180,8 +833,6 @@ def split_cache_filename(fn: str) -> Optional[dict]:
 _LOAD_COUNTS: Dict[str, int] = {
     "shm": 0,
     "spill": 0,
-    "pass_shm": 0,
-    "pass_spill": 0,
     "vecprog": 0,
 }
 
@@ -1221,65 +872,12 @@ def _shm_name(key: str) -> str:
     return _SHM_PREFIX + key[:24]
 
 
-def _shm_create(name: str, blob: bytes, owner_key: str) -> bool:
-    """Create a length-prefixed shared-memory segment holding *blob*.
-
-    The handle is parked in ``_SHM_OWNED`` under *owner_key* so
-    :func:`release_shm` can unlink it at pool teardown.  Best-effort:
-    ``True`` when the segment exists (fresh or already published),
-    ``False`` when shared memory is unavailable.
-    """
-    if owner_key in _SHM_OWNED:
-        return True
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=8 + len(blob)
-        )
-    except FileExistsError:
-        return True  # already published (e.g. by an outer sweep)
-    except Exception:
-        return False
-    try:
-        shm.buf[:8] = len(blob).to_bytes(8, "little")
-        shm.buf[8:8 + len(blob)] = blob
-        _SHM_OWNED[owner_key] = shm
-        return True
-    except Exception:
-        try:
-            shm.close()
-            shm.unlink()
-        except (OSError, BufferError):
-            pass
-        return False
-
-
-def _shm_read(name: str) -> Optional[bytes]:
-    """Attach a published segment and copy its blob out; None on failure."""
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-    except Exception:
-        return None
-    try:
-        n = int.from_bytes(bytes(shm.buf[:8]), "little")
-        return bytes(shm.buf[8:8 + n])
-    except Exception:
-        return None
-    finally:
-        try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
-
-
 def publish_shm(key: str, trace: Optional[RecordedTrace] = None) -> bool:
     """Publish *trace* (or the registry entry) as a shared-memory segment.
 
     Workers' :func:`get` attaches and decodes the segment once per
-    worker lifetime instead of re-reading the spill file per task.
+    worker lifetime instead of re-reading the spill file per task.  The
+    segment holds the length-prefixed fast-codec ``.rtz`` blob.
     Best-effort: returns ``False`` when shared memory is unavailable,
     ``True`` when the segment exists (fresh or already published).
     The creating process must call :func:`release_shm` when the pool
@@ -1290,14 +888,49 @@ def publish_shm(key: str, trace: Optional[RecordedTrace] = None) -> bool:
     trace = trace if trace is not None else _REGISTRY.get(key)
     if trace is None:
         return False
-    return _shm_create(_shm_name(key), encode_trace(trace, level="fast"), key)
+    blob = encode_trace(trace, level="fast")
+    try:
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(
+            name=_shm_name(key), create=True, size=8 + len(blob)
+        )
+    except FileExistsError:
+        return True  # already published (e.g. by an outer sweep)
+    except Exception:
+        return False
+    try:
+        shm.buf[:8] = len(blob).to_bytes(8, "little")
+        shm.buf[8:8 + len(blob)] = blob
+        _SHM_OWNED[key] = shm
+        return True
+    except Exception:
+        try:
+            shm.close()
+            shm.unlink()
+        except (OSError, BufferError):
+            pass
+        return False
 
 
 def _shm_get(key: str) -> Optional[RecordedTrace]:
     """Attach + decode a published segment; None on any failure."""
-    blob = _shm_read(_shm_name(key))
-    if blob is None:
+    try:
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(name=_shm_name(key))
+    except Exception:
         return None
+    try:
+        n = int.from_bytes(bytes(shm.buf[:8]), "little")
+        blob = bytes(shm.buf[8:8 + n])
+    except Exception:
+        return None
+    finally:
+        try:
+            shm.close()
+        except (OSError, BufferError):
+            pass
     try:
         return decode_trace(blob)
     except Exception:

@@ -30,7 +30,9 @@ Two entry points price a trace, and one runs the kernels:
   registered, and the shared pass runs over it.  It keeps what it built
   for the next sweep: the trace, the shared pass (memo) and one tier
   per point (``.rvp``).  :func:`replay_sweep_cached` answers a warm
-  group from those tiers alone.
+  group from the memo or from those tiers alone; a group with a point
+  that has no tier decodes the trace and runs the shared pass again
+  (:func:`replay_sweep`).  The shared pass is never persisted.
 
 Skeleton and tiers
 ------------------
@@ -39,7 +41,7 @@ The program exists in one form only: the NumPy columns of a
 :func:`repro.machine.replay_vec._shared_pass_vec` (column arithmetic
 over a recorded trace, in bounded row chunks), checked against the
 per-event oracle :func:`_shared_pass_python` (a :class:`_GroupCapture`
-driven by the trace's rows); the ``.rpp`` file stores them.  The
+driven by the trace's rows); the in-process memo keeps them.  The
 skeleton holds what no L2 can change: the pre-priced floats, the label
 of every item, the fixed VPU pricing classes, and for each L2-reaching
 event its tier-independent pricing key and its pending line addresses.
@@ -346,7 +348,7 @@ def supports_axis(name: str) -> bool:
     replayable group (:func:`group_mode` returns non-``None``) or, for
     ``vlen``, splits into per-point captures that each replay — one
     capture per VL serving every pricing axis at that VL, with warm
-    runs served from the persistent compiled-pass cache
+    runs served from the stored ``.rvp`` tiers
     (:func:`replay_sweep_cached`).  An unsupported axis (e.g.
     ``l1_size``, ``mem_port``) changes the recorded walk itself and
     must simulate per point.
@@ -1116,8 +1118,8 @@ class _Skeleton:
     """The shared-pass program: tier-independent NumPy columns.
 
     Written by :func:`repro.machine.replay_vec._shared_pass_vec` (and
-    by the oracle's :class:`_GroupCapture`), stored as the ``.rpp``
-    payload, and shared by every tier compiled from it:
+    by the oracle's :class:`_GroupCapture`), kept in the in-process
+    memo, and shared by every tier compiled from it:
 
     * the item columns of :class:`_VecProgram` — ``base`` (pre-priced
       floats, 0.0 at class items), ``kid`` (label id per item),
@@ -1836,15 +1838,16 @@ def _run_points(
     the whole large-cache tail of a Fig. 7 sweep into one pricing.
 
     With *cache_ctx* — ``(trace_key, sig_token, trace_sha256, compat)``
-    — tiers are exchanged with the on-disk pass cache: each is loaded
-    if stored, else built and stored.  Conflict-free tiers record the
-    walk fingerprints of the machines they serve, which is what lets
+    — tiers are exchanged with the ``.rvp`` files next to the trace
+    when spilling is on: each is loaded if stored, else built and
+    stored.  Conflict-free tiers record the walk fingerprints of the
+    machines they serve, which is what lets
     :func:`replay_sweep_cached` trust them without the program.
     """
     if cache_ctx is not None:
         from ..core import tracecache
 
-        if not tracecache.pass_cache_enabled():
+        if not tracecache.spill_enabled():
             cache_ctx = None
     plans: dict = {}  # tier token -> (tier, first machine index, indices)
     owners: dict = {}  # (tier token, pricing fields) -> owning index
@@ -1961,7 +1964,7 @@ def _sig_token(sig) -> str:
 
     Dataclass ``repr`` is deterministic across processes (field order
     is declaration order, float repr round-trips), so the token is
-    stable for the on-disk compiled-pass cache keyed by it.
+    stable for the ``.rvp`` tier files named by it.
     """
     return hashlib.sha256(repr(sig).encode("utf-8")).hexdigest()[:12]
 
@@ -1986,38 +1989,15 @@ def _inv_from_fields(fields: dict) -> SimStats:
 
 
 def _shared_pass_cached(trace: RecordedTrace, base: MachineConfig):
-    """``(skeleton, inv, gc)`` of *trace*'s shared pass: memo, ``.rpp``, or run."""
+    """``(skeleton, inv, gc)`` of *trace*'s shared pass: memo, or run."""
     if not trace.key:
         return _shared_pass(trace, base)
-    from ..core import tracecache
-
-    digest = trace.content_digest()
-    sig = _shared_pass_sig(base)
-    key = (trace.key, digest, sig)
+    key = (trace.key, trace.content_digest(), _shared_pass_sig(base))
     hit = _SHARED_PASS_MEMO.get(key)
-    if hit is not None:
-        return hit
-    use_disk = tracecache.pass_cache_enabled()
-    loaded = (
-        tracecache.load_pass(trace.key, _sig_token(sig), digest)
-        if use_disk
-        else None
-    )
-    if loaded is not None:
-        _header, skel, inv_fields, gc = loaded
-        gc["vpu"] = base.vpu
-        inv = _inv_from_fields(inv_fields)
-    else:
-        skel, inv, gc = _shared_pass(trace, base)
-        if use_disk:
-            tracecache.store_pass(
-                skel, _inv_fields(inv), gc,
-                key=trace.key, sig=_sig_token(sig),
-                trace_sha256=digest, compat=_trace_compat(trace),
-            )
-    out = (skel, inv, gc)
-    _memo_put(key, out)
-    return out
+    if hit is None:
+        hit = _shared_pass(trace, base)
+        _memo_put(key, hit)
+    return hit
 
 
 def replay_sweep(
@@ -2032,10 +2012,10 @@ def replay_sweep(
     should fall back to per-point simulation.
 
     The shared pass defers VPU pricing to per-point pricing classes
-    (see :func:`_vpu_price_table`), so one cached pass serves *every*
+    (see :func:`_vpu_price_table`), so one memoized pass serves *every*
     replayable axis of a capture — L2 size, DRAM latency/bandwidth, and
-    lane count — both in the memo and in the on-disk compiled-pass
-    cache.
+    lane count — and so does each stored ``.rvp`` tier for the points
+    that share its L2.
     """
     machines = list(machines)
     if not machines:
@@ -2097,21 +2077,20 @@ def _cols_from_dict(d: dict) -> _VecProgram:
 def replay_sweep_cached(
     key: str, machines: Sequence[MachineConfig]
 ) -> Optional[List[SimStats]]:
-    """Price a sweep group straight from the compiled-pass cache.
+    """Price a sweep group without decoding its trace, or return ``None``.
 
     The warm path for a spilled trace: the trace's content digest and
     compatibility fields come from the in-process registry or the
     spill file's JSON header (no column decode).  The group is then
     priced from the shared-pass memo, else from stored ``.rvp`` tiers
-    alone when every point has one (:func:`_price_from_tiers`), else
-    from the ``.rpp`` shared pass.  Returns ``None`` unless every
-    needed artifact is cached and digest-consistent; the caller falls
-    back to :func:`replay_sweep` after loading (or re-capturing) the
-    trace.
+    alone when every point has one (:func:`_price_from_tiers`).
+    Returns ``None`` otherwise; the caller then loads (or re-captures)
+    the trace and runs :func:`replay_sweep`, which runs the shared
+    pass once and stores the missing tiers.
     """
     from ..core import tracecache
 
-    if not key or not tracecache.pass_cache_enabled():
+    if not key or not tracecache.spill_enabled():
         return None
     machines = list(machines)
     if not machines:
@@ -2152,17 +2131,7 @@ def replay_sweep_cached(
     hit = _SHARED_PASS_MEMO.get(memo_key)
     if hit is not None:
         return _run_points(*hit, machines, cache_ctx=ctx)
-    priced = _price_from_tiers(key, tok, digest, machines)
-    if priced is not None:
-        return priced
-    loaded = tracecache.load_pass(key, tok, digest)
-    if loaded is None:
-        return None
-    _header, skel, inv_fields, gc = loaded
-    gc["vpu"] = machines[0].vpu
-    out = (skel, _inv_from_fields(inv_fields), gc)
-    _memo_put(memo_key, out)
-    return _run_points(*out, machines, cache_ctx=ctx)
+    return _price_from_tiers(key, tok, digest, machines)
 
 
 def _price_from_tiers(
@@ -2246,9 +2215,8 @@ def capture_sweep(
     to disk when spilling is on (and then not held in memory), or
     registered in-process otherwise — and the shared pass then runs
     over it (:func:`_shared_pass`, in bounded chunks).  The pass is
-    memoized and every tier persists as an ``.rvp`` when the pass cache
-    is on.  No ``.rpp`` is written: every point this capture priced has
-    a tier.
+    memoized and every tier persists as an ``.rvp`` when spilling is
+    on.
     """
     machines = list(machines)
     if not machines:

@@ -24,8 +24,8 @@ one (see docs/TRACE_REPLAY.md).  Step 4 drives them anyway: a cold VL
 sweep (one capture per VL, the 512-bit point replaying from the
 committed trace) followed by a warm re-run with the process-local
 registry and pass memo cleared, asserting every warm point is served
-from the persistent compiled-pass cache (``.rpp``/``.rvp``) with zero
-trace-column decodes — bitwise identical to the cold run.  Before its
+from a persistent compiled tier (``.rvp``) with zero trace-column
+decodes — bitwise identical to the cold run.  Before its
 scratch trace dir goes, ``repro trace-cache verify --json`` fully
 decodes every file the phase wrote; each must be ``ok`` with its digest
 ``verified``.
@@ -102,7 +102,7 @@ VL_AXIS = [256, 512, 1024]
 def verify_trace_dir(what: str) -> int:
     """Run ``repro trace-cache verify --json`` on ``$REPRO_TRACE_DIR``.
 
-    Every ``.rtz``/``.rpp``/``.rvp`` file is fully decoded (payload
+    Every ``.rtz``/``.rvp`` file is fully decoded (payload
     digest recomputed); fails unless each is ``ok`` and ``verified``.
     Returns the number of files checked.
     """
@@ -125,22 +125,21 @@ def vl_axis_phase(net, policy, runtime_key, trace):
     """Figs. 6/8: drive the vector-length axis through the VL path.
 
     Cold sweep captures one trace per VL (the 512-bit point replays
-    from the committed capture seeded into the registry), with the
-    compiled-pass cache persisting ``.rpp``/``.rvp`` artifacts to a
-    scratch trace dir.  The warm re-run starts from a cleared registry
-    and pass memo, so every point must come back off those artifacts:
-    all sources ``replayed``, at least one compiled-pass hit per VL,
-    zero trace-column decodes, and bitwise-identical stats.
+    from the committed capture seeded into the registry), with spilling
+    persisting the traces and one ``.rvp`` tier per point to a scratch
+    trace dir.  The warm re-run starts from a cleared registry and pass
+    memo, so every point must come back off those tiers: all sources
+    ``replayed``, at least one tier load per VL, zero trace-column
+    decodes, and bitwise-identical stats.
     """
     from repro.machine import replay
 
-    env_keys = ("REPRO_TRACE_DIR", "REPRO_TRACE_SPILL", "REPRO_PASS_CACHE")
+    env_keys = ("REPRO_TRACE_DIR", "REPRO_TRACE_SPILL")
     saved = {k: os.environ.get(k) for k in env_keys}
     timings = {}
     with tempfile.TemporaryDirectory(prefix="figures-vl-") as tmp:
         os.environ["REPRO_TRACE_DIR"] = tmp
         os.environ["REPRO_TRACE_SPILL"] = "1"
-        os.environ["REPRO_PASS_CACHE"] = "1"
         try:
             tc.clear_registry()
             replay._SHARED_PASS_MEMO.clear()
@@ -175,12 +174,11 @@ def vl_axis_phase(net, policy, runtime_key, trace):
                     f"sources={warm.sources}"
                 )
             counts = tc.load_counts()
-            hits = (counts["vecprog"] + counts["pass_spill"]
-                    + counts["pass_shm"])
+            hits = counts["vecprog"]
             if hits < len(VL_AXIS):
                 raise SystemExit(
                     f"VL axis warm: expected >= {len(VL_AXIS)} compiled-"
-                    f"pass cache hits, load counts were {counts}"
+                    f"tier loads, load counts were {counts}"
                 )
             if counts["shm"] or counts["spill"]:
                 raise SystemExit(

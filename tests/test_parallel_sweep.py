@@ -172,9 +172,9 @@ class TestParallelReplay:
         stats, sources = out
         assert sources.count("replayed") >= 6
         lines = [ln.split() for ln in log.read_text().splitlines()]
-        # Compiled-pass artifacts (vecprog/pass_shm/pass_spill) may also
-        # be loaded — they exist to *avoid* trace decodes, so only the
-        # trace-stream loads are constrained here.
+        # Compiled tiers (vecprog) may also be loaded — they exist to
+        # *avoid* trace decodes, so only the trace-stream loads are
+        # constrained here.
         trace_loads = [
             (pid, src, key)
             for pid, src, key in lines

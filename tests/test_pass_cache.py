@@ -1,13 +1,15 @@
-"""Persistent compiled-pass cache: exact codecs, staleness, warm sweeps.
+"""Persistent compiled tiers: exact codec, staleness, warm sweeps.
 
-The ``.rpp`` (shared pass) and ``.rvp`` (compiled point-pass tier)
-containers exist so a warm re-run of a figure sweep skips the event
-walk entirely.  Correctness is the same bitwise bar as the rest of the
-replay engine: everything that crosses the wire must round-trip
-type-exactly (``float.hex`` equal, ints as ints, bools as bools), a
-digest mismatch must read as a miss (never a wrong answer), corruption
-must quarantine, and a warm sweep must price bitwise identically to
-its cold capture run — serial and parallel, spill on or off.
+The ``.rvp`` container (a compiled point-pass tier) exists so a warm
+re-run of a figure sweep skips the event walk entirely; it is the only
+artifact derived from a trace (the shared pass lives in the in-process
+memo, and a point without a tier decodes the trace and runs the pass
+again).  Correctness is the same bitwise bar as the rest of the replay
+engine: everything that crosses the wire must round-trip type-exactly
+(``float.hex`` equal, ints as ints, bools as bools), a digest mismatch
+must read as a miss (never a wrong answer), corruption must quarantine,
+and a warm sweep must price bitwise identically to its cold capture
+run — serial and parallel, spill on or off.
 """
 
 import json
@@ -28,7 +30,6 @@ from repro.machine.replay import (
     _compile_fast,
     _run_points,
     _shared_pass,
-    _Skeleton,
     replay,
     replay_sweep,
     replay_sweep_cached,
@@ -64,71 +65,8 @@ def hexs(stats: SimStats):
     return fields, kc
 
 
-#: Skeleton columns held as NumPy arrays (derived ones included).
-ARRAYS = (
-    "base", "kid", "cls_pos", "t6_at", "t6_cls", "ev_at", "ev_key",
-    "ev_scalar", "ev_off", "addrs", "lines", "ft_pos",
-)
-
-
-def assert_same_skeleton(a, b):
-    for name in ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    assert a.labels == b.labels
-    for name in ("ev_defs", "t6_defs", "side"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert len(x) == len(y), name
-        assert all(eq_item(tuple(p), tuple(q)) for p, q in zip(x, y)), name
-
-
-def build_skeleton(items, side=(), labels=("k",), ev_defs=(), t6_defs=()):
-    """A :class:`_Skeleton` from item specs ``(kid, x)``.
-
-    *x* is a pre-priced float, ``("ev", key, addrs)`` (an L2 event) or
-    ``("t6", cls)`` (a VPU-priced item).
-    """
-    base, kid, cls_pos, t6_at, t6_cls, ev_at, ev_key, addrs = ([] for _ in range(8))
-    ev_off = [0]
-    for k, x in items:
-        kid.append(k)
-        if type(x) is float:
-            base.append(x)
-            continue
-        if x[0] == "ev":
-            ev_at.append(len(cls_pos))
-            ev_key.append(x[1])
-            addrs.extend(x[2])
-            ev_off.append(len(addrs))
-        else:
-            t6_at.append(len(cls_pos))
-            t6_cls.append(x[1])
-        cls_pos.append(len(base))
-        base.append(0.0)
-
-    def i64(v):
-        return np.asarray(v, dtype=np.int64)
-
-    return _Skeleton(
-        6,
-        base=np.asarray(base, dtype=np.float64),
-        kid=i64(kid),
-        labels=list(labels),
-        cls_pos=i64(cls_pos),
-        t6_at=i64(t6_at),
-        t6_cls=i64(t6_cls),
-        t6_defs=list(t6_defs),
-        ev_at=i64(ev_at),
-        ev_key=i64(ev_key),
-        ev_defs=list(ev_defs),
-        ev_off=i64(ev_off),
-        addrs=i64(addrs),
-        side=list(side),
-    )
-
-
 # ----------------------------------------------------------------------
-# Property-based codec round-trip over generated skeletons
+# .rvp v2: label runs, class-item bitmap, <u2 class ids
 # ----------------------------------------------------------------------
 finite = st.floats(allow_nan=False, allow_infinity=False)
 posint = st.integers(min_value=0, max_value=2**40)
@@ -144,34 +82,9 @@ ev_def = st.one_of(
     ),
 )
 t6_def = st.tuples(st.just(6), finite, st.integers(min_value=0, max_value=7))
-side_item = st.one_of(
-    st.tuples(st.just(2), posint, posint),  # residency range
-    st.tuples(st.just(5), st.lists(posint, max_size=6).map(tuple)),  # fills
+cls_def = st.one_of(
+    st.builds(lambda d, h, m: d + (h, m), ev_def, small, small), t6_def
 )
-
-
-@st.composite
-def skeletons(draw):
-    labels = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True))
-    ev_defs = draw(st.lists(ev_def, min_size=1, max_size=4))
-    t6_defs = draw(st.lists(t6_def, min_size=1, max_size=4))
-    item = st.one_of(
-        finite,
-        st.tuples(
-            st.just("ev"),
-            st.integers(0, len(ev_defs) - 1),
-            st.lists(posint, max_size=4),
-        ),
-        st.tuples(st.just("t6"), st.integers(0, len(t6_defs) - 1)),
-    )
-    items = draw(
-        st.lists(st.tuples(st.integers(0, len(labels) - 1), item), max_size=30)
-    )
-    n_addrs = sum(len(x[2]) for _, x in items if type(x) is tuple and x[0] == "ev")
-    pos = sorted(draw(st.lists(st.integers(0, n_addrs), max_size=4)))
-    side = [(p, draw(side_item)) for p in pos]
-    return build_skeleton(items, side, labels, ev_defs, t6_defs)
-
 
 CLASSES = [
     ("a", 64, 2, 4),
@@ -182,91 +95,13 @@ CLASSES = [
 
 
 def make_gc():
+    """The pricing subset of the group constants a tier header embeds."""
     return {
-        "vpu": None,
-        "port_l1": True,
         "l1_lat": 4,
         "ooo_hide": 0.5,
         "scalar_cpi": 1.0,
-        "l2_shift": 6,
-        "max_range_total": 1 << 20,
-        "has_fills": False,
-        "pf2_cfg": False,
         "classes": list(CLASSES),
     }
-
-
-def encode(skel):
-    return tc.encode_pass(
-        skel, {"flops": 1.0}, make_gc(), key="k", sig="s" * 12,
-        trace_sha256="t" * 64, compat=COMPAT,
-    )
-
-
-class TestCodecRoundTrip:
-    @given(skeletons())
-    @settings(max_examples=60, deadline=None)
-    def test_pass_roundtrip_any_program(self, skel):
-        gc = make_gc()
-        inv = {f: float(i) * 1.5 for i, f in enumerate(_INVARIANT_FIELDS)}
-        blob = tc.encode_pass(
-            skel, inv, gc, key="k", sig="s" * 12,
-            trace_sha256="t" * 64, compat=COMPAT,
-        )
-        header, skel2, inv2, gc2 = tc.decode_pass(blob)
-        assert_same_skeleton(skel, skel2)
-        for f in _INVARIANT_FIELDS:
-            assert inv[f].hex() == inv2[f].hex()
-        assert gc2["vpu"] is None
-        assert "distinct" not in gc2 and "defer" not in header
-        for k in gc.keys() - {"vpu", "classes"}:
-            assert eq_item(gc[k], gc2[k]), k
-        for a, b in zip(gc["classes"], gc2["classes"]):
-            assert eq_item(a, b)
-        assert header["trace_sha256"] == "t" * 64
-        assert header["compat"] == COMPAT
-
-    def test_unknown_tag_raises(self):
-        with pytest.raises(ValueError, match="tag"):
-            encode(build_skeleton([], side=[(0, (9, 1.0))]))
-
-    def test_non_integral_operand_raises(self):
-        # A half-integer byte count must refuse to encode, not silently
-        # truncate through an int64 column.
-        with pytest.raises(ValueError):
-            encode(build_skeleton([], side=[(0, (2, 100, 2.5))]))
-
-    def test_inconsistent_columns_refused(self):
-        # Digest-valid but unusable: a label id with no label.
-        blob = encode(build_skeleton([(0, 1.0), (1, 2.0)]))
-        with pytest.raises(ValueError, match="inconsistent"):
-            tc.decode_pass(blob)
-
-    @pytest.mark.parametrize("mutate", [
-        pytest.param(lambda b: b"XXXX" + b[4:], id="bad-magic"),
-        pytest.param(lambda b: b[:-3], id="truncated"),
-        pytest.param(lambda b: b + b"\0\0", id="trailing"),
-        pytest.param(
-            lambda b: b[:-5] + bytes([b[-5] ^ 0xFF]) + b[-4:], id="bitflip"
-        ),
-    ])
-    def test_corruption_raises(self, mutate):
-        skel = build_skeleton(
-            [(0, 1.0), (0, ("ev", 0, [64, 128])), (0, ("t6", 0))],
-            side=[(0, (2, 64, 128)), (2, (5, (1, 2, 3)))],
-            ev_defs=[(4, 1.0, 4, 0.5, False)], t6_defs=[(6, 2.0, 1)],
-        )
-        blob = encode(skel)
-        with pytest.raises(ValueError):
-            tc.decode_pass(mutate(blob))
-
-
-# ----------------------------------------------------------------------
-# .rvp v2: label runs, class-item bitmap, <u2 class ids
-# ----------------------------------------------------------------------
-cls_def = st.one_of(
-    st.builds(lambda d, h, m: d + (h, m), ev_def, small, small), t6_def
-)
 
 
 @st.composite
@@ -353,6 +188,24 @@ SMALL_TIER = dict(
 )
 
 
+class TestCodecRoundTrip:
+    """Byte-level refusals of the shared container (``_unpack_blocks``)."""
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda b: b"XXXX" + b[4:], id="bad-magic"),
+        pytest.param(lambda b: b[:-3], id="truncated"),
+        pytest.param(lambda b: b + b"\0\0", id="trailing"),
+        pytest.param(
+            lambda b: b[:-5] + bytes([b[-5] ^ 0xFF]) + b[-4:], id="bitflip"
+        ),
+    ])
+    def test_corruption_raises(self, mutate):
+        blob = encode_tier(SMALL_TIER)
+        tc.decode_vecprog(blob)  # the unmutated blob decodes
+        with pytest.raises(ValueError):
+            tc.decode_vecprog(mutate(blob))
+
+
 class TestVecprogCodec:
     @given(tier_columns())
     @settings(max_examples=80, deadline=None)
@@ -423,7 +276,6 @@ def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_SIMCACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
-    monkeypatch.setenv("REPRO_PASS_CACHE", "1")
     tc.clear_registry()
     from repro.machine import replay
 
@@ -431,6 +283,9 @@ def cache_dir(tmp_path, monkeypatch):
     yield tmp_path
     tc.clear_registry()
     replay._SHARED_PASS_MEMO.clear()
+    # No path persists a shared pass: cold captures, replay_sweep over a
+    # loaded trace and pool workers leave traces and .rvp tiers only.
+    assert not list(tmp_path.glob("*.rpp"))
 
 
 def record_small(m, key):
@@ -448,39 +303,26 @@ def shared_pass_fixture():
 
 
 class TestStoreLoad:
-    def test_roundtrip_and_digest_staleness(self, cache_dir):
-        m, trace, skel, inv_fields, gc = shared_pass_fixture()
-        digest = trace.content_digest()
-        assert tc.store_pass(
-            skel, inv_fields, gc, key="k1", sig="s" * 12,
-            trace_sha256=digest, compat=COMPAT,
-        )
-        out = tc.load_pass("k1", "s" * 12, digest)
-        assert out is not None
-        _, skel2, inv2, gc2 = out
-        assert_same_skeleton(skel, skel2)
-        for f in _INVARIANT_FIELDS:
-            assert inv_fields[f].hex() == inv2[f].hex()
-        # A different trace digest is a stale derivative: miss, and the
-        # file survives (the next store overwrites it).
-        assert tc.load_pass("k1", "s" * 12, "f" * 64) is None
-        assert os.path.exists(tc._pass_path("k1", "s" * 12))
-
     def test_corrupt_pass_is_quarantined(self, cache_dir):
+        """A tier whose bytes were flipped on disk is quarantined by the
+        first load and never served: the second load finds no file."""
         m, trace, skel, inv_fields, gc = shared_pass_fixture()
         digest = trace.content_digest()
-        tc.store_pass(
-            skel, inv_fields, gc, key="k2", sig="s" * 12,
-            trace_sha256=digest, compat=COMPAT,
+        cols = _compile_fast(skel, gc, m)
+        assert tc.store_vecprog(
+            {s: getattr(cols, s) for s in cols.__slots__}, inv_fields, gc,
+            key="k2", sig="s" * 12, tier=TIER, trace_sha256=digest,
+            compat=COMPAT,
         )
-        path = tc._pass_path("k2", "s" * 12)
+        path = tc._vecprog_path("k2", "s" * 12, TIER["token"])
         blob = bytearray(open(path, "rb").read())
         blob[-10] ^= 0xFF
         open(path, "wb").write(bytes(blob))
-        assert tc.load_pass("k2", "s" * 12, digest) is None
+        assert tc.load_vecprog("k2", "s" * 12, TIER["token"], digest) is None
         assert not os.path.exists(path)  # moved aside, never served twice
         qdir = os.path.join(str(cache_dir), "quarantine")
         assert os.path.isdir(qdir) and os.listdir(qdir)
+        assert tc.load_vecprog("k2", "s" * 12, TIER["token"], digest) is None
 
     def test_vecprog_roundtrip(self, cache_dir):
         m, trace, skel, inv_fields, gc = shared_pass_fixture()
@@ -502,7 +344,10 @@ class TestStoreLoad:
         for a, b in zip(cols.cls_defs, cols2["cls_defs"]):
             assert eq_item(a, b)
         assert {"l1_lat", "ooo_hide", "scalar_cpi", "classes"} <= set(gcp)
+        # A different trace digest is a stale derivative: miss, and the
+        # file survives (the next store overwrites it).
         assert tc.load_vecprog("k3", "s" * 12, "f" * 12, "f" * 64) is None
+        assert os.path.exists(tc._vecprog_path("k3", "s" * 12, "f" * 12))
 
     @pytest.mark.parametrize("refusal", sorted(REFUSALS))
     def test_inconsistent_tier_is_quarantined(self, cache_dir, refusal):
@@ -522,8 +367,9 @@ class TestStoreLoad:
 
     def test_v1_tier_never_served_and_rebuilt(self, cache_dir, monkeypatch):
         """A tier left by the v1 layout (varint ``kid``/``cls_pos``/
-        ``cls_idx`` columns) is a miss: the warm group rebuilds it
-        bit-identically and the file on disk becomes v2."""
+        ``cls_idx`` columns) is a miss: the warm group falls back to the
+        trace, rebuilds the tier bit-identically and the file on disk
+        becomes v2."""
         m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
         trace = record_small(m, "v1tier")
         tc.put("v1tier", trace, spill=True)
@@ -550,9 +396,12 @@ class TestStoreLoad:
         tc.clear_registry()
         R._SHARED_PASS_MEMO.clear()
         tc.reset_load_counts()
-        got = replay_sweep_cached("v1tier", [m])
-        assert got is not None and hexs(got[0]) == want
-        assert tc.load_counts()["vecprog"] == 0  # the v1 file was never served
+        assert replay_sweep_cached("v1tier", [m]) is None
+        got = replay_sweep(tc.get("v1tier", spill=True), [m])
+        assert hexs(got[0]) == want
+        counts = tc.load_counts()
+        assert counts["spill"] == 1
+        assert counts["vecprog"] == 0  # the v1 file was never served
         assert tc.read_pass_header(path)["format"] == 2
         _h, cols2, _inv, _g = tc.decode_vecprog(open(path, "rb").read())
         assert_same_tier_dict(cols, cols2)
@@ -576,21 +425,20 @@ class TestStoreLoad:
         m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
         trace = record_small(m, "wide")
         assert hexs(replay_sweep(trace, [m])[0]) == hexs(replay(trace, m))
-        names = os.listdir(cache_dir)
-        assert any(n.endswith(tc.PASS_SUFFIX) for n in names)
-        assert not any(n.endswith(tc.VECPROG_SUFFIX) for n in names)
+        assert not any(n.endswith(tc.VECPROG_SUFFIX) for n in os.listdir(cache_dir))
 
-    def test_cached_sweep_prices_new_point_from_one_rpp(self, cache_dir):
-        """A shared pass over a loaded trace stores its skeleton; a new
-        process state pricing an L2 with no tier loads that one ``.rpp``
-        and nothing else, and prices exactly like ``replay()``."""
+    def test_new_point_without_tier_decodes_trace_once(self, cache_dir):
+        """After a shared pass over a loaded trace, a fresh process state
+        pricing an L2 with no tier finds nothing to price from without
+        the trace; the sweep decodes the trace once, runs the pass, and
+        stores exactly one more tier."""
+        net, policy = small_net(), KernelPolicy()
         m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
-        trace = record_small(m, "rppload")
-        tc.put("rppload", trace, spill=True)
+        trace, _ = tc.get_or_capture(net, m, policy, None)
+        key = trace.key
         tc.clear_registry()
-        loaded = tc.get("rppload", spill=True)
+        loaded = tc.get(key, spill=True)
         assert hexs(replay_sweep(loaded, [m])[0]) == hexs(replay(trace, m))
-        assert [n for n in os.listdir(cache_dir) if n.endswith(tc.PASS_SUFFIX)]
         n_tiers = sum(n.endswith(tc.VECPROG_SUFFIX) for n in os.listdir(cache_dir))
         from repro.machine import replay as R
 
@@ -599,13 +447,14 @@ class TestStoreLoad:
         tc.reset_load_counts()
         # A small two-way L2 conflicts: a walk tier nobody built yet.
         m2 = m.with_(l2=CacheParams(16 * 1024, 2, m.l2.line_bytes, m.l2.latency))
-        got = replay_sweep_cached("rppload", [m2])
-        assert got is not None
+        assert replay_sweep_cached(key, [m2]) is None
+        assert not any(tc.load_counts().values())
+        res = sweep_cache_sizes(net, [16 / 1024], lambda mb: m2, use_cache=False)
+        assert res.sources == ["replayed"]
         counts = tc.load_counts()
-        assert counts["pass_spill"] == 1 and counts["pass_shm"] == 0
-        assert counts["spill"] == 0 and counts["shm"] == 0  # no trace decode
+        assert counts["spill"] == 1 and counts["shm"] == 0
         assert counts["vecprog"] == 0
-        assert hexs(got[0]) == hexs(replay(trace, m2))
+        assert hexs(res.stats[0]) == hexs(replay(trace, m2))
         assert sum(
             n.endswith(tc.VECPROG_SUFFIX) for n in os.listdir(cache_dir)
         ) == n_tiers + 1
@@ -676,9 +525,7 @@ class TestWarmSweeps:
         if jobs == 1:
             assert warm.sources == ["replayed"] * len(VLENS)
             counts = tc.load_counts()
-            hits = (counts["vecprog"] + counts["pass_spill"]
-                    + counts["pass_shm"])
-            assert hits >= len(VLENS)
+            assert counts["vecprog"] >= len(VLENS)
             # The whole warm sweep ran without one trace-column decode.
             assert counts["shm"] == 0 and counts["spill"] == 0
 
@@ -687,15 +534,14 @@ class TestWarmSweeps:
     ):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_SPILL", "0")
-        monkeypatch.delenv("REPRO_PASS_CACHE", raising=False)
         reset_process_state()
-        assert not tc.pass_cache_enabled()  # defaults to spill_enabled()
+        assert not tc.spill_enabled()
         cold = run_vl_sweep()
         warm = run_vl_sweep()  # in-process registry + memo only
         for a, b in zip(cold.stats, warm.stats):
             assert hexs(a) == hexs(b)
         assert not any(
-            f.endswith((tc.PASS_SUFFIX, tc.VECPROG_SUFFIX))
+            f.endswith((".rpp", tc.VECPROG_SUFFIX))
             for f in os.listdir(tmp_path)
         )
         reset_process_state()
@@ -703,7 +549,7 @@ class TestWarmSweeps:
     def test_warm_pricing_axes_decode_tiers_only(self, cache_dir):
         """A cold L2 sweep and lanes sweep on one key leave one tier per
         point; warm re-runs price every point from those tiers alone —
-        no trace decode, no .rpp, one .rvp load per distinct tier."""
+        no trace decode, one .rvp load per distinct tier."""
         # 1 MB walks its hot sets, 2 and 4 MB trim their ranges, 64 MB
         # never trims: four distinct tiers.
         net = yolov3_tiny()
@@ -725,9 +571,7 @@ class TestWarmSweeps:
         cold = (l2_sweep(), lane_sweep())
         assert cold[0].sources == ["captured"] + ["replayed"] * (len(mbs) - 1)
         assert cold[1].sources == ["replayed"] * len(lanes)
-        names = os.listdir(cache_dir)
-        assert not any(n.endswith(tc.PASS_SUFFIX) for n in names)
-        tiers = [n for n in names if n.endswith(tc.VECPROG_SUFFIX)]
+        tiers = [n for n in os.listdir(cache_dir) if n.endswith(tc.VECPROG_SUFFIX)]
         assert len(tiers) == len(mbs)
         reset_process_state()
         tc.reset_load_counts()
@@ -740,7 +584,6 @@ class TestWarmSweeps:
         assert lane_counts["vecprog"] == 1  # the 1 MB point's tier
         for c in (counts, lane_counts):
             assert c["spill"] == 0 and c["shm"] == 0
-            assert c["pass_spill"] == 0 and c["pass_shm"] == 0
         for res, warm in zip(cold, (warm_l2, warm_lanes)):
             assert warm.sources == ["replayed"] * len(res.axis)
             for a, b in zip(res.stats, warm.stats):
@@ -752,7 +595,7 @@ class TestWarmSweeps:
 
 
 # ----------------------------------------------------------------------
-# CLI gc prunes compiled passes orphaned by a vanished trace
+# CLI gc prunes tiers orphaned by a vanished trace, and foreign files
 # ----------------------------------------------------------------------
 class TestCliGc:
     def test_gc_prunes_orphans_keeps_live(self, cache_dir, capsys):
@@ -763,9 +606,7 @@ class TestCliGc:
         names = os.listdir(cache_dir)
         traces = sorted(n for n in names if n.endswith(tc.SPILL_SUFFIX))
         assert len(traces) == len(VLENS)
-        # A capture leaves its trace and one tier per point, no .rpp.
-        assert not any(n.endswith(tc.PASS_SUFFIX) for n in names)
-        # Orphan one key's compiled passes by removing its trace.
+        # Orphan one key's tiers by removing its trace.
         victim = traces[0][: -len(tc.SPILL_SUFFIX)]
         os.remove(os.path.join(str(cache_dir), traces[0]))
         assert main(["trace-cache", "gc"]) == 0
@@ -793,3 +634,31 @@ class TestCliGc:
         for r in rows:
             assert r["status"] == "ok" and r["digest"] == "verified", r
         assert {r["v"] for r in tiers} == {tc.VECPROG_FORMAT_VERSION} == {2}
+
+    def test_leftover_rpp_is_foreign_and_collected(self, cache_dir, capsys):
+        """A shared-pass file (``.rpp``) left by a version that persisted
+        them is neither a tier nor corrupt: it lists as a stale foreign
+        file, ``verify`` passes, and ``gc`` deletes it."""
+        from repro.cli import main
+
+        run_vl_sweep()
+        trace = sorted(n for n in os.listdir(cache_dir) if n.endswith(tc.SPILL_SUFFIX))[0]
+        key = trace[: -len(tc.SPILL_SUFFIX)]
+        header = json.dumps({"format": 2, "kind": "pass", "key": key}).encode()
+        leftover = f"{key}.{'s' * 12}.rpp"
+        with open(os.path.join(str(cache_dir), leftover), "wb") as fh:
+            fh.write(b"RPSS\x02" + len(header).to_bytes(4, "little") + header)
+        capsys.readouterr()
+        for action in ("list", "verify"):
+            assert main(["trace-cache", action, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            rows = {r["file"]: r for r in doc["files"]}
+            assert doc["summary"]["corrupt"] == 0
+            assert rows[leftover]["kind"] == "foreign"
+            assert rows[leftover]["status"] == "stale"
+            assert rows[trace]["tiers"] == 1  # its own .rvp, not the .rpp
+        assert main(["trace-cache", "gc", "--json"]) == 0
+        rows = {r["file"]: r for r in json.loads(capsys.readouterr().out)["files"]}
+        assert rows[leftover]["status"] == "removed"
+        assert not os.path.exists(os.path.join(str(cache_dir), leftover))
+        assert rows[trace]["status"] == "ok"

@@ -79,7 +79,6 @@ def cold(monkeypatch):
     """``capture_sweep`` exactly as a sweep runs it: keyed and
     recording, from an empty registry, the trace kept in memory."""
     monkeypatch.setenv("REPRO_TRACE_SPILL", "0")
-    monkeypatch.delenv("REPRO_PASS_CACHE", raising=False)
 
     def run(net, machines, policy, n):
         tracecache.clear_registry()
