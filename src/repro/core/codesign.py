@@ -184,7 +184,8 @@ def _simulate_group(
     the shared-pass memo or stored ``.rvp`` tiers when it can be
     (:func:`~repro.machine.replay.replay_sweep_cached`), else from a
     registered or spilled trace
-    (:func:`~repro.machine.replay.replay_sweep`), else by one kernel
+    (:func:`~repro.machine.replay.replay_sweep_stored`, which drops a
+    decoded trace before building tiers), else by one kernel
     run that records the trace and prices every sibling
     (:func:`repro.machine.replay.capture_sweep`), seeding the
     registry/spill and the tier cache so later sweeps along *any*
@@ -210,8 +211,8 @@ def _simulate_group(
         capture_sweep,
         group_mode,
         nonuniform_fields,
-        replay_sweep,
         replay_sweep_cached,
+        replay_sweep_stored,
     )
 
     n = len(machines)
@@ -270,10 +271,11 @@ def _simulate_group(
                 # pass, or every point has a digest-matching tier, the
                 # group prices without ever decoding the trace columns.
                 priced = replay_sweep_cached(key, group)
+                if priced is None:
+                    # A registered or spilled trace: decoded (not kept),
+                    # its pass memoized, then dropped before the tiers.
+                    priced = replay_sweep_stored(key, group)
                 if priced is not None:
-                    labels = ["replayed"] * len(idxs)
-                elif (trace := tracecache.get(key)) is not None:
-                    priced = replay_sweep(trace, group)
                     labels = ["replayed"] * len(idxs)
                 else:
                     # One kernel run records the trace and prices the

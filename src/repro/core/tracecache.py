@@ -257,27 +257,51 @@ def _varint_encode(u: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+#: Encoded bytes per step of :func:`_varint_decode` (and values per
+#: step of :func:`_delta_decode`).
+_VARINT_STEP = 1 << 16
+
+
 def _varint_decode(buf: bytes, n: int) -> np.ndarray:
-    """Inverse of :func:`_varint_encode`; returns *n* uint64 values."""
+    """Inverse of :func:`_varint_encode`; returns *n* uint64 values.
+
+    The stream is decoded in steps of about ``_VARINT_STEP`` bytes, each
+    ending on a value's last byte, and within a step one byte position
+    of its values at a time, read from the uint8 view: the output is
+    the only array as long as the stream.
+    """
+    b = np.frombuffer(buf, np.uint8)
     if n == 0:
-        if buf:
+        if len(b):
             raise ValueError("varint stream: trailing bytes")
         return np.zeros(0, np.uint64)
-    b = np.frombuffer(buf, np.uint8)
-    ends = np.flatnonzero((b & 0x80) == 0)  # terminator bytes
-    if len(ends) != n or (len(b) and ends[-1] != len(b) - 1):
+    if np.count_nonzero(b < 0x80) != n or b[-1] >= 0x80:
         raise ValueError("varint stream: value count mismatch")
-    starts = np.empty(n, np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    nb = ends - starts + 1
-    if int(nb.max()) > 10:
-        raise ValueError("varint stream: value wider than 64 bits")
-    payload = (b & np.uint8(0x7F)).astype(np.uint64)
-    out = np.zeros(n, np.uint64)
-    for j in range(int(nb.max())):
-        mask = nb > j
-        out[mask] |= payload[starts[mask] + j] << np.uint64(7 * j)
+    out = np.empty(n, np.uint64)
+    pos = done = 0
+    while pos < len(b):
+        end = min(pos + _VARINT_STEP, len(b))
+        # Stretch the step to the end of the value it cuts.
+        tail = np.flatnonzero(b[end - 1:end + 10] < 0x80)
+        if not len(tail):
+            raise ValueError("varint stream: value wider than 64 bits")
+        end += int(tail[0])
+        step = b[pos:end]
+        last = np.flatnonzero(step < 0x80)
+        first = np.empty_like(last)
+        first[0] = 0
+        first[1:] = last[:-1] + 1
+        width = last - first + 1
+        if int(width.max()) > 10:
+            raise ValueError("varint stream: value wider than 64 bits")
+        vals = out[done:done + len(last)]
+        vals[:] = step[first] & 0x7F
+        for j in range(1, int(width.max())):
+            at = np.flatnonzero(width > j)
+            byte = (step[first[at] + j] & np.uint8(0x7F)).astype(np.uint64)
+            vals[at] |= byte << np.uint64(7 * j)
+        done += len(last)
+        pos = end
     return out
 
 
@@ -297,7 +321,12 @@ def _delta_encode(col: np.ndarray) -> bytes:
 
 
 def _delta_decode(buf: bytes, n: int) -> np.ndarray:
-    return np.cumsum(_unzigzag(_varint_decode(buf, n)), dtype=np.int64)
+    """Inverse of :func:`_delta_encode`, in place over the decoded values."""
+    out = _varint_decode(buf, n).view(np.int64)
+    for lo in range(0, n, _VARINT_STEP):
+        part = out[lo:lo + _VARINT_STEP]
+        part[:] = _unzigzag(part.view(np.uint64))
+    return np.cumsum(out, out=out)
 
 
 #: Per-column (filter, little-endian wire dtype).  The integer operand
@@ -612,20 +641,23 @@ def encode_vecprog(
     more than 65,535 classes, or class items out of order (callers
     treat that as "don't cache").
     """
-    kid = np.asarray(cols["kid"], np.int64)
+    # Integer columns are read at whatever width they come in (a
+    # skeleton's are narrow), never widened to int64 here.
+    kid = np.asarray(cols["kid"])
     n_items = len(kid)
     run_start = np.ones(n_items, dtype=bool)
     run_start[1:] = kid[1:] != kid[:-1]
     kid_at = np.flatnonzero(run_start)
-    cls_pos = np.asarray(cols["cls_pos"], np.int64)
-    cls_idx = np.asarray(cols["cls_idx"], np.int64)
+    cls_pos = np.asarray(cols["cls_pos"])
+    cls_idx = np.asarray(cols["cls_idx"])
     n_cls = len(cols["cls_defs"])
     if n_cls > 0xFFFF or (
         len(cls_idx) and (cls_idx.min() < 0 or cls_idx.max() >= n_cls)
     ):
         raise ValueError("tier class ids do not fit the <u2 column")
     if len(cls_pos) and (
-        cls_pos[0] < 0 or cls_pos[-1] >= n_items or (np.diff(cls_pos) <= 0).any()
+        cls_pos[0] < 0 or cls_pos[-1] >= n_items
+        or (cls_pos[1:] <= cls_pos[:-1]).any()
     ):
         raise ValueError("tier class items are not rising item positions")
     bits = np.zeros(n_items, dtype=bool)
@@ -961,8 +993,15 @@ def release_shm(key: Optional[str] = None) -> None:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-def get(key: str, spill: Optional[bool] = None) -> Optional[RecordedTrace]:
-    """Look *key* up in the registry, then shared memory, then disk."""
+def get(
+    key: str, spill: Optional[bool] = None, register: bool = True
+) -> Optional[RecordedTrace]:
+    """Look *key* up in the registry, then shared memory, then disk.
+
+    A trace decoded from its spill is registered unless *register* is
+    false: a caller that derives what it needs and drops the trace
+    leaves nothing behind (the spill still holds it).
+    """
     trace = _REGISTRY.get(key)
     if trace is not None:
         # Refresh LRU position.
@@ -993,7 +1032,8 @@ def get(key: str, spill: Optional[bool] = None) -> Optional[RecordedTrace]:
                 quarantine(path, "spilled trace failed static verification")
                 return None  # corrupted spill: treat as a miss
         _note_load("spill", key)
-        put(key, trace, spill=False)  # already on disk
+        if register:
+            put(key, trace, spill=False)  # already on disk
         return trace
     return None
 

@@ -62,7 +62,8 @@ resolved by one of two builders and interned into classes with one
   lines outside the demand stream).
 * :func:`_compile_walk` — the exact LRU walk of one L2 geometry and
   prefetcher.  Without fills only the sets that can overflow are
-  walked, all at once (:func:`_lru_hits`); every other line is a
+  walked, in lockstep (:func:`_lru_hits`), over fixed-size steps of the
+  address column that carry their residency; every other line is a
   first-touch range check or a hit.  With fills or an L2 prefetcher it
   walks every line (:func:`_compile_walk_lines`).
 
@@ -146,6 +147,7 @@ __all__ = [
     "replay",
     "replay_sweep",
     "replay_sweep_cached",
+    "replay_sweep_stored",
     "capture_sweep",
     "uniform_group",
     "group_mode",
@@ -457,7 +459,7 @@ class _GroupCapture(SampledTraceBase):
         self._v_step = 1 << (self._l1_shift if self._port_l1 else self._l2_shift)
         self._l1_step = 1 << self._l1_shift
 
-        self._sk = _SkeletonBuilder()
+        self._sk = _SkeletonBuilder(wide=True)
         self._put = self._sk.base.append  # pre-bound: a pre-priced item
         self._cur_label: Optional[str] = None  # forces the first switch
         # (w, event shape) -> tag-6 id, one memo per event kind.
@@ -1114,6 +1116,57 @@ def _shared_pass_python(trace: RecordedTrace, base: MachineConfig):
     return cap.finish()
 
 
+#: ``array`` typecode of a 4-byte unsigned integer, the width the
+#: chunked shared pass accumulates positions, ids and addresses at.
+_U4 = "I" if array("I").itemsize == 4 else "L"
+_U4_MAX = 0xFFFFFFFF
+
+
+def _uint_for(hi: int, lo: int = 0) -> np.dtype:
+    """The narrowest of ``u1``, ``u2`` and ``u4`` that holds every value
+    in ``[lo, hi]``; ``int64`` when *lo* is negative or *hi* too wide."""
+    if lo >= 0:
+        for dt in (np.uint8, np.uint16, np.uint32):
+            if hi <= np.iinfo(dt).max:
+                return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
+def _narrow(col: np.ndarray) -> np.ndarray:
+    """An exact-size copy of integer column *col* at :func:`_uint_for`
+    its values (``u1`` when it is empty)."""
+    return col.astype(_uint_for(int(col.max(initial=0)), int(col.min(initial=0))))
+
+
+#: Items copied per step when a buffer is frozen (:func:`_freeze`).
+_FREEZE_STEP = 1 << 20
+
+
+def _freeze(buf: array) -> np.ndarray:
+    """An exact-size NumPy copy of the ``array`` buffer *buf*, integers
+    at the width :func:`_narrow` picks.  *buf* is emptied from its end
+    as the copy fills, so the two are never both whole in memory."""
+    src = np.dtype(buf.typecode)
+    view = np.frombuffer(buf, src)
+    dtype = src if src.kind == "f" else _uint_for(
+        int(view.max(initial=0)), int(view.min(initial=0))
+    )
+    out = np.empty(len(view), dtype)
+    del view
+    while buf:
+        lo = max(0, len(buf) - _FREEZE_STEP)
+        view = np.frombuffer(buf, src, offset=lo * src.itemsize)
+        out[lo:lo + len(view)] = view
+        del view, buf[lo:]
+    return out
+
+
+def _set_of(lines: np.ndarray, num_sets: int) -> np.ndarray:
+    """``lines % num_sets`` at the wider of the two widths (a Python int
+    operand would take the width of *lines*, and may not fit it)."""
+    return lines % _uint_for(num_sets).type(num_sets)
+
+
 class _Skeleton:
     """The shared-pass program: tier-independent NumPy columns.
 
@@ -1141,6 +1194,13 @@ class _Skeleton:
     * ``side``, the residency-range notes ``(2, base, nbytes)`` and
       prefetch fills ``(5, lines)`` as ``(address position, item)`` in
       stream order.
+
+    Every integer column is stored at the narrowest unsigned width that
+    holds its largest value (``u1``, ``u2`` or ``u4``; ``int64`` past
+    ``2**32 - 1``, :func:`_narrow`), so the width follows the data, not
+    the emitter: label and key ids usually fit ``u1``/``u2``, positions
+    and the byte addresses of a trace under 4 GiB fit ``u4``.  Readers
+    widen only where arithmetic could overflow.
 
     ``ev_scalar``, ``lines`` and ``ft_pos`` are derived here from the
     other columns (the last two unless the emitter tracked them).  A
@@ -1191,66 +1251,93 @@ class _Skeleton:
             # in the flattened address column (return_index picks it).
             lines, first = np.unique(addrs >> l2_shift, return_index=True)
             ft_pos = np.sort(first)
-        self.lines = lines
-        self.ft_pos = ft_pos
+        self.lines = _narrow(lines)
+        self.ft_pos = _narrow(ft_pos)
 
 
 class _SkeletonBuilder:
     """Typed column buffers a shared pass appends items to.
 
-    :class:`_GroupCapture` appends one item at a time, the vectorized
-    pass one chunk of columns at a time.  Columns accumulate in
-    ``array`` buffers (no per-item Python objects) and become the
-    :class:`_Skeleton`'s NumPy arrays without a copy.  Label ids are
-    recorded where they change (``sw_pos`` / ``sw_kid``) and expanded
-    to the per-item ``kid`` column once.
+    :class:`_GroupCapture` appends one item at a time, the chunked pass
+    one chunk of columns at a time (:meth:`extend`).  Columns accumulate
+    in ``array`` buffers (no per-item Python objects): the chunked
+    pass's integer columns at 32 bits, widened to 64 bits the first
+    time a value does not fit; *wide* buffers (the per-item appends of
+    :class:`_GroupCapture`) at 64 bits.  Label ids are recorded where
+    they change (``sw_pos`` / ``sw_kid``) and expanded to the per-item
+    ``kid`` column once, by :meth:`build`.
     """
 
-    def __init__(self):
+    def __init__(self, wide: bool = False):
+        ic = "q" if wide else _U4
         self.base = array("d")
-        self.sw_pos = array("q")
-        self.sw_kid = array("q")
+        self.sw_pos = array(ic)
+        self.sw_kid = array(ic)
         self.labels: list = []
         self.label_ids: dict = {}
-        self.cls_pos = array("q")
-        self.t6_at = array("q")
-        self.t6_cls = array("q")
+        self.cls_pos = array(ic)
+        self.t6_at = array(ic)
+        self.t6_cls = array(ic)
         self.t6_defs: list = []
         self.t6_ids: dict = {}
-        self.ev_at = array("q")
-        self.ev_key = array("q")
+        self.ev_at = array(ic)
+        self.ev_key = array(ic)
         self.ev_defs: list = []
         self.ev_ids: dict = {}
-        self.ev_off = array("q", [0])
-        self.addrs = array("q")
+        self.ev_off = array(ic, [0])
+        self.addrs = array(ic)
         self.side: list = []
 
+    def extend(self, name: str, values: np.ndarray) -> None:
+        """Append the NumPy column *values* to buffer *name*, first
+        widening a 32-bit buffer to 64 bits if a value does not fit."""
+        buf = getattr(self, name)
+        if buf.typecode == _U4 and len(values) and int(values.max()) > _U4_MAX:
+            wide = array("q")
+            wide.frombytes(np.frombuffer(buf, np.uint32).astype(np.int64).view(np.uint8))
+            buf = wide
+            setattr(self, name, buf)
+        buf.frombytes(
+            np.ascontiguousarray(values, dtype=np.dtype(buf.typecode)).view(np.uint8)
+        )
+
+    def _take(self, name: str) -> np.ndarray:
+        """Buffer *name* as a NumPy view; the builder lets go of it."""
+        buf = getattr(self, name)
+        setattr(self, name, None)
+        return np.frombuffer(buf, dtype=np.dtype(buf.typecode))
+
     def build(self, l2_shift: int, lines=None, ft_pos=None) -> _Skeleton:
+        """Freeze the buffers into a :class:`_Skeleton`, consuming them.
+
+        Every integer column becomes an exact-size copy at the narrowest
+        width that holds it, and each buffer shrinks as its copy fills
+        (:func:`_freeze`), so no column is ever held twice.
+        """
         n = len(self.base)
-        kid = np.full(n, -1, dtype=np.int64)
-        if self.sw_pos:
-            sw_pos = np.frombuffer(self.sw_pos, dtype=np.int64)
-            kid[sw_pos[0]:] = np.repeat(
-                np.frombuffer(self.sw_kid, dtype=np.int64),
-                np.diff(np.append(sw_pos, n)),
-            )
+        sw_pos = self._take("sw_pos").astype(np.int64)
+        sw_kid = self._take("sw_kid")
+        counts = np.diff(sw_pos, append=n)
+        run = counts > 0
+        kid = np.repeat(_narrow(sw_kid[run]), counts[run])
+        head = int(sw_pos[0]) if len(sw_pos) else n
+        if head:  # items before the first label: id -1, at int64
+            kid = np.concatenate([np.full(head, -1, dtype=np.int64), kid])
+        del sw_pos, sw_kid, counts, run
+        cols = {"kid": kid}
+        for name in ("base", "cls_pos", "t6_at", "t6_cls", "ev_at", "ev_key",
+                     "ev_off", "addrs"):
+            cols[name] = _freeze(getattr(self, name))
+            setattr(self, name, None)
         return _Skeleton(
             l2_shift,
-            base=np.frombuffer(self.base, dtype=np.float64),
-            kid=kid,
             labels=self.labels,
-            cls_pos=np.frombuffer(self.cls_pos, dtype=np.int64),
-            t6_at=np.frombuffer(self.t6_at, dtype=np.int64),
-            t6_cls=np.frombuffer(self.t6_cls, dtype=np.int64),
             t6_defs=self.t6_defs,
-            ev_at=np.frombuffer(self.ev_at, dtype=np.int64),
-            ev_key=np.frombuffer(self.ev_key, dtype=np.int64),
             ev_defs=self.ev_defs,
-            ev_off=np.frombuffer(self.ev_off, dtype=np.int64),
-            addrs=np.frombuffer(self.addrs, dtype=np.int64),
             side=self.side,
             lines=lines,
             ft_pos=ft_pos,
+            **cols,
         )
 
 
@@ -1277,43 +1364,88 @@ class _VecProgram:
     )
 
 
-def _intern(skel: _Skeleton, nm: np.ndarray) -> _VecProgram:
-    """Build a tier from the per-event miss counts *nm*.
+#: L2 events interned per step of :func:`_intern`.
+_INTERN_ROWS = 1 << 16
+
+
+def _intern(skel: _Skeleton, miss_pos: np.ndarray) -> _VecProgram:
+    """Build a tier from the missing addresses *miss_pos* (rising
+    positions into ``skel.addrs``).
 
     An L2 event's class is its pricing key plus its ``(hits, misses)``
-    split — the memo key every per-event pricing used — so classes come
-    from one ``np.unique`` over the packed triple.  Class ids follow key
-    order, not first occurrence; prices and the fold order (set by
-    ``cls_pos``) do not depend on them.
+    split — the memo key every per-event pricing used.  The triple is
+    packed into one int64 (the narrow skeleton columns would wrap), and
+    class ids follow packed-key order, not first occurrence; prices and
+    the fold order (set by ``cls_pos``) do not depend on them.  Events
+    are taken ``_INTERN_ROWS`` at a time, twice: once to collect the
+    distinct keys (in a table over the key space when it is no larger
+    than a step, else by sorting), once to look each event's key up
+    among them, so no temporary grows with the stream.
     """
-    nh = np.diff(skel.ev_off) - nm
+    ev_off = skel.ev_off
+    n_ev = len(skel.ev_key)
+    # Same dtype as ev_off: searchsorted would copy a mismatched column.
+    miss_pos = np.asarray(miss_pos).astype(ev_off.dtype, copy=False)
     defs = list(skel.t6_defs)
     wh = [0.0] * len(defs)
     wm = [0.0] * len(defs)
-    cls_idx = np.empty(len(skel.cls_pos), dtype=np.int64)
+    span = int(np.diff(ev_off).max(initial=0)) + 1  # > any hits or misses
+    steps = range(0, n_ev, _INTERN_ROWS)
+
+    def split(lo):
+        """``(key, hits, misses)`` of events ``lo`` on, at int64."""
+        off = ev_off[lo:lo + _INTERN_ROWS + 1]
+        nm = np.diff(np.searchsorted(miss_pos, off))
+        return skel.ev_key[lo:lo + len(off) - 1].astype(np.int64), np.diff(
+            off.astype(np.int64)) - nm, nm
+
+    space = len(skel.ev_defs) * span * span
+    if space >= 1 << 62:  # pragma: no cover - pathological event widths
+        k, h, m = (np.concatenate(c) for c in zip(*map(split, steps)))
+        keys, inverse = np.unique(
+            np.stack([k, h, m], axis=1), axis=0, return_inverse=True
+        )
+        rows = (tuple(r) for r in keys.tolist())
+        cls_idx = np.empty(len(skel.cls_pos), dtype=np.int64)
+        cls_idx[skel.ev_at] = len(defs) + np.asarray(inverse).reshape(-1)
+    else:
+        def packed(lo):
+            k, h, m = split(lo)
+            k *= span
+            k += h
+            k *= span
+            k += m
+            return k
+
+        dense = space <= _INTERN_ROWS  # a table over the key space
+        if dense:
+            seen = np.zeros(space, dtype=bool)
+            for lo in steps:
+                seen[packed(lo)] = True
+            keys = np.flatnonzero(seen)
+        else:
+            keys = np.unique(np.concatenate([np.unique(packed(lo)) for lo in steps]))
+        rows = zip(*(c.tolist() for c in (
+            keys // (span * span), keys // span % span, keys % span)))
+        cls_idx = np.empty(
+            len(skel.cls_pos), dtype=_uint_for(len(defs) + len(keys) - 1)
+        )
+        if dense:
+            table = np.zeros(space, dtype=cls_idx.dtype)
+            table[keys] = np.arange(len(defs), len(defs) + len(keys))
+        for lo in steps:
+            key = packed(lo)
+            cls_idx[skel.ev_at[lo:lo + _INTERN_ROWS]] = (
+                table[key] if dense else len(defs) + np.searchsorted(keys, key)
+            )
     cls_idx[skel.t6_at] = skel.t6_cls
     max_nm = 0
-    if len(nm):
-        span = int(max(nh.max(), nm.max())) + 1
-        if len(skel.ev_defs) * span * span < (1 << 62):
-            packed = (skel.ev_key * span + nh) * span + nm
-            _, first, inverse = np.unique(
-                packed, return_index=True, return_inverse=True
-            )
-        else:  # pragma: no cover - pathological event widths
-            _, first, inverse = np.unique(
-                np.stack([skel.ev_key, nh, nm], axis=1), axis=0,
-                return_index=True, return_inverse=True,
-            )
-        cls_idx[skel.ev_at] = len(defs) + np.asarray(inverse).reshape(-1)
-        for k, h, m in zip(
-            skel.ev_key[first].tolist(), nh[first].tolist(), nm[first].tolist()
-        ):
-            d = skel.ev_defs[k]
-            defs.append(d + (h, m))
-            wh.append(d[1] * h)
-            wm.append(d[1] * m)
-        max_nm = int(nm.max())
+    for k, h, m in rows:
+        d = skel.ev_defs[k]
+        defs.append(d + (h, m))
+        wh.append(d[1] * h)
+        wm.append(d[1] * m)
+        max_nm = max(max_nm, m)
     cols = _VecProgram()
     cols.base = skel.base
     cols.kid = skel.kid
@@ -1327,19 +1459,13 @@ def _intern(skel: _Skeleton, nm: np.ndarray) -> _VecProgram:
     return cols
 
 
-def _misses_per_event(skel: _Skeleton, miss_pos) -> np.ndarray:
-    """Count missing addresses (positions into ``addrs``) per event."""
-    ev = np.searchsorted(skel.ev_off, miss_pos, side="right") - 1
-    return np.bincount(ev, minlength=len(skel.ev_key)).astype(np.int64)
-
-
 def _hot_sets(skel: _Skeleton, num_sets: int, assoc: int) -> np.ndarray:
     """Per L2 set: does it hold more distinct lines than ways?
 
     Only such *hot* sets can ever evict; a line of any other set hits
     on every touch after its first.
     """
-    return np.bincount(skel.lines % num_sets, minlength=num_sets) > assoc
+    return np.bincount(_set_of(skel.lines, num_sets), minlength=num_sets) > assoc
 
 
 def _range_misses(pos: np.ndarray, addrs: np.ndarray, side: list, hier) -> np.ndarray:
@@ -1361,7 +1487,12 @@ def _range_misses(pos: np.ndarray, addrs: np.ndarray, side: list, hier) -> np.nd
     itself.  *side* must hold no prefetch fills.
     """
     miss = np.ones(len(pos), dtype=bool)
-    cuts = np.searchsorted(pos, [p for p, _ in side], side="left").tolist()
+    # searchsorted copies a column whose dtype differs from the values'.
+    cuts = [p for p, _ in side]
+    dt = np.promote_types(pos.dtype, _uint_for(max(cuts, default=0)))
+    cuts = np.searchsorted(
+        pos.astype(dt, copy=False), np.array(cuts, dtype=dt), side="left"
+    ).tolist()
     cuts.append(len(pos))
     notes = [it for _, it in side] + [None]
     lo = 0
@@ -1369,9 +1500,12 @@ def _range_misses(pos: np.ndarray, addrs: np.ndarray, side: list, hier) -> np.nd
         ranges = hier._ranges
         if ranges and hi > lo:
             by_start = sorted(ranges)
-            starts = np.array([r[0] for r in by_start], dtype=np.int64)
-            ends = np.array([r[1] for r in by_start], dtype=np.int64)
             seg = addrs[lo:hi]
+            hi_end = max(r[1] for r in by_start)
+            dt = np.promote_types(seg.dtype, _uint_for(hi_end, by_start[0][0]))
+            seg = seg.astype(dt, copy=False)
+            starts = np.array([r[0] for r in by_start], dtype=dt)
+            ends = np.array([r[1] for r in by_start], dtype=dt)
             j = np.searchsorted(starts, seg, side="right") - 1
             inside = (j >= 0) & (seg < ends[j])
             miss[lo:hi] = ~inside
@@ -1388,7 +1522,7 @@ def _range_misses(pos: np.ndarray, addrs: np.ndarray, side: list, hier) -> np.nd
     return miss
 
 
-def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
+def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int, carry: bool = False):
     """Per-access hit flags of an LRU cache walked by *lines*, in order.
 
     The cache has *num_sets* sets of *assoc* ways and starts empty;
@@ -1401,15 +1535,25 @@ def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
     ``(assoc, sets)`` recency stack, row 0 the most recent.  A hit is a
     match in the column; the rows above it shift down one (every row on
     a miss, dropping the LRU line) and the access goes on top.  ``-1``
-    marks an empty way, so sets that are not yet full fill like the
-    dict.
+    (the largest value of an unsigned *lines* dtype) marks an empty
+    way, so sets that are not yet full fill like the dict.
+
+    With *carry* it returns ``(hits, resident)``: the lines the cache
+    holds at the end, grouped by set and oldest first within a set (as
+    :func:`_lru_resident` orders them), read off the final stack.
     """
     hits = np.zeros(len(lines), dtype=bool)
     if not len(lines):
-        return hits
+        return (hits, lines) if carry else hits
     if num_sets == 1:
-        return _lru_hits_one_set(lines, assoc)
-    sets = lines % num_sets
+        hits = _lru_hits_one_set(lines, assoc)
+        return (hits, _lru_resident(lines, 1, assoc)) if carry else hits
+    empty = -1  # an empty way: a value no line takes
+    if lines.dtype.kind == "u":
+        empty = np.iinfo(lines.dtype).max
+        if lines.max() == empty:
+            lines, empty = lines.astype(np.int64), -1
+    sets = _set_of(lines, num_sets)
     counts = np.bincount(sets, minlength=num_sets)
     by_count = np.argsort(-counts, kind="stable")
     rank = np.empty(num_sets, dtype=np.uint16 if num_sets <= 1 << 16 else np.int64)
@@ -1423,7 +1567,7 @@ def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
     # Sets still walking at step t: those with more than t accesses,
     # a prefix of the count-ranked sets.
     active = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
-    stack = np.full((assoc, len(counts)), -1, dtype=lines.dtype)
+    stack = np.full((assoc, len(counts)), empty, dtype=lines.dtype)
     hit_grouped = np.empty(len(lines), dtype=bool)
     for t, k in enumerate(active.tolist()):
         at = starts[:k] + t
@@ -1437,7 +1581,10 @@ def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
         s[1:] = np.where(keep, s[1:], s[:-1])
         s[0] = x
     hits[order] = hit_grouped
-    return hits
+    if not carry:
+        return hits
+    by_set = stack[::-1].T  # one row per set, oldest line first
+    return hits, by_set[by_set != empty]
 
 
 #: Accesses between two samples of the LRU horizon
@@ -1572,7 +1719,7 @@ def _lru_resident(lines: np.ndarray, num_sets: int, assoc: int) -> np.ndarray:
         tail = lines[max(0, n - width):]
         # recency 0 is the most recent access of the tail
         u, recency = np.unique(tail[::-1], return_index=True)
-        sets = u % num_sets
+        sets = _set_of(u, num_sets)
         order = np.lexsort((recency, sets))
         u, sets = u[order], sets[order]
         keep = np.arange(len(u)) - np.searchsorted(sets, sets) < assoc
@@ -1600,7 +1747,16 @@ def _compile_fast(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
     miss = _range_misses(
         ft, skel.addrs[ft], side, MemoryHierarchy.pricing_view(machine)
     )
-    return _intern(skel, _misses_per_event(skel, ft[miss]))
+    return _intern(skel, ft[miss])
+
+
+#: Addresses per step of :func:`_compile_walk`: this many for every
+#: line the hot sets hold (sets x ways), and no fewer than
+#: ``_WALK_CHUNK_MIN``.  A step carries the hot sets' residency into the
+#: next, at most one line per way, so the carried lines stay a small
+#: share of the step.
+_WALK_LINES_PER_WAY = 4
+_WALK_CHUNK_MIN = 1 << 16
 
 
 def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProgram:
@@ -1614,33 +1770,57 @@ def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
     Without fills (no honoured prefetches, no L2 prefetcher) a set that
     is not hot (:func:`_hot_sets`) never evicts, so its lines hit after
     their first touch, and the first touch takes just the range check.
-    The hot sets' LRU hits come from one lockstep walk
-    (:func:`_lru_hits`); their LRU misses and the cold sets' first
-    touches, merged in stream order, then take the range check
-    (:func:`_range_misses`) — the ``_range_hit`` calls the full walk
-    makes, in its order, which matters because ``_range_hit``
-    LRU-refreshes the range list and a later trim picks its victims by
-    that order.  With fills the tier takes the full walk,
-    :func:`_compile_walk_lines`.
+    The address stream is walked in steps of a fixed size (set by the
+    hot sets' capacity, ``_WALK_LINES_PER_WAY``), so no temporary grows
+    with it.  Per step, the hot sets' LRU hits come from a lockstep walk
+    (:func:`_lru_hits`) that carries their residency from the step
+    before (:class:`~repro.machine.replay_vec._Level`); their LRU misses
+    and the cold sets' first touches, merged in stream order, then take
+    the range check (:func:`_range_misses`, with the step's notes) — the
+    ``_range_hit`` calls the full walk makes, in its order, which
+    matters because ``_range_hit`` LRU-refreshes the range list and a
+    later trim picks its victims by that order.  With fills the tier
+    takes the full walk, :func:`_compile_walk_lines`.
     """
+    from .replay_vec import _Level  # deferred: import cycle
+
     l2 = machine.l2
     num_sets = l2.size_bytes // (l2.assoc * l2.line_bytes)
     if gc["has_fills"] or machine.l2_prefetcher or num_sets <= 0:
         return _compile_walk_lines(skel, gc, machine)
     hot = _hot_sets(skel, num_sets, l2.assoc)
-    l2_lines = skel.addrs >> gc["l2_shift"]
-    hot_at = hot[l2_lines % num_sets]
-    hot_pos = np.flatnonzero(hot_at)
-    hot_lines = l2_lines[hot_pos]
-    del l2_lines
-    lru_miss = hot_pos[~_lru_hits(hot_lines, num_sets, l2.assoc)]
-    ft = skel.ft_pos
-    check = np.sort(np.concatenate([lru_miss, ft[~hot_at[ft]]]))
-    del hot_at, hot_pos, hot_lines, lru_miss
-    miss = _range_misses(
-        check, skel.addrs[check], skel.side, MemoryHierarchy.pricing_view(machine)
+    level = _Level(num_sets, l2.assoc)
+    hier = MemoryHierarchy.pricing_view(machine)
+    addrs, side, shift, n = skel.addrs, skel.side, gc["l2_shift"], len(skel.addrs)
+    pos_t = _uint_for(n)  # the dtype of ev_off: _intern reads these as is
+    ft = skel.ft_pos.astype(pos_t, copy=False)
+    step = max(
+        _WALK_CHUNK_MIN,
+        _WALK_LINES_PER_WAY * l2.assoc * int(np.count_nonzero(hot)),
     )
-    return _intern(skel, _misses_per_event(skel, check[miss]))
+    starts = np.arange(0, n, step, dtype=pos_t)
+    ft_cuts = np.searchsorted(ft, starts).tolist() + [len(ft)]
+    misses = bytearray()  # positions of the misses, as pos_t
+    s0 = 0
+    for k, lo in enumerate(starts.tolist()):
+        hi = min(lo + step, n)
+        lines = addrs[lo:hi] >> shift
+        hot_at = hot[_set_of(lines, num_sets)]
+        hot_pos = np.flatnonzero(hot_at)
+        lru_miss = hot_pos[~level.hits(lines[hot_pos])]
+        del lines, hot_pos
+        cold_ft = ft[ft_cuts[k]:ft_cuts[k + 1]] - pos_t.type(lo)
+        check = np.concatenate([lru_miss, cold_ft[~hot_at[cold_ft]]])
+        check.sort()
+        check = (check + lo).astype(pos_t)
+        del hot_at, lru_miss, cold_ft
+        s1 = s0
+        while s1 < len(side) and side[s1][0] < hi:
+            s1 += 1
+        miss = _range_misses(check, addrs[check], side[s0:s1], hier)
+        s0 = s1
+        misses += check[miss].tobytes()
+    return _intern(skel, np.frombuffer(misses, dtype=pos_t))
 
 
 def _compile_walk_lines(
@@ -1706,7 +1886,7 @@ def _compile_walk_lines(
                     if len(ways) > l2_assoc:
                         ways.pop(next(iter(ways)))
     miss_pos = np.asarray(misses, dtype=np.int64)
-    return _intern(skel, _misses_per_event(skel, miss_pos))
+    return _intern(skel, miss_pos)
 
 
 def _point_pass_vec(
@@ -1765,22 +1945,24 @@ def _point_pass_vec(
             wc_by_cls[k] = d[1] * prices[d[2]]
 
     out = SimStats()
+    # NumPy indexes through intp: convert the narrow ids once, not per use.
+    cls_idx = cols.cls_idx.astype(np.intp, copy=False)
     if len(cols.base):
         contrib = cols.base.copy()
         if len(cols.cls_pos):
-            contrib[cols.cls_pos] = wc_by_cls[cols.cls_idx]
-        out.cycles = float(np.add.accumulate(contrib)[-1])
+            contrib[cols.cls_pos] = wc_by_cls[cls_idx]
         binc = np.bincount(
             cols.kid, weights=contrib, minlength=len(cols.labels)
         )
         out.kernel_cycles = {
             label: float(binc[i]) for i, label in enumerate(cols.labels)
         }
+        out.cycles = float(np.add.accumulate(contrib, out=contrib)[-1])
     if len(cols.cls_pos):
-        wh_seq = cols.wh_by_cls[cols.cls_idx]
-        wm_seq = cols.wm_by_cls[cols.cls_idx]
-        out.l2_hits = float(np.add.accumulate(wh_seq)[-1])
-        out.l2_misses = float(np.add.accumulate(wm_seq)[-1])
+        seq = cols.wh_by_cls[cls_idx]
+        out.l2_hits = float(np.add.accumulate(seq, out=seq)[-1])
+        seq = cols.wm_by_cls[cls_idx]
+        out.l2_misses = float(np.add.accumulate(seq, out=seq)[-1])
         out.dram_fills = out.l2_misses
     for name in _INVARIANT_FIELDS:
         setattr(out, name, getattr(inv, name))
@@ -2020,10 +2202,40 @@ def replay_sweep(
     machines = list(machines)
     if not machines:
         return []
+    job = _sweep_job(trace, machines)
+    return None if job is None else _run_points(*job)
+
+
+def replay_sweep_stored(
+    key: str, machines: Sequence[MachineConfig]
+) -> Optional[List[SimStats]]:
+    """:func:`replay_sweep` over the trace stored under *key*.
+
+    Returns ``None`` when no trace is stored (or the group is not
+    replayable).  A trace decoded from its spill is not registered (it
+    stays on disk), and it is dropped once the shared pass is memoized,
+    before any tier is built — as :func:`capture_sweep` drops its
+    recording — so the decoded columns and the tier builds never hold
+    memory at the same time.
+    """
+    from ..core import tracecache
+
+    machines = list(machines)
+    trace = tracecache.get(key, register=False)
+    if trace is None or not machines:
+        return None
+    job = _sweep_job(trace, machines)
+    del trace
+    return None if job is None else _run_points(*job)
+
+
+def _sweep_job(trace: RecordedTrace, machines: List[MachineConfig]):
+    """``_run_points`` arguments for pricing *machines* from *trace*:
+    the (memoized) shared pass and the tier cache context; ``None`` for
+    a group that is not replayable."""
     for m in machines:
         _check_compatible(trace, m)
-    mode = group_mode(machines)
-    if mode is None:
+    if group_mode(machines) is None:
         return None
     skel, inv, gc = _shared_pass_cached(trace, machines[0])
     ctx = None
@@ -2035,7 +2247,7 @@ def replay_sweep(
             trace.content_digest(),
             _trace_compat(trace),
         )
-    return _run_points(skel, inv, gc, machines, cache_ctx=ctx)
+    return skel, inv, gc, machines, ctx
 
 
 def _machine_walk_fp(m: MachineConfig) -> str:
@@ -2234,11 +2446,6 @@ def capture_sweep(
     tracecache.put(key, trace, resident=False)
     skel, inv, gc = _shared_pass(trace, machines[0])
     del trace
-    # The pass grew these columns in buffers while the trace was alive:
-    # exact-size copies made now can take the trace's memory.
-    for name in ("base", "kid", "cls_pos", "t6_at", "t6_cls", "ev_at",
-                 "ev_key", "ev_off", "addrs"):
-        setattr(skel, name, getattr(skel, name).copy())
     sig = _shared_pass_sig(machines[0])
     _memo_put((key, digest, sig), (skel, inv, gc))
     ctx = (key, _sig_token(sig), digest, compat)

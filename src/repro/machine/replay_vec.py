@@ -62,7 +62,6 @@ from .simulator import (
     SimStats,
 )
 from .trace import (
-    _CHUNK_ROWS,
     OP_COUNT_FLOPS,
     OP_NOTE_RANGE,
     OP_SCALAR,
@@ -86,6 +85,14 @@ _OP_SPILL_TAIL = 250
 
 #: Trace opcodes, OP_SCALAR (0) through OP_NOTE_RANGE.
 _KNOWN_OPS = frozenset(range(OP_SCALAR, OP_NOTE_RANGE + 1))
+
+#: Trace rows per step of the pass.  A row's walk expands into every
+#: line it touches (a 1 KB vector access into 16 L1 lines, a strided
+#: one into a segment per element), so the step's temporaries grow
+#: with the vector length: on a 6-layer yolov3 capture at VL 8192 the
+#: pass peaks 14 MB above the trace with 16k-row steps, 29 MB with
+#: 64k, and is no slower.
+_CHUNK_ROWS = 1 << 14
 
 
 def _expand_spills(cols, vlen_bits: int):
@@ -234,25 +241,25 @@ class _Outcome(NamedTuple):
 class _Level:
     """One LRU cache level, walked one chunk of its line stream at a time.
 
-    Residency carries over as the resident lines, oldest first per set
-    (:func:`~repro.machine.replay._lru_resident`), put in front of the
-    next chunk's lines.
+    Residency carries over as the resident lines at the end of a chunk,
+    oldest first per set (``_lru_hits(..., carry=True)``), put in front
+    of the next chunk's lines.
     """
 
     def __init__(self, num_sets: int, assoc: int):
         self.num_sets = num_sets
         self.assoc = assoc
-        self.resident = np.zeros(0, dtype=np.int64)
+        self.resident = None  # in the dtype of the first chunk's lines
 
     def hits(self, lines: np.ndarray) -> np.ndarray:
-        from .replay import _lru_hits, _lru_resident  # deferred: import cycle
+        from .replay import _lru_hits  # deferred: import cycle
 
         if not len(lines):
             return np.zeros(0, dtype=bool)
-        carried = len(self.resident)
-        stream = np.concatenate([self.resident, lines])
-        self.resident = _lru_resident(stream, self.num_sets, self.assoc)
-        return _lru_hits(stream, self.num_sets, self.assoc)[carried:]
+        carried = 0 if self.resident is None else len(self.resident)
+        stream = np.concatenate([self.resident, lines]) if carried else lines
+        hits, self.resident = _lru_hits(stream, self.num_sets, self.assoc, carry=True)
+        return hits[carried:]
 
 
 class _ArrayWalk:
@@ -406,7 +413,7 @@ class _CaptureWalk:
         from .replay import _SkeletonBuilder  # deferred: import cycle
 
         cap = self.cap
-        old, sk = cap._sk, _SkeletonBuilder()
+        old, sk = cap._sk, _SkeletonBuilder(wide=True)
         sk.ev_ids, sk.ev_defs = old.ev_ids, old.ev_defs
         sk.t6_ids, sk.t6_defs = old.t6_ids, old.t6_defs
         cap._sk = sk
@@ -456,11 +463,6 @@ def _walk_events(cap, ops, ws, a0, a1, a2, a3) -> None:
             sw_prefetch(a0[j], a1[j], "L1" if a2[j] == 0 else "L2")
 
 
-def _append(buf, values, dtype) -> None:
-    """Append a NumPy column to an ``array`` buffer of the same item type."""
-    buf.frombytes(np.ascontiguousarray(values, dtype=dtype).view(np.uint8))
-
-
 class _Pass:
     """The shared pass's state between row chunks, and its output.
 
@@ -476,7 +478,7 @@ class _Pass:
         self.trace_labels = labels
         self.label_of = np.full(len(labels), -1, dtype=np.int64)
         self.n_items = self.n_cls = self.n_addrs = 0
-        self.lines = np.zeros(0, dtype=np.int64)  # distinct L2 lines so far
+        self.lines = np.zeros(0, dtype=np.uint32)  # distinct L2 lines so far
         self.ft_pos: list = []  # first-touch address positions, per chunk
         self.counters = dict.fromkeys(
             ("scalar_instrs", "vec_instrs", "vec_mem_instrs", "vec_elems",
@@ -502,10 +504,12 @@ class _Pass:
                 self.label_of[k] = lid
         ids = self.label_of[kids]
         switch = np.flatnonzero(np.diff(ids, prepend=-1))
-        _append(out.sw_pos, self.n_items + switch, np.int64)
-        _append(out.sw_kid, ids[switch], np.int64)
+        out.extend("sw_pos", self.n_items + switch)
+        out.extend("sw_kid", ids[switch])
 
     def chunk(self, cols, vlen_bits: int) -> None:
+        from .replay import _uint_for  # deferred: import cycle
+
         cap, out, acc = self.cap, self.out, self.counters
         op, w, kid, i0, i1, i2, i3, f0 = _expand_spills(cols, vlen_bits)
         honors = cap._honors
@@ -614,25 +618,33 @@ class _Pass:
              np.concatenate([res.m_cid, cid_va, cid_vb])[order]],
             lambda x, cid: (6, x, cid), out.t6_ids, out.t6_defs,
         )
-        _append(out.base, base, np.float64)
-        _append(out.cls_pos, self.n_items + np.flatnonzero(is_cls), np.int64)
-        _append(out.t6_at, slot[t6_pos[order]], np.int64)
-        _append(out.t6_cls, t6_cls, np.int64)
-        _append(out.ev_at, slot[ev_pos], np.int64)
-        _append(out.ev_key, res.ev_key, np.int64)
-        _append(out.ev_off, self.n_addrs + np.cumsum(res.ev_n), np.int64)
-        _append(out.addrs, res.addrs, np.int64)
+        out.extend("base", base)
+        out.extend("cls_pos", self.n_items + np.flatnonzero(is_cls))
+        out.extend("t6_at", slot[t6_pos[order]])
+        out.extend("t6_cls", t6_cls)
+        out.extend("ev_at", slot[ev_pos])
+        out.extend("ev_key", res.ev_key)
+        out.extend("ev_off", self.n_addrs + np.cumsum(res.ev_n))
+        out.extend("addrs", res.addrs)
         out.side.extend((self.n_addrs + pos, it) for pos, it in res.side)
         # First touches: the chunk's first access to each L2 line that
-        # no earlier chunk reached.
+        # no earlier chunk reached.  The lines so far stay at 32 bits
+        # until one does not fit (isin and searchsorted would otherwise
+        # widen the whole table on every chunk).
         u, first = np.unique(res.addrs >> cap._l2_shift, return_index=True)
+        if len(u) and int(u[-1]) > np.iinfo(self.lines.dtype).max:
+            self.lines = self.lines.astype(np.int64)
+        u = u.astype(self.lines.dtype)
         new = ~np.isin(u, self.lines, assume_unique=True)
-        self.ft_pos.append(self.n_addrs + np.sort(first[new]))
+        n_addrs = self.n_addrs + len(res.addrs)
+        self.ft_pos.append(
+            (self.n_addrs + np.sort(first[new])).astype(_uint_for(n_addrs))
+        )
         u = u[new]
         self.lines = np.insert(self.lines, np.searchsorted(self.lines, u), u)
         self.n_items += n_items
         self.n_cls += int(np.count_nonzero(is_cls))
-        self.n_addrs += len(res.addrs)
+        self.n_addrs = n_addrs
 
 
 def _shared_pass_vec(trace: RecordedTrace, base):

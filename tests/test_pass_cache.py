@@ -459,6 +459,39 @@ class TestStoreLoad:
             n.endswith(tc.VECPROG_SUFFIX) for n in os.listdir(cache_dir)
         ) == n_tiers + 1
 
+    def test_decoded_trace_not_kept_after_its_pass(self, cache_dir):
+        """A cold L2 sweep over a spilled trace decodes it without
+        registering it (the spill still holds it) and memoizes the pass:
+        the lanes sweep that follows on the same key decodes nothing."""
+        from repro.machine import replay as R
+
+        net, policy = small_net(), KernelPolicy()
+        m = rvv_gem5(vlen_bits=512, lanes=4, l2_mb=1)
+        trace, _ = tc.get_or_capture(net, m, policy, None)
+        key = trace.key
+        tc.clear_registry()
+        R._SHARED_PASS_MEMO.clear()
+        tc.reset_load_counts()
+        res = sweep_cache_sizes(
+            net, [1, 2],
+            lambda mb: rvv_gem5(vlen_bits=512, lanes=4, l2_mb=mb), use_cache=False,
+        )
+        assert res.sources == ["replayed", "replayed"]
+        assert tc.load_counts()["spill"] == 1
+        assert key not in tc._REGISTRY
+        assert any(k[0] == key for k in R._SHARED_PASS_MEMO)
+        tc.reset_load_counts()
+        lanes = [1, 2, 8]
+        res = sweep_lanes(
+            net, lanes,
+            lambda n: rvv_gem5(vlen_bits=512, lanes=n, l2_mb=1), use_cache=False,
+        )
+        assert res.sources == ["replayed"] * 3
+        counts = tc.load_counts()
+        assert counts["spill"] == 0 and counts["shm"] == 0
+        for n, st_ in zip(lanes, res.stats):
+            assert hexs(st_) == hexs(replay(trace, rvv_gem5(vlen_bits=512, lanes=n, l2_mb=1)))
+
 
 # ----------------------------------------------------------------------
 # Memo keying on trace content, not just the registry key

@@ -218,9 +218,12 @@ class TestEngineIdentity:
 # Generated memory-event streams
 # ----------------------------------------------------------------------
 #: Byte addresses over a few L1 sets, several tags each (the L1 has
-#: 256 sets), so the L1 and VectorCache both evict and hit.
+#: 256 sets), so the L1 and VectorCache both evict and hit; below 4 GiB,
+#: or past ``2**32`` (the skeleton's address column then widens from
+#: ``u4`` to int64, possibly mid-pass).
 addresses = st.builds(
-    lambda s, tag, off: 4096 + (s + 256 * tag) * 64 + off,
+    lambda hi, s, tag, off: hi + 4096 + (s + 256 * tag) * 64 + off,
+    st.sampled_from([0, 1 << 32, (1 << 40) - (1 << 20)]),
     st.integers(0, 3), st.integers(0, 7), st.integers(0, 63),
 )
 #: Element strides: unit (0 or the element width), line-straddling,
