@@ -1378,9 +1378,8 @@ def _intern(skel: _Skeleton, miss_pos: np.ndarray) -> _VecProgram:
     class ids follow packed-key order, not first occurrence; prices and
     the fold order (set by ``cls_pos``) do not depend on them.  Events
     are taken ``_INTERN_ROWS`` at a time, twice: once to collect the
-    distinct keys (in a table over the key space when it is no larger
-    than a step, else by sorting), once to look each event's key up
-    among them, so no temporary grows with the stream.
+    distinct keys, once to look each event's key up among them, so no
+    temporary grows with the stream.
     """
     ev_off = skel.ev_off
     n_ev = len(skel.ev_key)
@@ -1399,8 +1398,8 @@ def _intern(skel: _Skeleton, miss_pos: np.ndarray) -> _VecProgram:
         return skel.ev_key[lo:lo + len(off) - 1].astype(np.int64), np.diff(
             off.astype(np.int64)) - nm, nm
 
-    space = len(skel.ev_defs) * span * span
-    if space >= 1 << 62:  # pragma: no cover - pathological event widths
+    if len(skel.ev_defs) * span * span >= 1 << 62:  # pragma: no cover
+        # Pathological event widths: the triple does not pack into int64.
         k, h, m = (np.concatenate(c) for c in zip(*map(split, steps)))
         keys, inverse = np.unique(
             np.stack([k, h, m], axis=1), axis=0, return_inverse=True
@@ -1417,26 +1416,21 @@ def _intern(skel: _Skeleton, miss_pos: np.ndarray) -> _VecProgram:
             k += m
             return k
 
-        dense = space <= _INTERN_ROWS  # a table over the key space
-        if dense:
-            seen = np.zeros(space, dtype=bool)
-            for lo in steps:
-                seen[packed(lo)] = True
-            keys = np.flatnonzero(seen)
-        else:
-            keys = np.unique(np.concatenate([np.unique(packed(lo)) for lo in steps]))
+        keys = np.zeros(0, dtype=np.int64)
+        for lo in steps:
+            # A sort and a mask: np.union1d takes about 9x as long on
+            # these few-valued steps.
+            keys = np.concatenate([keys, packed(lo)])
+            keys.sort()
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         rows = zip(*(c.tolist() for c in (
             keys // (span * span), keys // span % span, keys % span)))
         cls_idx = np.empty(
             len(skel.cls_pos), dtype=_uint_for(len(defs) + len(keys) - 1)
         )
-        if dense:
-            table = np.zeros(space, dtype=cls_idx.dtype)
-            table[keys] = np.arange(len(defs), len(defs) + len(keys))
         for lo in steps:
-            key = packed(lo)
-            cls_idx[skel.ev_at[lo:lo + _INTERN_ROWS]] = (
-                table[key] if dense else len(defs) + np.searchsorted(keys, key)
+            cls_idx[skel.ev_at[lo:lo + _INTERN_ROWS]] = len(defs) + np.searchsorted(
+                keys, packed(lo)
             )
     cls_idx[skel.t6_at] = skel.t6_cls
     max_nm = 0
@@ -1522,8 +1516,11 @@ def _range_misses(pos: np.ndarray, addrs: np.ndarray, side: list, hier) -> np.nd
     return miss
 
 
-def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int, carry: bool = False):
-    """Per-access hit flags of an LRU cache walked by *lines*, in order.
+def _lru_hits(
+    lines: np.ndarray, num_sets: int, assoc: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-access hit flags of an LRU cache walked by *lines*, in order,
+    and the lines it holds at the end.
 
     The cache has *num_sets* sets of *assoc* ways and starts empty;
     ``lines[i]`` hits iff it is resident when accessed — exactly the
@@ -1538,16 +1535,16 @@ def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int, carry: bool = False)
     (the largest value of an unsigned *lines* dtype) marks an empty
     way, so sets that are not yet full fill like the dict.
 
-    With *carry* it returns ``(hits, resident)``: the lines the cache
-    holds at the end, grouped by set and oldest first within a set (as
-    :func:`_lru_resident` orders them), read off the final stack.
+    Returns ``(hits, resident)``: *resident* holds the final lines
+    grouped by set and oldest first within a set, read off the final
+    stack (the one-set path takes them from the stream's tail,
+    :func:`_lru_resident`).
     """
     hits = np.zeros(len(lines), dtype=bool)
     if not len(lines):
-        return (hits, lines) if carry else hits
+        return hits, lines
     if num_sets == 1:
-        hits = _lru_hits_one_set(lines, assoc)
-        return (hits, _lru_resident(lines, 1, assoc)) if carry else hits
+        return _lru_hits_one_set(lines, assoc), _lru_resident(lines, 1, assoc)
     empty = -1  # an empty way: a value no line takes
     if lines.dtype.kind == "u":
         empty = np.iinfo(lines.dtype).max
@@ -1581,8 +1578,6 @@ def _lru_hits(lines: np.ndarray, num_sets: int, assoc: int, carry: bool = False)
         s[1:] = np.where(keep, s[1:], s[:-1])
         s[0] = x
     hits[order] = hit_grouped
-    if not carry:
-        return hits
     by_set = stack[::-1].T  # one row per set, oldest line first
     return hits, by_set[by_set != empty]
 

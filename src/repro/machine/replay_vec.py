@@ -242,8 +242,8 @@ class _Level:
     """One LRU cache level, walked one chunk of its line stream at a time.
 
     Residency carries over as the resident lines at the end of a chunk,
-    oldest first per set (``_lru_hits(..., carry=True)``), put in front
-    of the next chunk's lines.
+    oldest first per set (as :func:`~repro.machine.replay._lru_hits`
+    returns them), put in front of the next chunk's lines.
     """
 
     def __init__(self, num_sets: int, assoc: int):
@@ -258,7 +258,7 @@ class _Level:
             return np.zeros(0, dtype=bool)
         carried = 0 if self.resident is None else len(self.resident)
         stream = np.concatenate([self.resident, lines]) if carried else lines
-        hits, self.resident = _lru_hits(stream, self.num_sets, self.assoc, carry=True)
+        hits, self.resident = _lru_hits(stream, self.num_sets, self.assoc)
         return hits[carried:]
 
 

@@ -150,14 +150,14 @@ def skeleton(n_defs, keys, pend, wide):
     "n_defs, width, max_pend",
     [(200, np.uint8, 3), (200, np.uint8, 40), (300, np.uint16, 3),
      (70000, np.uint32, 9)],
-    ids=["u1-table", "u1-sorted", "u2", "u4"],
+    ids=["u1", "u1-wide-span", "u2", "u4"],
 )
 def test_intern_widens_before_packing(n_defs, width, max_pend, rows, monkeypatch):
     """Key ids near the top of ``u1``/``u2``/``u4`` times a span of
     hits and misses overflow the id width: the classes and every
     event's class id are the ones a Python dict assigns, and the same as
-    from int64 columns — through the table and the sorted path, and
-    across intern steps of a few events."""
+    from int64 columns — in one intern step and across steps of a few
+    events."""
     monkeypatch.setattr(R, "_INTERN_ROWS", rows)
     rng = np.random.default_rng(n_defs + max_pend)
     keys = rng.choice([0, 1, n_defs // 2, n_defs - 2, n_defs - 1], size=40)
@@ -192,9 +192,8 @@ def test_lru_hits_on_narrow_lines(dtype, num_sets, assoc):
     pool = np.array([top, top - 1, top - 4, top // 3, 0, 1, 5, 9], dtype=dtype)
     lines = np.random.default_rng(int(top) % 97 + num_sets).choice(pool, size=400)
     want, state = dict_lru(lines.tolist(), num_sets, assoc)
-    got, resident = _lru_hits(lines, num_sets, assoc, carry=True)
+    got, resident = _lru_hits(lines, num_sets, assoc)
     assert got.tolist() == want
-    assert _lru_hits(lines, num_sets, assoc).tolist() == want
     by_set = {}
     for line in resident.tolist():
         by_set.setdefault(line % num_sets, []).append(line)

@@ -197,7 +197,7 @@ def lru_streams(draw):
 @example((np.zeros(0, dtype=np.int64), 64, 4))
 def test_lru_hits_match_dict_lru(stream):
     lines, num_sets, assoc = stream
-    got = _lru_hits(lines, num_sets, assoc)
+    got = _lru_hits(lines, num_sets, assoc)[0]
     assert got.tolist() == dict_lru_hits(lines.tolist(), num_sets, assoc)
 
 
@@ -206,8 +206,8 @@ def test_lru_hits_match_dict_lru(stream):
 def test_lru_hits_inclusion(stream):
     """Mattson: at a fixed set count, one more way never loses a hit."""
     lines, num_sets, assoc = stream
-    fewer = _lru_hits(lines, num_sets, assoc)
-    more = _lru_hits(lines, num_sets, assoc + 1)
+    fewer = _lru_hits(lines, num_sets, assoc)[0]
+    more = _lru_hits(lines, num_sets, assoc + 1)[0]
     assert not (fewer & ~more).any()
 
 
@@ -256,7 +256,7 @@ LONG_GAP = np.array(
 @example((np.tile(np.arange(40, dtype=np.int64), 60), 40))
 def test_one_set_lru_hits_match_dict_lru(stream):
     lines, assoc = stream
-    got = _lru_hits(lines, 1, assoc)
+    got = _lru_hits(lines, 1, assoc)[0]
     assert got.tolist() == dict_lru_hits(lines.tolist(), 1, assoc)
 
 
@@ -265,8 +265,8 @@ def test_one_set_lru_hits_match_dict_lru(stream):
 def test_one_set_lru_hits_inclusion(stream):
     """Mattson on the one-set path: one more way never loses a hit."""
     lines, assoc = stream
-    fewer = _lru_hits(lines, 1, assoc)
-    more = _lru_hits(lines, 1, assoc + 1)
+    fewer = _lru_hits(lines, 1, assoc)[0]
+    more = _lru_hits(lines, 1, assoc + 1)[0]
     assert not (fewer & ~more).any()
 
 
@@ -287,7 +287,7 @@ def test_lru_residency_carry(stream, cuts):
     level = _Level(num_sets, assoc)
     parts = np.split(lines, sorted(min(c, len(lines)) for c in cuts))
     got = np.concatenate([level.hits(part) for part in parts])
-    assert got.tolist() == _lru_hits(lines, num_sets, assoc).tolist()
+    assert got.tolist() == _lru_hits(lines, num_sets, assoc)[0].tolist()
 
 
 @st.composite
