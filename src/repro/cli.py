@@ -437,36 +437,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_spec(args):
-    """Resolve the CLI axis into ``(axis_name, values, factory, runner)``.
-
-    ``axis_name`` matches what the ``sweep_*`` helper passes to
-    :func:`repro.core.codesign.sweep` — ``--dry-run`` relies on that to
-    compute the same journal key as a real run.
-    """
-    if args.axis == "vlen":
-        values = args.values or [512, 1024, 2048, 4096, 8192, 16384]
-        if args.machine == "sve":
-            values = [v for v in values if v <= 2048]
-        factory = (
-            (lambda v: sve_gem5(vlen_bits=v, l2_mb=args.l2_mb))
-            if args.machine == "sve"
-            else (lambda v: rvv_gem5(vlen_bits=v, lanes=args.lanes, l2_mb=args.l2_mb))
-        )
-        return "vlen_bits", values, factory, sweep_vector_lengths
-    if args.axis == "cache":
-        values = args.values or [1, 8, 64, 256]
-        factory = (
-            (lambda mb: sve_gem5(vlen_bits=min(args.vlen, 2048), l2_mb=mb))
-            if args.machine == "sve"
-            else (lambda mb: rvv_gem5(vlen_bits=args.vlen, lanes=args.lanes, l2_mb=mb))
-        )
-        return "l2_mb", values, factory, sweep_cache_sizes
-    values = args.values or [2, 4, 8]
-    factory = lambda l: rvv_gem5(  # noqa: E731
-        vlen_bits=args.vlen, lanes=l, l2_mb=args.l2_mb
-    )
-    return "lanes", values, factory, sweep_lanes
+#: The ``sweep_*`` helper that runs each resolved axis; its name is the
+#: one :func:`repro.core.codesign.sweep` journals under, so
+#: ``--dry-run`` computes the same key as a real run.
+_SWEEP_RUNNERS = {
+    "vlen_bits": sweep_vector_lengths,
+    "l2_mb": sweep_cache_sizes,
+    "lanes": sweep_lanes,
+}
 
 
 def _sweep_retry(args):
@@ -594,14 +572,27 @@ def _sweep_dry_run(args, net, policy, axis_name, values, factory) -> int:
     return 0
 
 
+def _resolve_sweep(args, command: str):
+    """``resolve_spec`` of the CLI arguments, or ``None`` after printing
+    why the sweep cannot be built (the caller exits 2)."""
+    from .service import scheduler
+
+    try:
+        return scheduler.resolve_spec(scheduler.spec_from_args(args))
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_sweep(args) -> int:
     """``repro sweep``: one-axis design-space sweep (vlen/cache/lanes)."""
-    net = _NETS[args.net]()
-    policy = _policy(args)
-    axis_name, values, factory, runner = _sweep_spec(args)
+    resolved = _resolve_sweep(args, "sweep")
+    if resolved is None:
+        return 2
+    net, policy, axis_name, values, factory = resolved
     if args.dry_run:
         return _sweep_dry_run(args, net, policy, axis_name, values, factory)
-    res = runner(
+    res = _SWEEP_RUNNERS[axis_name](
         net, values, factory, policy, args.layers, args.jobs,
         args.simcache, args.trace, resume=args.resume,
         retry=_sweep_retry(args), max_failures=args.max_failures,
@@ -1154,6 +1145,8 @@ def cmd_submit(args) -> int:
     """``repro submit``: run a sweep as a durable, deduplicated job."""
     from .service import scheduler
 
+    if _resolve_sweep(args, "submit") is None:
+        return 2
     spec = scheduler.spec_from_args(args)
     outcome = scheduler.submit_and_run(
         spec, wait=args.wait, jobs=args.jobs, retry=_sweep_retry(args),

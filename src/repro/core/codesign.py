@@ -190,9 +190,13 @@ def _simulate_group(
     (:func:`repro.machine.replay.capture_sweep`), seeding the
     registry/spill and the tier cache so later sweeps along *any*
     replayable axis price the figure without re-running kernels.
-    Groups varying in a genuinely un-replayable field fall back to
-    ordinary per-point simulation — or raise when ``use_trace=True``
-    was explicitly requested.
+    Groups varying in a genuinely un-replayable field, and every group
+    of machines with a TLB, a hardware prefetcher or honoured software
+    prefetches (:func:`repro.machine.replay.blocking_features`, the
+    A64FX preset), fall back to ordinary per-point simulation before
+    anything is captured or decoded — or raise a ``ValueError`` naming
+    the fields or the feature when ``use_trace=True`` was explicitly
+    requested.
 
     Returns ``(stats, sources)`` in input order; statistics are bitwise
     identical to per-point simulation regardless of the path taken.
@@ -210,9 +214,9 @@ def _simulate_group(
     from ..machine.replay import (
         capture_sweep,
         group_mode,
-        nonuniform_fields,
         replay_sweep_cached,
         replay_sweep_stored,
+        require_group,
     )
 
     n = len(machines)
@@ -247,19 +251,11 @@ def _simulate_group(
             groups.setdefault(key, []).append(i)
         for key, idxs in groups.items():
             group = [machines[i] for i in idxs]
-            if len(idxs) > 1 and group_mode(group) is None:
+            if group_mode(group) is None:
                 if use_trace is True:
-                    # The caller explicitly demanded trace replay for an
-                    # axis the pricing pass cannot express: fail loudly
-                    # instead of silently simulating per point.
-                    raise ValueError(
-                        "trace replay cannot price this sweep group: "
-                        "machines vary in "
-                        f"{', '.join(nonuniform_fields(group))} "
-                        "(see repro.machine.replay.supports_axis for "
-                        "replayable axes); drop use_trace=True to "
-                        "simulate per point"
-                    )
+                    # Replay was demanded for a group the pricing pass
+                    # cannot express: fail loudly, naming why.
+                    require_group(group)
                 continue  # un-replayable group: per-point fallback below
             try:
                 for i in idxs:

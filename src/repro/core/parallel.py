@@ -368,14 +368,16 @@ def simulate_points(
     trace_groups: Dict[Optional[str], List[int]] = {}
     captured_pos = None
     if tracecache.trace_enabled(use_trace, default=True):
-        from ..machine.replay import group_mode
+        from ..machine.replay import group_mode, require_group
 
         for pos, machine in enumerate(machines):
             key = tracecache.trace_key(net, machine, policy, n_layers, True)
             trace_groups.setdefault(key, []).append(pos)
         for key, poss in list(trace_groups.items()):
             group = [machines[p] for p in poss]
-            if len(poss) > 1 and group_mode(group) is None:
+            if group_mode(group) is None:
+                if use_trace is True:
+                    require_group(group)  # replay was demanded: raise why not
                 # Replay cannot price the group; run its points direct.
                 for p in poss:
                     trace_groups.setdefault(None, []).append(p)

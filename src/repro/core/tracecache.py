@@ -693,14 +693,23 @@ def encode_vecprog(
     return _pack_blocks(_VECPROG_MAGIC, header, arrays, _VECPROG_COLUMNS)
 
 
+def _narrowest(col: np.ndarray) -> np.ndarray:
+    """Non-negative integer column *col* at the narrowest unsigned width
+    that holds its largest value (``u1`` when empty)."""
+    return col.astype(np.min_scalar_type(int(col.max(initial=0))), copy=False)
+
+
 def decode_vecprog(blob: bytes) -> Tuple[dict, dict, Dict[str, float], dict]:
     """Inverse of :func:`encode_vecprog`.
 
     Returns ``(header, cols, inv_fields, gc_pricing)`` where *cols* is
     the column dict of :func:`encode_vecprog` and *gc_pricing* holds
     just the fields :func:`repro.machine.replay._point_pass_vec` reads.
-    Raises :class:`ValueError` on corruption, including digest-valid
-    columns that do not fit together (callers quarantine + miss).
+    The integer columns ``kid``, ``cls_pos`` and ``cls_idx`` come back
+    at the narrowest unsigned width that holds their largest value, the
+    width a tier compiled in process holds them at.  Raises
+    :class:`ValueError` on corruption, including digest-valid columns
+    that do not fit together (callers quarantine + miss).
     """
     header, arrays = _unpack_blocks(_VECPROG_MAGIC, blob, _VECPROG_COLUMNS)
     n = int(header["n_items"])
@@ -708,7 +717,7 @@ def decode_vecprog(blob: bytes) -> Tuple[dict, dict, Dict[str, float], dict]:
     cls_defs = _lists_to_tuples(header["cls_defs"])
     kid_at, kid_run = arrays["kid_at"], arrays["kid_run"]
     cls_bits = np.unpackbits(arrays["cls_bits"])
-    cls_idx = arrays["cls_idx"].astype(np.int64)
+    cls_idx = _narrowest(arrays["cls_idx"])
     # Label runs start at item 0, rise strictly, stay below n and name
     # a label; the bitmap covers the n items with one bit per class
     # item (zero padding); class ids index the class table.
@@ -735,9 +744,9 @@ def decode_vecprog(blob: bytes) -> Tuple[dict, dict, Dict[str, float], dict]:
         raise ValueError("vecprog container: inconsistent tier columns")
     cols = {
         "base": arrays["base"],
-        "kid": np.repeat(kid_run, np.diff(kid_at, append=n)),
+        "kid": np.repeat(_narrowest(kid_run), np.diff(kid_at, append=n)),
         "labels": labels,
-        "cls_pos": np.flatnonzero(cls_bits),
+        "cls_pos": _narrowest(np.flatnonzero(cls_bits)),
         "cls_idx": cls_idx,
         "cls_defs": cls_defs,
         "wh_by_cls": arrays["wh_by_cls"],

@@ -15,14 +15,17 @@ Two entry points price a trace, and one runs the kernels:
   paper's Fig. 7/8 cache sweeps) or only in VPU pricing parameters —
   lanes, pipes, MLP, port width, issue overheads (the Fig. 6/8 lane
   and MLP axes).  The trace is walked **once** through the
-  group-invariant upstream levels (TLB, L1, prefetcher, VectorCache
-  — all identical across the group), producing the shared-pass
+  group-invariant upstream levels (L1 and VectorCache, identical
+  across the group), producing the shared-pass
   *program*: pre-priced invariant cycle contributions plus, for every
   event that reached the L2, its line addresses.  The VPU-dependent
   cycle terms are not pre-priced: the shared pass records each
   distinct (event kind, element count, operand shape) as a *pricing
   class*, and every point resolves the class table once against its
-  own VPU — so one capture prices a lane sweep too.
+  own VPU — so one capture prices a lane sweep too.  Machines with a
+  TLB, a hardware prefetcher or honoured software prefetches (the A64FX
+  preset) are never grouped (:func:`group_mode`): the paper sweeps only
+  the gem5 cores, which have none, and such points price per point.
 
 * :func:`capture_sweep` — the one cold path for every replayable group,
   singletons (one VL point) included: one kernel run records the trace
@@ -58,14 +61,12 @@ resolved by one of two builders and interned into classes with one
   touched before; only its first touch needs the residency-range model.
   The tier depends only on the L2 byte budget (``None`` when the ranges
   never trim), and resolving it range-checks just the first-touch
-  lines.  Prefetcher and prefetch-hint fills rule it out (they insert
-  lines outside the demand stream).
-* :func:`_compile_walk` — the exact LRU walk of one L2 geometry and
-  prefetcher.  Without fills only the sets that can overflow are
-  walked, in lockstep (:func:`_lru_hits`), over fixed-size steps of the
-  address column that carry their residency; every other line is a
-  first-touch range check or a hit.  With fills or an L2 prefetcher it
-  walks every line (:func:`_compile_walk_lines`).
+  lines.
+* :func:`_compile_walk` — the exact LRU walk of one L2 geometry.  Only
+  the sets that can overflow are walked, in lockstep
+  (:func:`_lru_hits`), over fixed-size steps of the address column that
+  carry their residency; every other line is a first-touch range check
+  or a hit.
 
 Both builders run the residency-range model once per stretch between
 range notes (:func:`_range_misses`), not once per address.  Tiers carry
@@ -97,11 +98,11 @@ tests/test_tier_identity.py:
   ``SimStats``), so the tier walk may store ``True`` unconditionally
   without perturbing residency or LRU order.
 
-The hierarchy walks in :class:`_GroupCapture` mirror
+The hierarchy walks in :class:`_GroupCapture` follow
 ``MemoryHierarchy._l1_path`` / ``_l2_path`` and their strided variants
-line for line (minus the L2 lookup, which is deferred): keep them in
-lock-step with hierarchy.py when the model changes.  The array walk of
-:mod:`repro.machine.replay_vec` is checked against them column for
+with the same dict LRUs (minus the L2 lookup, which is deferred): keep
+them in step with hierarchy.py when the model changes.  The array walk
+of :mod:`repro.machine.replay_vec` is checked against them column for
 column.
 """
 
@@ -149,9 +150,9 @@ __all__ = [
     "replay_sweep_cached",
     "replay_sweep_stored",
     "capture_sweep",
-    "uniform_group",
     "group_mode",
-    "supports_axis",
+    "blocking_features",
+    "require_group",
     "nonuniform_fields",
 ]
 
@@ -266,6 +267,29 @@ def replay(
 #: deferred to the point pass in ``"vpu"`` mode.
 _VPU_WALK_FIELDS = ("mem_port", "vector_cache_bytes")
 
+#: Machine features the shared pass does not model: a TLB adds latency
+#: to accesses, and hardware prefetchers and honoured software
+#: prefetches fill the L1 or L2 with lines outside the demand stream
+#: the program records.  The paper's gem5 cores have none of them; a
+#: machine that has one prices per point through the direct simulator.
+_BLOCKING_FEATURES = ("tlb", "l1_prefetcher", "l2_prefetcher", "honors_sw_prefetch")
+
+
+def blocking_features(machines: Sequence[MachineConfig]) -> List[str]:
+    """The ``MachineConfig`` fields among ``_BLOCKING_FEATURES`` that are
+    set on any of *machines*."""
+    return [f for f in _BLOCKING_FEATURES if any(getattr(m, f) for m in machines)]
+
+
+def _check_replayable(machine: MachineConfig) -> None:
+    """Raise ``ValueError`` if the shared pass cannot walk *machine*."""
+    features = blocking_features([machine])
+    if features:
+        raise ValueError(
+            f"the shared pass does not model {', '.join(features)} "
+            f"(machine {machine.name!r}); price it per point"
+        )
+
 
 def group_mode(machines: Sequence[MachineConfig]) -> Optional[str]:
     """Classify a sweep group for the shared-pass split.
@@ -278,14 +302,18 @@ def group_mode(machines: Sequence[MachineConfig]) -> Optional[str]:
       limit).  The walk is still group-invariant, but vector compute
       prices are deferred as tag-6 pricing classes and resolved per
       point.
-    * ``None`` — the group varies in a field the split cannot express
-      (ISA, vector length, L1 geometry, core model, VPU port level,
-      VectorCache size, L2 line size); callers must fall back to
-      per-point simulation.
+    * ``None`` — a machine has a feature the shared pass does not model
+      (:func:`blocking_features`: a TLB, a hardware prefetcher or
+      honoured software prefetches; singletons included), or the group
+      varies in a field the split cannot express (ISA, vector length,
+      L1 geometry, core model, VPU port level, VectorCache size, L2 line
+      size); callers must fall back to per-point simulation.
 
     The L2 *line size* must match across the group — it sets the line
     granularity of the recorded pending-line lists.
     """
+    if blocking_features(machines):
+        return None
     m0 = machines[0]
     v0 = m0.vpu
     mode = "l2"
@@ -311,51 +339,22 @@ def group_mode(machines: Sequence[MachineConfig]) -> Optional[str]:
     return mode
 
 
-def uniform_group(machines: Sequence[MachineConfig]) -> bool:
-    """True if the machines differ only in L2/DRAM pricing fields (the
-    ``"l2"`` mode of :func:`group_mode`); kept for callers that cannot
-    defer VPU pricing."""
-    return group_mode(machines) == "l2"
-
-
-_uniform_group = uniform_group  # private alias kept for callers/tests
-
-
-#: Sweep axes the replay engines can price.  L2/DRAM axes and VPU
-#: pricing axes replay in a shared-pass group; ``vlen`` changes the
-#: event stream itself, so each VL records its own trace — but every
-#: such single-point group still replays from its (cached) capture.
-_REPLAY_AXES = frozenset(
-    {
-        "l2_mb",
-        "l2_size",
-        "l2_assoc",
-        "l2_latency",
-        "dram_latency",
-        "dram_bytes_per_cycle",
-        "dram_bw",
-        "lanes",
-        "pipes",
-        "mlp",
-        "vlen",
-        "vlen_bits",
-    }
-)
-
-
-def supports_axis(name: str) -> bool:
-    """True if the pricing pass can replay a sweep along axis *name*.
-
-    Capability query for sweep drivers: a supported axis either forms a
-    replayable group (:func:`group_mode` returns non-``None``) or, for
-    ``vlen``, splits into per-point captures that each replay — one
-    capture per VL serving every pricing axis at that VL, with warm
-    runs served from the stored ``.rvp`` tiers
-    (:func:`replay_sweep_cached`).  An unsupported axis (e.g.
-    ``l1_size``, ``mem_port``) changes the recorded walk itself and
-    must simulate per point.
-    """
-    return name in _REPLAY_AXES
+def require_group(machines: Sequence[MachineConfig]) -> None:
+    """Raise ``ValueError`` naming what keeps *machines* from replaying
+    as one group (:func:`group_mode` is ``None``): the blocking features,
+    else the fields they differ in."""
+    if group_mode(machines) is not None:
+        return
+    features = blocking_features(machines)
+    why = (
+        f"the shared pass does not model {', '.join(features)}"
+        if features
+        else f"machines vary in {', '.join(nonuniform_fields(machines))}"
+    )
+    raise ValueError(
+        f"trace replay cannot price this sweep group: {why}; drop "
+        "use_trace=True to simulate per point"
+    )
 
 
 def nonuniform_fields(machines: Sequence[MachineConfig]) -> List[str]:
@@ -378,17 +377,17 @@ def nonuniform_fields(machines: Sequence[MachineConfig]) -> List[str]:
 class _GroupCapture(SampledTraceBase):
     """Event-driven shared pass over the group-invariant hierarchy levels.
 
-    Takes a recorded trace's events through TraceSimulator-style event
+    The per-event oracle the vectorized pass is checked against
+    (:func:`_shared_pass_python` drives it from a recorded trace's
+    rows).  It takes the events through TraceSimulator-style event
     methods and walks every memory event through the levels that are
-    identical across a sweep group: TLB, L1, L1 prefetcher,
-    VectorCache.  It appends the shared-pass program straight into
-    :class:`_Skeleton` columns (a :class:`_SkeletonBuilder`) and folds
-    the invariant ``SimStats`` fields; :meth:`finish` returns both with
-    the group constants.  It serves two callers: the per-event oracle
-    :func:`_shared_pass_python`, and the walk of
-    :func:`~repro.machine.replay_vec._shared_pass_vec` on machines with
-    a TLB, an L1 prefetcher or honoured software prefetches (the group
-    constants and class table serve every machine).
+    identical across a sweep group — the L1 and the VectorCache — with
+    the dict LRUs of ``MemoryHierarchy``.  It appends the shared-pass
+    program straight into :class:`_Skeleton` columns (a
+    :class:`_SkeletonBuilder`) and folds the invariant ``SimStats``
+    fields; :meth:`finish` returns both with the group constants.  A
+    machine with a TLB, a hardware prefetcher or honoured software
+    prefetches raises ``ValueError`` (:func:`blocking_features`).
 
     The program has one *item* per event that adds cycles, in event
     order, each carrying the id of the kernel label current at that
@@ -414,22 +413,20 @@ class _GroupCapture(SampledTraceBase):
       against its own VPU (:func:`_vpu_price_table`) and folds
       ``w * price`` at the item.
 
-    ``note_resident_range`` calls ``(2, base, nbytes)`` and honoured
-    software-prefetch fills into the L2 ``(5, lines)`` are not items:
+    ``note_resident_range`` calls ``(2, base, nbytes)`` are not items:
     they go to ``side`` with their position in ``addrs``.
     """
 
     def __init__(self, base: MachineConfig):
         super().__init__()
+        _check_replayable(base)
         self.machine = base
         # Only the levels above the L2 are walked here: a one-set L2 of
         # the same line size keeps every constant this pass reads and
         # skips allocating one dict per set of a large L2.
         l2_one_set = replace(base.l2, size_bytes=base.l2.line_bytes * base.l2.assoc)
         hier = MemoryHierarchy(replace(base, l2=l2_one_set))
-        vpu = base.vpu
-        self._vpu = vpu
-        self._port_l1 = vpu.mem_port == "L1"
+        self._port_l1 = base.vpu.mem_port == "L1"
         self._scalar_cpi = base.core.scalar_cpi
         self._ooo_hide = base.core.ooo_hide
         self._l1_line = base.l1.line_bytes
@@ -437,20 +434,13 @@ class _GroupCapture(SampledTraceBase):
         self._l2_shift = hier._l2_shift
         self._l1_lat = hier._l1_lat
         self._fill_l1 = hier._fill_l1
-        self._ratio = hier._l1_l2_ratio
         l1 = hier.l1
-        self._l1 = l1
         self._l1_sets = l1._sets
         self._l1_num = l1.num_sets
         self._l1_assoc = l1.assoc
-        self._pf1 = hier.l1_prefetcher if hier._pf1_on else None
-        self._pf2_cfg = hier._pf2_on
-        self._tlb = hier.tlb
-        self._tlb_shift = hier.tlb.shift if hier.tlb is not None else 0
         vc = hier.vector_cache
         self._vc_set = hier._vc_set
         self._vc_assoc = vc.assoc if vc is not None else 0
-        self._honors = base.honors_sw_prefetch
         self._noop_pf = base.sw_prefetch_is_noop_instr
         # Vector pending lines are L1-granular on an L1-port machine,
         # L2-granular otherwise; scalar ones are always L1-granular.
@@ -468,7 +458,6 @@ class _GroupCapture(SampledTraceBase):
         self._vb_memo: dict = {}
         self._classes: list = []
         self._cls_ids: dict = {}
-        self._has_fills = False
         self._max_range_total = 0
         self._inf_ranges: list = []
 
@@ -482,15 +471,12 @@ class _GroupCapture(SampledTraceBase):
         self._l1_hits_c = 0.0
         self._l1_misses_c = 0.0
         self._vc_hits_c = 0.0
-        self._sw_prefetches_c = 0.0
         self._spills_c = 0.0
 
     # -- bookkeeping ---------------------------------------------------
     def note_resident_range(self, base: int, nbytes: int) -> None:
-        self._side((2, base, nbytes))
-        self._track_range(base, nbytes)
-
-    def _track_range(self, base: int, nbytes: int) -> None:
+        sk = self._sk
+        sk.side.append((len(sk.addrs), (2, base, nbytes)))
         if nbytes > 0:
             # Track the would-be range total under an infinite budget:
             # if it never exceeds a point's L2 capacity, that point
@@ -564,11 +550,6 @@ class _GroupCapture(SampledTraceBase):
             sk.t6_defs.append(key)
         return t6
 
-    def _side(self, item: tuple) -> None:
-        """Record a residency-range note or prefetch-fill list."""
-        sk = self._sk
-        sk.side.append((len(sk.addrs), item))
-
     def _class_id(self, defn: tuple) -> int:
         """Intern a VPU pricing-class descriptor, returning its id."""
         cid = self._cls_ids.get(defn)
@@ -581,72 +562,21 @@ class _GroupCapture(SampledTraceBase):
     def scalar(self, n: int = 1) -> None:
         w = self._w
         self._scalar_instrs += w * n
-        label = self._kernel_stack[-1]
-        if label != self._cur_label:
-            self._set_label(label)
+        self._switch()
         self._put(w * (n * self._scalar_cpi))
 
     def _scalar_mem(self, addr: int, nbytes: int, write: bool) -> None:
-        # Scalar accesses always take the L1 path (mirrors
-        # MemoryHierarchy._l1_path minus the deferred L2 walk).
+        # Scalar accesses always take the L1 path (MemoryHierarchy's
+        # _l1_path minus the deferred L2 walk).
         l1_shift = self._l1_shift
-        first = addr >> l1_shift
-        last = (addr + nbytes - 1) >> l1_shift
-        if first == last:
-            # Single-line fast path — the overwhelmingly common scalar
-            # shape.  Same arithmetic as the generic loop below on a
-            # one-line walk, minus its list/loop machinery.
-            tlb = self._tlb
-            lat_i = tlb.access(addr, nbytes) if tlb is not None else 0
-            ways = self._l1_sets[first % self._l1_num]
-            dirty = ways.pop(first, None)
-            w = self._w
-            self._scalar_instrs += w
-            if write:
-                self._bytes_stored += w * nbytes
-            else:
-                self._bytes_loaded += w * nbytes
-            label = self._kernel_stack[-1]
-            if label != self._cur_label:
-                self._set_label(label)
-            if dirty is not None:
-                ways[first] = dirty or write
-                self._l1_hits_c += w
-                # No pending line: invariant price, lock-step with
-                # TraceSimulator.scalar_load/scalar_store where
-                # d = (lat_i + l1_lat) - l1_lat == lat_i exactly (ints).
-                if lat_i > 0:
-                    stall = max(0.0, lat_i) / _SCALAR_MLP
-                    if write:
-                        stall *= _STORE_STALL_FACTOR * (1.0 - self._ooo_hide)
-                    else:
-                        stall *= 1.0 - self._ooo_hide
-                    self._put(w * (self._scalar_cpi + stall + 0.0 + 0.0))
-                else:
-                    self._put(w * self._scalar_cpi)
-                return
-            ways[first] = write
-            if len(ways) > self._l1_assoc:
-                ways.pop(next(iter(ways)))
-            if self._pf1 is not None:
-                self._pf1.observe(self._l1, first)
-            self._l1_misses_c += w * 1
-            # occ1 = 0.0 + fill_l1 and lat_i += l1_lat, as in the loop.
-            lat_i += self._l1_lat
-            self._l2_item(
-                (4, w, lat_i, 0.0 + self._fill_l1, write), (first << l1_shift,)
-            )
-            return
-        tlb = self._tlb
-        lat_i = tlb.access(addr, nbytes) if tlb is not None else 0
         l1_sets, l1_num, l1_assoc = self._l1_sets, self._l1_num, self._l1_assoc
         l1_lat = self._l1_lat
-        pf1 = self._pf1
         fill_l1 = self._fill_l1
+        lat_i = 0
         occ1 = 0.0
         l1h = l1m = 0
         pend = []
-        for la in range(first, last + 1):
+        for la in range(addr >> l1_shift, ((addr + nbytes - 1) >> l1_shift) + 1):
             ways = l1_sets[la % l1_num]
             dirty = ways.pop(la, None)
             if dirty is not None:
@@ -658,8 +588,6 @@ class _GroupCapture(SampledTraceBase):
             if len(ways) > l1_assoc:
                 ways.pop(next(iter(ways)))
             l1m += 1
-            if pf1 is not None:
-                pf1.observe(self._l1, la)
             occ1 += fill_l1
             lat_i += l1_lat  # L1 share of the miss latency
             pend.append(la)
@@ -672,209 +600,103 @@ class _GroupCapture(SampledTraceBase):
         self._l1_hits_c += w * l1h
         if l1m:
             self._l1_misses_c += w * l1m
-        label = self._kernel_stack[-1]
-        if label != self._cur_label:
-            self._set_label(label)
+        self._switch()
         if pend:
             self._l2_item(
                 (4, w, lat_i, occ1, write), map(self._l1_step.__mul__, pend)
             )
-        else:
-            # Lock-step with TraceSimulator.scalar_load/scalar_store
-            # (occupancies are 0.0 without an L1 miss).
-            d = lat_i - l1_lat
-            if d > 0:
-                stall = max(0.0, d) / _SCALAR_MLP
-                if write:
-                    stall *= _STORE_STALL_FACTOR * (1.0 - self._ooo_hide)
-                else:
-                    stall *= 1.0 - self._ooo_hide
-                self._put(w * (self._scalar_cpi + stall + 0.0 + 0.0))
+            return
+        # TraceSimulator.scalar_load/scalar_store pricing (occupancies
+        # are 0.0 without an L1 miss).
+        d = lat_i - l1_lat
+        if d > 0:
+            stall = max(0.0, d) / _SCALAR_MLP
+            if write:
+                stall *= _STORE_STALL_FACTOR * (1.0 - self._ooo_hide)
             else:
-                self._put(w * self._scalar_cpi)
+                stall *= 1.0 - self._ooo_hide
+            self._put(w * (self._scalar_cpi + stall + 0.0 + 0.0))
+        else:
+            self._put(w * self._scalar_cpi)
+
+    def _l1_walk(self, lines, write: bool):
+        """Walk L1 *lines* in order: ``(latency, occ1, hits, pending)``."""
+        l1_sets, l1_num = self._l1_sets, self._l1_num
+        l1_assoc = self._l1_assoc
+        l1_lat = self._l1_lat
+        fill_l1 = self._fill_l1
+        lat_i = 0
+        occ1 = 0.0
+        l1h = 0
+        pend = []
+        for la in lines:
+            ways = l1_sets[la % l1_num]
+            dirty = ways.pop(la, None)
+            lat_i += l1_lat
+            if dirty is not None:
+                ways[la] = dirty or write
+                l1h += 1
+                continue
+            ways[la] = write
+            if len(ways) > l1_assoc:
+                ways.pop(next(iter(ways)))
+            occ1 += fill_l1
+            pend.append(la)
+        return lat_i, occ1, l1h, pend
+
+    def _vc_walk(self, lines, write: bool):
+        """Walk L2-granular *lines* through the VectorCache, if there is
+        one: ``(latency, hits, pending)``."""
+        vc_set = self._vc_set
+        if vc_set is None:
+            return 0, 0, list(lines)
+        vc_assoc = self._vc_assoc
+        lat_i = vch = 0
+        pend = []
+        for la in lines:
+            dirty = vc_set.pop(la, None)
+            if dirty is not None:
+                vc_set[la] = dirty or write
+                lat_i += _VC_HIT_LATENCY
+                vch += 1
+                continue
+            vc_set[la] = write
+            if len(vc_set) > vc_assoc:
+                vc_set.pop(next(iter(vc_set)))
+            pend.append(la)
+        return lat_i, vch, pend
 
     def _vmem(self, addr: int, n_elems: int, ew: int, stride: int, write: bool) -> None:
         nbytes = n_elems * ew
-        tlb = self._tlb
-        port_l1 = self._port_l1
-        vch = 0
         if stride in (0, ew):
             unit = True
             # Pricing granularity is the L1 line even on L2-port
-            # machines — lock-step with TraceSimulator._vmem.
+            # machines, as in TraceSimulator._vmem.
             l1_line = self._l1_line
             n_lines = (addr + nbytes - 1) // l1_line - addr // l1_line + 1
-            if port_l1:
-                # Mirrors MemoryHierarchy._l1_path minus the L2 walk
-                # (its single-line fast path is semantics-preserving,
-                # so the generic loop covers both).
-                lat_i = tlb.access(addr, nbytes) if tlb is not None else 0
-                l1_shift = self._l1_shift
-                first = addr >> l1_shift
-                last = (addr + nbytes - 1) >> l1_shift
-                l1_sets, l1_num = self._l1_sets, self._l1_num
-                l1_assoc = self._l1_assoc
-                l1_lat = self._l1_lat
-                pf1 = self._pf1
-                fill_l1 = self._fill_l1
-                occ1 = 0.0
-                l1h = l1m = 0
-                pend = []
-                for la in range(first, last + 1):
-                    ways = l1_sets[la % l1_num]
-                    dirty = ways.pop(la, None)
-                    if dirty is not None:
-                        ways[la] = dirty or write
-                        lat_i += l1_lat
-                        l1h += 1
-                        continue
-                    ways[la] = write
-                    if len(ways) > l1_assoc:
-                        ways.pop(next(iter(ways)))
-                    l1m += 1
-                    if pf1 is not None:
-                        pf1.observe(self._l1, la)
-                    occ1 += fill_l1
-                    lat_i += l1_lat  # L1 share of the miss latency
-                    pend.append(la)
-            else:
-                # Mirrors MemoryHierarchy._l2_path up to the L2 walk
-                # (a VC miss write-allocates before the L2 lookup).
-                lat_i = tlb.access(addr, nbytes) if tlb is not None else 0
-                l2_shift = self._l2_shift
-                first = addr >> l2_shift
-                last = (addr + nbytes - 1) >> l2_shift
-                vc_set = self._vc_set
-                if vc_set is not None:
-                    vc_assoc = self._vc_assoc
-                    pend = []
-                    vc_pop = vc_set.pop
-                    vc_len = len(vc_set)
-                    for la in range(first, last + 1):
-                        dirty = vc_pop(la, None)
-                        if dirty is not None:
-                            vc_set[la] = dirty or write
-                            lat_i += _VC_HIT_LATENCY
-                            vch += 1
-                            continue
-                        vc_set[la] = write
-                        if vc_len >= vc_assoc:
-                            vc_pop(next(iter(vc_set)))
-                        else:
-                            vc_len += 1
-                        pend.append(la)
-                else:
-                    pend = range(first, last + 1)
-                occ1 = 0.0
-                l1h = l1m = 0
+            segs = [(addr, addr + nbytes - 1)]
         else:
             unit = False
             n_lines = n_elems
-            tlb_shift = self._tlb_shift
-            if port_l1:
-                # Mirrors MemoryHierarchy._strided_l1_path.
-                l1_shift = self._l1_shift
-                l1_sets, l1_num = self._l1_sets, self._l1_num
-                l1_assoc = self._l1_assoc
-                l1_lat = self._l1_lat
-                pf1 = self._pf1
-                fill_l1 = self._fill_l1
-                lat_i = 0
-                occ1 = 0.0
-                l1h = l1m = 0
-                pend = []
-                prev_line = -1
-                prev_page = -1
-                for idx in range(n_elems):
-                    a = addr + idx * stride
-                    end = a + ew - 1
-                    if tlb is not None:
-                        page = a >> tlb_shift
-                        if page == prev_page and (end >> tlb_shift) == page:
-                            tlb.hits += 1  # MRU page: no LRU refresh
-                        else:
-                            lat_i += tlb.access(a, ew)
-                            prev_page = (
-                                page if (end >> tlb_shift) == page else -1
-                            )
-                    first = a >> l1_shift
-                    last = end >> l1_shift
-                    if first == last == prev_line:
-                        ways = l1_sets[first % l1_num]
-                        dirty = ways.pop(first, None)
-                        if dirty is not None:
-                            ways[first] = dirty or write
-                            lat_i += l1_lat
-                            l1h += 1
-                            continue
-                    for la in range(first, last + 1):
-                        ways = l1_sets[la % l1_num]
-                        dirty = ways.pop(la, None)
-                        if dirty is not None:
-                            ways[la] = dirty or write
-                            lat_i += l1_lat
-                            l1h += 1
-                            continue
-                        ways[la] = write
-                        if len(ways) > l1_assoc:
-                            ways.pop(next(iter(ways)))
-                        l1m += 1
-                        if pf1 is not None:
-                            pf1.observe(self._l1, la)
-                        occ1 += fill_l1
-                        lat_i += l1_lat
-                        pend.append(la)
-                    prev_line = last
-            else:
-                # Mirrors MemoryHierarchy._strided_l2_path.
-                l2_shift = self._l2_shift
-                vc_set = self._vc_set
-                vc_assoc = self._vc_assoc
-                lat_i = 0
-                pend = []
-                prev_line = -1
-                prev_page = -1
-                for idx in range(n_elems):
-                    a = addr + idx * stride
-                    end = a + ew - 1
-                    if tlb is not None:
-                        page = a >> tlb_shift
-                        if page == prev_page and (end >> tlb_shift) == page:
-                            tlb.hits += 1
-                        else:
-                            lat_i += tlb.access(a, ew)
-                            prev_page = (
-                                page if (end >> tlb_shift) == page else -1
-                            )
-                    first = a >> l2_shift
-                    last = end >> l2_shift
-                    if first == last == prev_line:
-                        if vc_set is not None:
-                            vc_set[first] = vc_set.pop(first) or write
-                            lat_i += _VC_HIT_LATENCY
-                            vch += 1
-                        else:
-                            # Guaranteed L2 hit: the previous element
-                            # left the line resident and MRU in every
-                            # point's L2, so a plain pending line
-                            # reproduces the hit and its latency.
-                            pend.append(first)
-                        continue
-                    for la in range(first, last + 1):
-                        if vc_set is not None:
-                            dirty = vc_set.pop(la, None)
-                            if dirty is not None:
-                                vc_set[la] = dirty or write
-                                lat_i += _VC_HIT_LATENCY
-                                vch += 1
-                                continue
-                            vc_set[la] = write
-                            if len(vc_set) > vc_assoc:
-                                vc_set.pop(next(iter(vc_set)))
-                        pend.append(la)
-                    prev_line = last
-                occ1 = 0.0
-                l1h = l1m = 0
+            segs = [
+                (a, a + ew - 1) for a in range(addr, addr + n_elems * stride, stride)
+            ]
+        # MemoryHierarchy._l1_path / _l2_path and their strided variants
+        # up to the L2 walk: every segment walks the lines it spans.  The
+        # strided paths' ``first == last == prev_line`` shortcut is an
+        # access to the most recent line, which hits (or, on an L2-port
+        # machine without a VectorCache, is one more pending line) like
+        # the generic walk.
+        shift = self._l1_shift if self._port_l1 else self._l2_shift
+        lines = [la for lo, hi in segs for la in range(lo >> shift, (hi >> shift) + 1)]
+        if self._port_l1:
+            lat_i, occ1, l1h, pend = self._l1_walk(lines, write)
+            l1m = len(pend)
+            vch = 0
+        else:
+            lat_i, vch, pend = self._vc_walk(lines, write)
+            occ1 = 0.0
+            l1h = l1m = 0
         w = self._w
         self._vec_instrs += w
         self._vec_mem_instrs += w
@@ -889,25 +711,23 @@ class _GroupCapture(SampledTraceBase):
             self._l1_misses_c += w * l1m
         if vch:
             self._vc_hits_c += w * vch
-        label = self._kernel_stack[-1]
-        if label != self._cur_label:
-            self._set_label(label)
+        self._switch()
         if pend:
             self._l2_item(
                 (3, w, lat_i, occ1, nbytes, n_lines, write, unit),
                 map(self._v_step.__mul__, pend),
             )
-        else:
-            # Fully served upstream, but the price reads the VPU: a
-            # pricing class.
-            mkey = (w, lat_i, occ1, nbytes, n_lines, write, unit)
-            memo = self._vmem_memo
-            t6 = memo.get(mkey)
-            if t6 is None:
-                t6 = memo[mkey] = self._t6_id(
-                    w, ("m", lat_i, occ1, nbytes, n_lines, write, unit)
-                )
-            self._vpu_item(t6)
+            return
+        # Fully served upstream, but the price reads the VPU: a pricing
+        # class.
+        mkey = (w, lat_i, occ1, nbytes, n_lines, write, unit)
+        memo = self._vmem_memo
+        t6 = memo.get(mkey)
+        if t6 is None:
+            t6 = memo[mkey] = self._t6_id(
+                w, ("m", lat_i, occ1, nbytes, n_lines, write, unit)
+            )
+        self._vpu_item(t6)
 
     def varith(
         self, n_elems: int, n_instr: int = 1, flops_per_elem: float = 2.0, ew: int = 4
@@ -923,9 +743,7 @@ class _GroupCapture(SampledTraceBase):
         self._vec_instrs += w * n_instr
         self._vec_elems += w * n_instr * n_elems
         self._flops += w * n_instr * n_elems * flops_per_elem
-        label = self._kernel_stack[-1]
-        if label != self._cur_label:
-            self._set_label(label)
+        self._switch()
         self._vpu_item(t6)
 
     def vbroadcast(self, n: int = 1) -> None:
@@ -941,37 +759,8 @@ class _GroupCapture(SampledTraceBase):
     def sw_prefetch(self, addr: int, nbytes: int, level: str = "L1") -> None:
         if level not in ("L1", "L2"):
             raise ValueError(f"unknown prefetch level {level!r}")
-        w = self._w
-        if self._honors:
-            self._has_fills = True
-            if level == "L1":
-                # L1-level prefetch: the L1 fill is group-invariant
-                # (done here); the implied inclusive L2 fill runs in
-                # every point (mirrors MemoryHierarchy.sw_prefetch).
-                l1_shift = self._l1_shift
-                firstp = addr >> l1_shift
-                lastp = (addr + nbytes - 1) >> l1_shift
-                ratio = self._ratio
-                l1_sets, l1_num = self._l1_sets, self._l1_num
-                l1_assoc = self._l1_assoc
-                fills = []
-                for la in range(firstp, lastp + 1):
-                    fills.append(la // ratio if ratio > 1 else la)
-                    ways = l1_sets[la % l1_num]
-                    if la not in ways:
-                        ways[la] = False
-                        if len(ways) > l1_assoc:
-                            ways.pop(next(iter(ways)))
-                self._side((5, tuple(fills)))
-            else:
-                l2_shift = self._l2_shift
-                firstp = addr >> l2_shift
-                lastp = (addr + nbytes - 1) >> l2_shift
-                self._side((5, tuple(range(firstp, lastp + 1))))
-            self._sw_prefetches_c += w
-            self._switch()
-            self._put(w * self._scalar_cpi)
-        elif self._noop_pf:
+        if self._noop_pf:  # an issue slot, nothing fetched
+            w = self._w
             self._scalar_instrs += w
             self._switch()
             self._put(w * self._scalar_cpi)
@@ -981,9 +770,9 @@ class _GroupCapture(SampledTraceBase):
         self._flops += self._w * n
 
     def spill(self, n_registers: int = 1) -> None:
-        # Mirrors TraceSimulator.spill: per register one full-vector
-        # store and reload at stack address 0, then the serialization
-        # penalty and the spill counter.
+        # As TraceSimulator.spill: per register one full-vector store and
+        # reload at stack address 0, then the serialization penalty and
+        # the spill counter.
         n_elems = (self.machine.vlen_bits // 8) // 4
         if n_elems > 0:
             for _ in range(n_registers):
@@ -1008,24 +797,27 @@ class _GroupCapture(SampledTraceBase):
         inv.l1_hits = self._l1_hits_c
         inv.l1_misses = self._l1_misses_c
         inv.vc_hits = self._vc_hits_c
-        inv.sw_prefetches = self._sw_prefetches_c
         inv.spills = self._spills_c
-        return self._sk.build(self._l2_shift), inv, self.constants()
+        gc = _group_constants(
+            self.machine, self._l2_shift, self._max_range_total, self._classes
+        )
+        return self._sk.build(self._l2_shift), inv, gc
 
-    def constants(self) -> dict:
-        """The group constants ``gc`` that go with the program."""
-        return {
-            "vpu": self._vpu,
-            "port_l1": self._port_l1,
-            "l1_lat": self._l1_lat,
-            "ooo_hide": self._ooo_hide,
-            "scalar_cpi": self._scalar_cpi,
-            "l2_shift": self._l2_shift,
-            "max_range_total": self._max_range_total,
-            "has_fills": self._has_fills,
-            "pf2_cfg": self._pf2_cfg,
-            "classes": self._classes,
-        }
+
+def _group_constants(machine: MachineConfig, l2_shift: int, max_range_total: int,
+                     classes: list) -> dict:
+    """The group constants ``gc`` that go with a shared-pass program:
+    the pricing constants every point reads, the L2 line shift of the
+    address column, the largest residency-range total under an infinite
+    budget (:func:`_fast_budget`) and the VPU pricing-class table."""
+    return {
+        "l1_lat": machine.l1.latency,
+        "ooo_hide": machine.core.ooo_hide,
+        "scalar_cpi": machine.core.scalar_cpi,
+        "l2_shift": l2_shift,
+        "max_range_total": max_range_total,
+        "classes": classes,
+    }
 
 
 def _vpu_price_table(classes: list, vpu, l1_lat, ooo_hide) -> list:
@@ -1059,7 +851,8 @@ def _shared_pass(trace: RecordedTrace, base: MachineConfig):
 
     Runs the vectorized engine over bounded row chunks;
     :func:`_shared_pass_python` is the oracle it is checked against
-    (tests/test_replay_vec.py).
+    (tests/test_replay_vec.py).  Both raise ``ValueError`` on a machine
+    with a feature the pass does not model (:func:`blocking_features`).
     """
     from .replay_vec import _shared_pass_vec  # deferred: import cycle
 
@@ -1191,9 +984,8 @@ class _Skeleton:
       ``lines``, the distinct L2 lines, and ``ft_pos``, the position of
       each line's first touch — the one access to it a conflict-free L2
       cannot hit without the residency-range model;
-    * ``side``, the residency-range notes ``(2, base, nbytes)`` and
-      prefetch fills ``(5, lines)`` as ``(address position, item)`` in
-      stream order.
+    * ``side``, the residency-range notes ``(2, base, nbytes)`` as
+      ``(address position, note)`` in stream order.
 
     Every integer column is stored at the narrowest unsigned width that
     holds its largest value (``u1``, ``u2`` or ``u4``; ``int64`` past
@@ -1478,7 +1270,7 @@ def _range_misses(pos: np.ndarray, addrs: np.ndarray, side: list, hier) -> np.nd
     to the MRU end, so after the stretch the hit ranges follow the
     unhit ones, ordered by their last hit — the order the next note's
     trim picks victims by.  Notes run through ``note_resident_range``
-    itself.  *side* must hold no prefetch fills.
+    itself.
     """
     miss = np.ones(len(pos), dtype=bool)
     # searchsorted copies a column whose dtype differs from the values'.
@@ -1735,12 +1527,9 @@ def _compile_fast(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
     ``fast:None`` tier may pass any member: no recorded range outgrows
     its L2, so nothing ever trims.
     """
-    side = skel.side
-    if any(it[0] == 5 for _, it in side):
-        raise ValueError("prefetch fills in a conflict-free tier")
     ft = skel.ft_pos
     miss = _range_misses(
-        ft, skel.addrs[ft], side, MemoryHierarchy.pricing_view(machine)
+        ft, skel.addrs[ft], skel.side, MemoryHierarchy.pricing_view(machine)
     )
     return _intern(skel, ft[miss])
 
@@ -1757,14 +1546,14 @@ _WALK_CHUNK_MIN = 1 << 16
 def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProgram:
     """Walk tier: resolve *machine*'s exact L2 walk once.
 
-    The walk reads only the L2 geometry, the L2 prefetcher and the
-    event stream, so the tier is valid for every point sharing those
-    with *machine* (a lane sweep, or a DRAM sweep over a conflicted
-    L2), whatever its latencies or VPU.
+    The walk reads only the L2 geometry and the event stream, so the
+    tier is valid for every point sharing those with *machine* (a lane
+    sweep, or a DRAM sweep over a conflicted L2), whatever its latencies
+    or VPU.
 
-    Without fills (no honoured prefetches, no L2 prefetcher) a set that
-    is not hot (:func:`_hot_sets`) never evicts, so its lines hit after
-    their first touch, and the first touch takes just the range check.
+    Nothing but the demand stream fills the L2, so a set that is not
+    hot (:func:`_hot_sets`) never evicts: its lines hit after their
+    first touch, and the first touch takes just the range check.
     The address stream is walked in steps of a fixed size (set by the
     hot sets' capacity, ``_WALK_LINES_PER_WAY``), so no temporary grows
     with it.  Per step, the hot sets' LRU hits come from a lockstep walk
@@ -1774,15 +1563,15 @@ def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
     the range check (:func:`_range_misses`, with the step's notes) — the
     ``_range_hit`` calls the full walk makes, in its order, which
     matters because ``_range_hit`` LRU-refreshes the range list and a
-    later trim picks its victims by that order.  With fills the tier
-    takes the full walk, :func:`_compile_walk_lines`.
+    later trim picks its victims by that order.  An L2 of no sets raises
+    ``ValueError``, as direct simulation does.
     """
     from .replay_vec import _Level  # deferred: import cycle
 
     l2 = machine.l2
     num_sets = l2.size_bytes // (l2.assoc * l2.line_bytes)
-    if gc["has_fills"] or machine.l2_prefetcher or num_sets <= 0:
-        return _compile_walk_lines(skel, gc, machine)
+    if num_sets <= 0:
+        raise ValueError(f"L2 of {machine.name!r} has no sets: {l2}")
     hot = _hot_sets(skel, num_sets, l2.assoc)
     level = _Level(num_sets, l2.assoc)
     hier = MemoryHierarchy.pricing_view(machine)
@@ -1816,72 +1605,6 @@ def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
         s0 = s1
         misses += check[miss].tobytes()
     return _intern(skel, np.frombuffer(misses, dtype=pos_t))
-
-
-def _compile_walk_lines(
-    skel: _Skeleton, gc: dict, machine: MachineConfig
-) -> _VecProgram:
-    """Walk tier, line by line: the L2 walk of ``MemoryHierarchy``.
-
-    State transitions identical to ``MemoryHierarchy``'s L2 —
-    conflicted sets evict LRU, honoured prefetch fills and L2
-    prefetcher fills land, residency ranges trim in stream order —
-    over every pending line.  Dirty bits only feed writeback counters
-    ``SimStats`` never reads, so the walk stores ``True``
-    unconditionally without perturbing residency or LRU order.
-    """
-    hier = MemoryHierarchy(machine)
-    l2 = hier.l2
-    l2_sets, l2_num, l2_assoc = l2._sets, l2.num_sets, l2.assoc
-    pf2 = hier.l2_prefetcher if hier._pf2_on else None
-    range_hit = hier._range_hit
-    note_range = hier.note_resident_range
-    l2_shift = gc["l2_shift"]
-    side = skel.side
-    addrs = skel.addrs.tolist()
-    if pf2 is not None and not gc["port_l1"]:
-        # Only the L1-port vector path feeds the L2 prefetcher (the
-        # L2-port path has none); the scalar path always does.
-        observes = np.repeat(skel.ev_scalar, np.diff(skel.ev_off)).tolist()
-    else:
-        observes = None
-    cuts = [p for p, _ in side] + [len(addrs)]
-    items = [it for _, it in side] + [None]
-    misses = []
-    lo = 0
-    for hi, it in zip(cuts, items):
-        # _range_hit only reorders the range list in place;
-        # note_resident_range rebinds it, refreshed here.
-        ranges = hier._ranges
-        for j in range(lo, hi):
-            a = addrs[j]
-            l2a = a >> l2_shift
-            ways = l2_sets[l2a % l2_num]
-            if ways.pop(l2a, None) is not None:
-                ways[l2a] = True
-                continue
-            ways[l2a] = True
-            if len(ways) > l2_assoc:
-                ways.pop(next(iter(ways)))
-            if (ranges and ranges[-1][0] <= a < ranges[-1][1]) or range_hit(a):
-                continue
-            misses.append(j)
-            if pf2 is not None and (observes is None or observes[j]):
-                pf2.observe(l2, l2a)
-        lo = hi
-        if it is None:
-            break
-        if it[0] == 2:
-            note_range(it[1], it[2])
-        else:  # tag 5: honoured software-prefetch fills into the L2
-            for la in it[1]:
-                ways = l2_sets[la % l2_num]
-                if la not in ways:
-                    ways[la] = False
-                    if len(ways) > l2_assoc:
-                        ways.pop(next(iter(ways)))
-    miss_pos = np.asarray(misses, dtype=np.int64)
-    return _intern(skel, miss_pos)
 
 
 def _point_pass_vec(
@@ -1985,15 +1708,13 @@ def _tier_for(skel: _Skeleton, gc: dict, m: MachineConfig) -> dict:
     """The tier that prices machine *m*.
 
     A conflict-free tier (:func:`_fast_tier`) when no L2 set of *m*
-    ever holds more distinct lines than ways and nothing but the demand
-    stream fills the L2 (no honoured prefetches, no L2 prefetcher);
-    a walk tier (:func:`_walk_tier`) otherwise.
+    ever holds more distinct lines than ways; a walk tier
+    (:func:`_walk_tier`) otherwise.
     """
-    if not gc["has_fills"] and not gc["pf2_cfg"]:
-        l2cfg = m.l2
-        num_sets = l2cfg.size_bytes // (l2cfg.assoc * l2cfg.line_bytes)
-        if num_sets > 0 and not _hot_sets(skel, num_sets, l2cfg.assoc).any():
-            return _fast_tier(_fast_budget(gc, m))
+    l2cfg = m.l2
+    num_sets = l2cfg.size_bytes // (l2cfg.assoc * l2cfg.line_bytes)
+    if num_sets > 0 and not _hot_sets(skel, num_sets, l2cfg.assoc).any():
+        return _fast_tier(_fast_budget(gc, m))
     return _walk_tier(m)
 
 
@@ -2206,18 +1927,20 @@ def replay_sweep_stored(
 ) -> Optional[List[SimStats]]:
     """:func:`replay_sweep` over the trace stored under *key*.
 
-    Returns ``None`` when no trace is stored (or the group is not
-    replayable).  A trace decoded from its spill is not registered (it
-    stays on disk), and it is dropped once the shared pass is memoized,
-    before any tier is built — as :func:`capture_sweep` drops its
-    recording — so the decoded columns and the tier builds never hold
-    memory at the same time.
+    Returns ``None`` when the group is not replayable (before any
+    decode) or no trace is stored.  A trace decoded from its spill is
+    not registered (it stays on disk), and it is dropped once the shared
+    pass is memoized, before any tier is built — as :func:`capture_sweep`
+    drops its recording — so the decoded columns and the tier builds
+    never hold memory at the same time.
     """
     from ..core import tracecache
 
     machines = list(machines)
+    if not machines or group_mode(machines) is None:
+        return None
     trace = tracecache.get(key, register=False)
-    if trace is None or not machines:
+    if trace is None:
         return None
     job = _sweep_job(trace, machines)
     del trace

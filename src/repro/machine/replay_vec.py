@@ -26,15 +26,11 @@ the address positions of side notes.  Per chunk:
   keys of the L2 events, in first-occurrence order
   (:func:`_intern_rows`).
 
-The *walk* events — scalar/vector memory accesses, honoured software
-prefetches and residency-range notes — thread through the
-TLB/L1/prefetcher/VectorCache state.  On a machine with no TLB, no L1
-prefetcher and no honoured prefetches (the rvv/sve preset family) the
-walk runs on arrays (:class:`_ArrayWalk`): each access expands into
-the lines it walks, LRU kernels resolve the L1 and VectorCache hits,
-and each event's outcome is a segment reduction over its lines.  Other
-machines drive a real :class:`~repro.machine.replay._GroupCapture`
-event by event (:class:`_CaptureWalk`).  Either walk returns one
+The *walk* events — scalar/vector memory accesses and residency-range
+notes — thread through the L1 and VectorCache state, on arrays
+(:class:`_ArrayWalk`): each access expands into the lines it walks, LRU
+kernels resolve the L1 and VectorCache hits, and each event's outcome is
+a segment reduction over its lines.  The walk returns one
 :class:`_Outcome` per chunk: a float per walk item, its L2 events (key
 and pending addresses), its VectorCache- or L1-served vector items and
 its side notes.  Those are merged into the program at the walk events'
@@ -42,9 +38,17 @@ item positions.  The three walk-dependent invariant fields
 (``l1_hits``, ``l1_misses``, ``vc_hits``) are folded by the walk, in
 walk order.
 
+The pass reads the machine through a small frozen config
+(:class:`_WalkConfig`) and keeps its own counters, pricing-class table
+and range total, so the comparison with the oracle checks them too.  A
+machine with a TLB, a hardware prefetcher or honoured software
+prefetches raises ``ValueError``
+(:func:`repro.machine.replay.blocking_features`): no sweep group of one
+replays.
+
 Column identity with the reference loop (tag-6 classes compared through
 their descriptors, whose numbering may differ) and hex identity of every
-priced point are enforced across all machine presets, and across chunk
+priced point are enforced on the rvv and sve presets, and across chunk
 boundaries, by tests/test_replay_vec.py.
 """
 
@@ -219,6 +223,48 @@ def _vmem_class(lat, nbytes, n_lines, write, unit) -> tuple:
     return ("m", lat, 0.0, nbytes, n_lines, write, unit)
 
 
+class _WalkConfig(NamedTuple):
+    """The machine constants the pass reads (:func:`_walk_config`)."""
+
+    port_l1: bool  # vector accesses take the L1 (else the VectorCache)
+    l1_line: int
+    l1_shift: int
+    l2_shift: int
+    l1_lat: int
+    fill_l1: float
+    l1_sets: int
+    l1_assoc: int
+    vc_assoc: int  # ways of the one-set VectorCache; 0 when there is none
+    scalar_cpi: float
+    ooo_hide: float
+    noop_pf: bool  # a software prefetch takes an issue slot
+
+
+def _walk_config(machine) -> _WalkConfig:
+    """*machine*'s :class:`_WalkConfig`, by ``MemoryHierarchy``'s own
+    expressions; ``ValueError`` on a machine the pass does not model."""
+    from .replay import _check_replayable  # deferred: import cycle
+
+    _check_replayable(machine)
+    l1, l2, vpu = machine.l1, machine.l2, machine.vpu
+    port_l1 = vpu.mem_port == "L1"
+    vc_bytes = 0 if port_l1 else vpu.vector_cache_bytes
+    return _WalkConfig(
+        port_l1=port_l1,
+        l1_line=l1.line_bytes,
+        l1_shift=l1.line_bytes.bit_length() - 1,
+        l2_shift=l2.line_bytes.bit_length() - 1,
+        l1_lat=l1.latency,
+        fill_l1=l1.line_bytes / machine.l2_to_l1_bytes_per_cycle,
+        l1_sets=l1.size_bytes // (l1.assoc * l1.line_bytes),
+        l1_assoc=l1.assoc,
+        vc_assoc=max(1, vc_bytes // l2.line_bytes) if vc_bytes else 0,
+        scalar_cpi=machine.core.scalar_cpi,
+        ooo_hide=machine.core.ooo_hide,
+        noop_pf=machine.sw_prefetch_is_noop_instr,
+    )
+
+
 class _Outcome(NamedTuple):
     """One chunk's walk outcomes, per *walk item* (a walk event that is
     not a range note): ``price`` (0.0 at class items); the L2 events
@@ -263,8 +309,7 @@ class _Level:
 
 
 class _ArrayWalk:
-    """The walk of a machine with no TLB, no L1 prefetcher and no
-    honoured software prefetches, on arrays.
+    """The L1 and VectorCache walk of one shared pass, on arrays.
 
     It reproduces ``_GroupCapture._scalar_mem`` / ``_vmem``.  Every
     access expands into byte segments (one, or one per element of a
@@ -278,40 +323,40 @@ class _ArrayWalk:
     dicts do; on an L2-port machine without a VectorCache it is one
     more pending line, as is every line there.  An event's latency,
     hit and miss counts and pending lines are then reductions over its
-    lines.
+    lines, folded into the counters and class table of the
+    :class:`_Pass` it is called for.
     """
 
-    def __init__(self, cap, out):
-        self.cap = cap
-        self.out = out
-        self.l1 = _Level(cap._l1_num, cap._l1_assoc)
-        self.vc = _Level(1, cap._vc_assoc) if cap._vc_set is not None else None
+    def __init__(self, cfg: _WalkConfig):
+        self.cfg = cfg
+        self.l1 = _Level(cfg.l1_sets, cfg.l1_assoc)
+        self.vc = _Level(1, cfg.vc_assoc) if cfg.vc_assoc else None
         self.occ_tab = np.zeros(1)  # occ_tab[k]: k misses' repeated fill_l1 sum
 
     def _occ1(self, misses: np.ndarray) -> np.ndarray:
         need = int(misses.max(initial=0)) + 1
         if need > len(self.occ_tab):
-            steps = np.full(need, self.cap._fill_l1, dtype=np.float64)
+            steps = np.full(need, self.cfg.fill_l1, dtype=np.float64)
             steps[0] = 0.0
             self.occ_tab = np.add.accumulate(steps)
         return self.occ_tab[misses]
 
-    def __call__(self, o, w, addr, x1, x2, x3) -> _Outcome:
-        cap = self.cap
+    def __call__(self, run, o, w, addr, x1, x2, x3) -> _Outcome:
+        cfg, acc = self.cfg, run.counters
         notes = np.flatnonzero(o == OP_NOTE_RANGE)
         note_args = list(zip(addr[notes].tolist(), x1[notes].tolist()))
         if len(notes):
             keep = o != OP_NOTE_RANGE
             o, w, addr, x1, x2, x3 = (c[keep] for c in (o, w, addr, x1, x2, x3))
         n = len(o)
-        port_l1 = cap._port_l1
+        port_l1 = cfg.port_l1
         scalar = (o == OP_SCALAR_LOAD) | (o == OP_SCALAR_STORE)
         write = (o == OP_SCALAR_STORE) | (o == OP_VSTORE)
         on_l1 = scalar | port_l1
         unit = ~scalar & ((x3 == 0) | (x3 == x2))
         strided = ~scalar & ~unit
         nbytes = np.where(scalar, x1, x1 * x2)
-        shift = np.where(on_l1, cap._l1_shift, cap._l2_shift)
+        shift = np.where(on_l1, cfg.l1_shift, cfg.l2_shift)
 
         # Byte segments [lo, hi]: one per access, or one per element;
         # then the lines each walks, in walk order.
@@ -343,10 +388,10 @@ class _ArrayWalk:
         l1h = np.where(on_l1, n_hit, 0)
         l1m = np.where(on_l1, n_pend, 0)
         vch = np.where(on_l1, 0, n_hit)
-        lat = np.where(on_l1, cap._l1_lat * n_lines_walked, _VC_HIT_LATENCY * vch)
-        cap._l1_hits_c = _fold(cap._l1_hits_c, w * l1h)
-        cap._l1_misses_c = _fold(cap._l1_misses_c, w * l1m)
-        cap._vc_hits_c = _fold(cap._vc_hits_c, w * vch)
+        lat = np.where(on_l1, cfg.l1_lat * n_lines_walked, _VC_HIT_LATENCY * vch)
+        acc["l1_hits"] = _fold(acc["l1_hits"], w * l1h)
+        acc["l1_misses"] = _fold(acc["l1_misses"], w * l1m)
+        acc["vc_hits"] = _fold(acc["vc_hits"], w * vch)
         miss = ~hit
         addrs = lines[miss] << shift[line_ev[miss]]
         del lines, line_ev, hit, miss
@@ -355,16 +400,16 @@ class _ArrayWalk:
         price = np.zeros(n)
         served = n_pend == 0
         flt = scalar & served
-        price[flt] = w[flt] * cap._scalar_cpi
-        stall_at = np.flatnonzero(flt & (lat > cap._l1_lat))
+        price[flt] = w[flt] * cfg.scalar_cpi
+        stall_at = np.flatnonzero(flt & (lat > cfg.l1_lat))
         if len(stall_at):
-            hide = 1.0 - cap._ooo_hide
-            stall = np.maximum(0.0, lat[stall_at] - cap._l1_lat) / _SCALAR_MLP
+            hide = 1.0 - cfg.ooo_hide
+            stall = np.maximum(0.0, lat[stall_at] - cfg.l1_lat) / _SCALAR_MLP
             stall *= np.where(write[stall_at], _STORE_STALL_FACTOR * hide, hide)
-            price[stall_at] = w[stall_at] * (cap._scalar_cpi + stall + 0.0 + 0.0)
+            price[stall_at] = w[stall_at] * (cfg.scalar_cpi + stall + 0.0 + 0.0)
 
         # Vector accesses: n_lines is L1-granular on every machine.
-        l1_line = cap._l1_line
+        l1_line = cfg.l1_line
         n_lines = np.where(
             unit, (addr + nbytes - 1) // l1_line - addr // l1_line + 1, x1
         )
@@ -374,13 +419,13 @@ class _ArrayWalk:
             [sc, w[ev], lat[ev], self._occ1(l1m[ev]),
              np.where(sc, 0, nbytes[ev]), np.where(sc, 0, n_lines[ev]),
              write[ev], unit[ev]],
-            _ev_key, self.out.ev_ids, self.out.ev_defs,
+            _ev_key, run.out.ev_ids, run.out.ev_defs,
         )
         m_item = np.flatnonzero(~scalar & served)
         m_cid = _intern_rows(
             [lat[m_item], nbytes[m_item], n_lines[m_item], write[m_item],
              unit[m_item]],
-            _vmem_class, cap._cls_ids, cap._classes,
+            _vmem_class, run.cls_ids, run.classes,
         )
 
         # Range notes, at the address count of the accesses before them.
@@ -389,91 +434,25 @@ class _ArrayWalk:
             before = np.concatenate([[0], np.cumsum(n_pend)])
             at = before[notes - np.arange(len(notes))].tolist()
             for pos, (base, size) in zip(at, note_args):
-                cap._track_range(base, size)
+                run.track_range(base, size)
                 side.append((pos, (2, base, size)))
         return _Outcome(
             price, ev, ev_key, n_pend[ev], addrs, m_item, w[m_item], m_cid, side
         )
 
 
-class _CaptureWalk:
-    """The walk of any other machine: its :class:`_GroupCapture` driven
-    event by event (:func:`_walk_events`).
-
-    The capture's program columns are swapped for fresh ones per chunk
-    and read back as an :class:`_Outcome`; its key tables persist, the
-    L2 event keys being the pass's own.
-    """
-
-    def __init__(self, cap, out):
-        self.cap = cap
-        cap._sk.ev_ids, cap._sk.ev_defs = out.ev_ids, out.ev_defs
-
-    def __call__(self, o, w, a0, a1, a2, a3) -> _Outcome:
-        from .replay import _SkeletonBuilder  # deferred: import cycle
-
-        cap = self.cap
-        old, sk = cap._sk, _SkeletonBuilder(wide=True)
-        sk.ev_ids, sk.ev_defs = old.ev_ids, old.ev_defs
-        sk.t6_ids, sk.t6_defs = old.t6_ids, old.t6_defs
-        cap._sk = sk
-        cap._put = sk.base.append
-        _walk_events(
-            cap, o.tolist(), w.tolist(), a0.tolist(), a1.tolist(),
-            a2.tolist(), a3.tolist(),
-        )
-
-        def col(buf):
-            return np.frombuffer(buf, dtype=np.int64)
-
-        cls_pos = col(sk.cls_pos)
-        t6 = col(sk.t6_cls)
-        ws = np.array([d[1] for d in sk.t6_defs], dtype=np.float64)
-        cids = np.array([d[2] for d in sk.t6_defs], dtype=np.int64)
-        return _Outcome(
-            np.frombuffer(sk.base, dtype=np.float64), cls_pos[col(sk.ev_at)],
-            col(sk.ev_key), np.diff(col(sk.ev_off)), col(sk.addrs),
-            cls_pos[col(sk.t6_at)], ws[t6], cids[t6], sk.side,
-        )
-
-
-def _walk_events(cap, ops, ws, a0, a1, a2, a3) -> None:
-    """Drive the capture's own event methods over walk events."""
-    vmem = cap._vmem
-    scalar_mem = cap._scalar_mem
-    note_range = cap.note_resident_range
-    sw_prefetch = cap.sw_prefetch
-    cur_w = cap._w
-    for j in range(len(ops)):
-        wv = ws[j]
-        if wv != cur_w:
-            cap._w = cur_w = wv
-        o = ops[j]
-        if o == OP_VLOAD:
-            vmem(a0[j], a1[j], a2[j], a3[j], False)
-        elif o == OP_VSTORE:
-            vmem(a0[j], a1[j], a2[j], a3[j], True)
-        elif o == OP_SCALAR_LOAD:
-            scalar_mem(a0[j], a1[j], False)
-        elif o == OP_SCALAR_STORE:
-            scalar_mem(a0[j], a1[j], True)
-        elif o == OP_NOTE_RANGE:
-            note_range(a0[j], a1[j])
-        else:  # honoured OP_SW_PREFETCH
-            sw_prefetch(a0[j], a1[j], "L1" if a2[j] == 0 else "L2")
-
-
 class _Pass:
     """The shared pass's state between row chunks, and its output.
 
     Counters fold across chunks; labels, classes and keys intern into
-    tables that persist (the output :class:`_SkeletonBuilder`'s and the
-    capture's); item, class-item and address positions continue from
-    the chunks before.
+    tables that persist (the VPU pricing-class table here, the rest in
+    the output :class:`_SkeletonBuilder`); item, class-item and address
+    positions continue from the chunks before, and so does the walk's
+    cache residency (:class:`_ArrayWalk`).
     """
 
-    def __init__(self, cap, out, labels):
-        self.cap = cap
+    def __init__(self, cfg: _WalkConfig, out, labels):
+        self.cfg = cfg
         self.out = out
         self.trace_labels = labels
         self.label_of = np.full(len(labels), -1, dtype=np.int64)
@@ -482,11 +461,27 @@ class _Pass:
         self.ft_pos: list = []  # first-touch address positions, per chunk
         self.counters = dict.fromkeys(
             ("scalar_instrs", "vec_instrs", "vec_mem_instrs", "vec_elems",
-             "flops", "bytes_loaded", "bytes_stored", "sw_prefetches",
-             "spills"), 0.0,
+             "flops", "bytes_loaded", "bytes_stored", "l1_hits", "l1_misses",
+             "vc_hits", "spills"), 0.0,
         )
-        fast = cap._tlb is None and cap._pf1 is None and not cap._honors
-        self.walk = (_ArrayWalk if fast else _CaptureWalk)(cap, out)
+        self.classes: list = []  # VPU pricing-class descriptors, by id
+        self.cls_ids: dict = {}
+        self.max_range_total = 0
+        self.inf_ranges: list = []
+        self.walk = _ArrayWalk(cfg)
+
+    def track_range(self, base: int, nbytes: int) -> None:
+        """Grow ``max_range_total``, the largest total of the residency
+        ranges noted so far under an infinite budget (a point whose L2
+        holds it never trims a range)."""
+        if nbytes > 0:
+            end = base + nbytes
+            ranges = [r for r in self.inf_ranges if r[1] <= base or r[0] >= end]
+            ranges.append((base, end))
+            self.inf_ranges = ranges
+            self.max_range_total = max(
+                self.max_range_total, sum(hi - lo for lo, hi in ranges)
+            )
 
     def _labels(self, kids: np.ndarray) -> None:
         """Record the label ids of items of trace kernel ids *kids* where
@@ -510,10 +505,9 @@ class _Pass:
     def chunk(self, cols, vlen_bits: int) -> None:
         from .replay import _uint_for  # deferred: import cycle
 
-        cap, out, acc = self.cap, self.out, self.counters
+        cfg, out, acc = self.cfg, self.out, self.counters
         op, w, kid, i0, i1, i2, i3, f0 = _expand_spills(cols, vlen_bits)
-        honors = cap._honors
-        noop_pf = cap._noop_pf
+        noop_pf = cfg.noop_pf
         is_scalar = op == OP_SCALAR
         is_sload = op == OP_SCALAR_LOAD
         is_sstore = op == OP_SCALAR_STORE
@@ -533,7 +527,7 @@ class _Pass:
         c = np.zeros(len(op))
         c[is_scalar] = w[is_scalar] * i0[is_scalar]
         c[sm] = w[sm]
-        if noop_pf and not honors:
+        if noop_pf:
             c[is_pf] = w[is_pf]
         acc["scalar_instrs"] = _fold(acc["scalar_instrs"], c)
         c[:] = 0.0
@@ -560,48 +554,36 @@ class _Pass:
         c[is_vstore] = w[is_vstore] * (i1[is_vstore] * i2[is_vstore])
         c[is_sstore] = w[is_sstore] * i1[is_sstore]
         acc["bytes_stored"] = _fold(acc["bytes_stored"], c)
-        if honors:
-            acc["sw_prefetches"] = _fold(
-                acc["sw_prefetches"], np.where(is_pf, w, 0.0)
-            )
         acc["spills"] = _fold(acc["spills"], np.where(is_tail, w * i0, 0.0))
         del c
 
         # Items: one per event that adds cycles, in event order.
         has_item = is_scalar | sm | is_vmem | is_varith | is_vb | is_tail
-        if honors or noop_pf:
+        if noop_pf:
             has_item |= is_pf
         item_ev = np.flatnonzero(has_item)
         n_items = len(item_ev)
         item_of = np.cumsum(has_item) - 1  # item index of each item event
         self._labels(kid[item_ev].astype(np.int64))
         base = np.zeros(n_items)
-        base[item_of[is_scalar]] = w[is_scalar] * (i0[is_scalar] * cap._scalar_cpi)
+        base[item_of[is_scalar]] = w[is_scalar] * (i0[is_scalar] * cfg.scalar_cpi)
         base[item_of[is_tail]] = w[is_tail] * (i0[is_tail] * _SPILL_SERIALIZE_CYCLES)
-        if noop_pf and not honors:
-            base[item_of[is_pf]] = w[is_pf] * cap._scalar_cpi
+        if noop_pf:
+            base[item_of[is_pf]] = w[is_pf] * cfg.scalar_cpi
         va = np.flatnonzero(is_varith)
         vb = np.flatnonzero(is_vb)
         cid_va = _intern_rows(
             [i0[va], i1[va], i2[va]], lambda n, k, ew: ("a", n, k, ew),
-            cap._cls_ids, cap._classes,
+            self.cls_ids, self.classes,
         )
         cid_vb = _intern_rows(
-            [i0[vb]], lambda n: ("b", n), cap._cls_ids, cap._classes
+            [i0[vb]], lambda n: ("b", n), self.cls_ids, self.classes
         )
 
         # Walk events, in order; every one but a range note is an item.
-        walk = sm | is_vmem | is_nr
-        if honors:
-            walk |= is_pf
-        wk = np.flatnonzero(walk)
-        res = self.walk(op[wk], w[wk], i0[wk], i1[wk], i2[wk], i3[wk])
+        wk = np.flatnonzero(sm | is_vmem | is_nr)
+        res = self.walk(self, op[wk], w[wk], i0[wk], i1[wk], i2[wk], i3[wk])
         wpos = item_of[wk[~is_nr[wk]]]  # program position of each walk item
-        if len(res.price) != len(wpos):
-            raise AssertionError(
-                f"walk emitted {len(res.price)} items, layout reserved "
-                f"{len(wpos)} (engine out of lock-step)"
-            )
         base[wpos] = res.price
 
         # Class items: the walk's L2 events and VPU-priced items plus
@@ -631,7 +613,7 @@ class _Pass:
         # no earlier chunk reached.  The lines so far stay at 32 bits
         # until one does not fit (isin and searchsorted would otherwise
         # widen the whole table on every chunk).
-        u, first = np.unique(res.addrs >> cap._l2_shift, return_index=True)
+        u, first = np.unique(res.addrs >> cfg.l2_shift, return_index=True)
         if len(u) and int(u[-1]) > np.iinfo(self.lines.dtype).max:
             self.lines = self.lines.astype(np.int64)
         u = u.astype(self.lines.dtype)
@@ -649,30 +631,26 @@ class _Pass:
 
 def _shared_pass_vec(trace: RecordedTrace, base):
     """Column-arithmetic twin of ``replay._shared_pass_python``."""
-    from .replay import _GroupCapture, _SkeletonBuilder  # deferred: import cycle
+    from .replay import _group_constants, _SkeletonBuilder  # deferred: import cycle
 
+    cfg = _walk_config(base)
     cols = trace._columns()
     present = np.flatnonzero(np.bincount(cols[0], minlength=1)).tolist()
     bad = set(present) - _KNOWN_OPS
     if bad:
         raise ValueError(f"unknown trace opcode {sorted(bad)[0]}")
-    cap = _GroupCapture(base)
-    # Pinned label: the capture records outcomes only, never labels.
-    cap._cur_label = cap._kernel_stack[-1]
     out = _SkeletonBuilder()
-    run = _Pass(cap, out, trace.labels)
+    run = _Pass(cfg, out, trace.labels)
     rows = _CHUNK_ROWS
     for lo in range(0, trace.n_events, rows):
         run.chunk([c[lo:lo + rows] for c in cols], trace.vlen_bits)
     skel = out.build(
-        cap._l2_shift, run.lines,
+        cfg.l2_shift, run.lines,
         np.concatenate(run.ft_pos) if run.ft_pos else np.zeros(0, dtype=np.int64),
     )
-
     inv = SimStats()
     for name, value in run.counters.items():
         setattr(inv, name, value)
-    inv.l1_hits = cap._l1_hits_c
-    inv.l1_misses = cap._l1_misses_c
-    inv.vc_hits = cap._vc_hits_c
-    return skel, inv, cap.constants()
+    return skel, inv, _group_constants(
+        base, cfg.l2_shift, run.max_range_total, run.classes
+    )

@@ -58,6 +58,10 @@ __all__ = [
 #: Poll period while waiting on another owner's live job.
 _WAIT_POLL_S = 0.05
 
+#: The machine families each sweep axis can build: ``sve_gem5`` takes
+#: no lane count, and the A64FX is one fixed silicon point.
+_SWEEP_FAMILIES = {"vlen": ("rvv", "sve"), "cache": ("rvv", "sve"), "lanes": ("rvv",)}
+
 
 class JobCancelled(RuntimeError):
     """Raised inside a job run when its durable cancel marker appears."""
@@ -78,7 +82,8 @@ class JobOutcome:
 
 
 def spec_from_args(args) -> Dict:
-    """Canonical job spec from parsed ``repro submit`` CLI arguments."""
+    """Canonical sweep spec from parsed ``repro sweep`` or ``repro
+    submit`` CLI arguments."""
     return {
         "net": args.net,
         "machine": args.machine,
@@ -96,10 +101,13 @@ def spec_from_args(args) -> Dict:
 def resolve_spec(spec: Dict) -> Tuple[object, object, str, List, Callable]:
     """Rebuild ``(net, policy, axis_name, values, factory)`` from a spec.
 
-    Mirrors the CLI's axis resolution exactly (same default grids, same
-    SVE vector-length clamp) so a job submitted from the command line
-    and one resubmitted from its stored record land on the same sweep
-    key — that identity is what makes job ids durable.
+    The one axis resolution of ``repro sweep`` and ``repro submit``
+    (default grids, the SVE vector-length clamp), so a sweep run from the
+    command line, a job submitted there and one resubmitted from its
+    stored record land on the same sweep key — that identity is what
+    makes job ids durable.  Raises ``ValueError`` for an unknown network
+    or axis, and for a machine family the axis cannot build
+    (``_SWEEP_FAMILIES``).
     """
     from ..machine import rvv_gem5, sve_gem5
     from ..nets import KernelPolicy, vgg16, yolov3, yolov3_tiny
@@ -118,6 +126,13 @@ def resolve_spec(spec: Dict) -> Tuple[object, object, str, List, Callable]:
     l2_mb = int(spec.get("l2_mb", 1))
     axis = spec.get("axis", "vlen")
     values = spec.get("values")
+    if axis not in _SWEEP_FAMILIES:
+        raise ValueError(f"unknown sweep axis {axis!r} in job spec")
+    if machine not in _SWEEP_FAMILIES[axis]:
+        raise ValueError(
+            f"cannot sweep machine {machine!r} along axis {axis!r}; "
+            f"{axis} sweeps build {' and '.join(_SWEEP_FAMILIES[axis])} machines"
+        )
 
     if axis == "vlen":
         values = list(values or [512, 1024, 2048, 4096, 8192, 16384])
@@ -140,13 +155,11 @@ def resolve_spec(spec: Dict) -> Tuple[object, object, str, List, Callable]:
                 vlen_bits=vlen, lanes=lanes, l2_mb=mb
             )
         return net, policy, "l2_mb", values, factory
-    if axis == "lanes":
-        values = list(values or [2, 4, 8])
-        factory = lambda l: rvv_gem5(  # noqa: E731
-            vlen_bits=vlen, lanes=l, l2_mb=l2_mb
-        )
-        return net, policy, "lanes", values, factory
-    raise ValueError(f"unknown sweep axis {axis!r} in job spec")
+    values = list(values or [2, 4, 8])
+    factory = lambda l: rvv_gem5(  # noqa: E731
+        vlen_bits=vlen, lanes=l, l2_mb=l2_mb
+    )
+    return net, policy, "lanes", values, factory
 
 
 def spec_key(spec: Dict) -> Tuple[str, int]:

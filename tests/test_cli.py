@@ -67,6 +67,22 @@ class TestCommands:
         assert rc == 0
         assert "lanes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep", "--machine", "a64fx", "--axis", "cache"], id="sweep-a64fx"),
+        pytest.param(["sweep", "--machine", "a64fx", "--axis", "vlen"], id="sweep-a64fx-vlen"),
+        pytest.param(["sweep", "--machine", "sve", "--axis", "lanes"], id="sweep-sve-lanes"),
+        pytest.param(["sweep", "--machine", "a64fx", "--dry-run"], id="dry-run-a64fx"),
+        pytest.param(["submit", "--machine", "a64fx", "--axis", "cache"], id="submit-a64fx"),
+    ])
+    def test_unbuildable_sweep_exits_2(self, argv, capsys, tmp_path, monkeypatch):
+        """A family the axis cannot build is refused with the resolver's
+        message before anything runs or is recorded."""
+        monkeypatch.setenv("REPRO_SIMCACHE_DIR", str(tmp_path))
+        assert main([*argv, "--net", "yolov3-tiny", "--layers", "2"]) == 2
+        out = capsys.readouterr()
+        assert "cannot sweep machine" in out.err and not out.out
+        assert not list(tmp_path.iterdir())
+
     def test_profile(self, capsys):
         rc = main(["profile", "--net", "yolov3-tiny", "--layers", "4"])
         assert rc == 0

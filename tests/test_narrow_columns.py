@@ -44,6 +44,8 @@ from repro.machine.replay_vec import _Level
 from repro.machine.simulator import SimStats
 from repro.machine.trace import TraceRecorder
 
+from .test_tier_identity import line_walk_tier
+
 RTZ = Path(__file__).parent / "data" / "traces" / "yolov3_tiny_rvv_v512.rtz"
 
 #: Every array column of a skeleton.
@@ -228,9 +230,10 @@ def emit_high(sim):
 
 def test_buffers_above_4gib_price_through_every_tier():
     """Byte addresses past ``2**32`` keep the int64 columns, the vector
-    pass matches the oracle's program, and each tier — the hot-set walk,
-    the full per-line walk, the conflict-free tier with and without a
-    budget, and a whole sweep group — prices like ``replay()``."""
+    pass matches the oracle's program, and each tier — the hot-set walk
+    (byte for byte the per-line walk's tier), the conflict-free tier
+    with and without a budget, and a whole sweep group — prices like
+    ``replay()``."""
     m = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
     rec = TraceRecorder(m)
     emit_high(rec)
@@ -247,7 +250,10 @@ def test_buffers_above_4gib_price_through_every_tier():
     assert _tier_for(skel, gc, small)["kind"] == "walk"
     with mock.patch.object(R, "_WALK_CHUNK_MIN", 5):  # many walk steps
         tiers = [(small, _compile_walk(skel, gc, small))]
-    tiers.append((small, _compile_walk(skel, dict(gc, has_fills=True), small)))
+    tiers.append((small, line_walk_tier(skel, small)))
+    for name in ("kid", "cls_pos", "cls_idx", "wh_by_cls", "wm_by_cls"):
+        a, b = getattr(tiers[0][1], name), getattr(tiers[1][1], name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     for mb, desc in ((1, f"fast:{1 << 20}"), (256, "fast:None")):
         big = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=mb)
         assert _tier_for(skel, gc, big)["desc"] == desc

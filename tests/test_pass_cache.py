@@ -104,6 +104,13 @@ def make_gc():
     }
 
 
+def narrow(col):
+    """An integer column at the narrowest unsigned width that holds it,
+    as a compiled tier holds ``kid``, ``cls_pos`` and ``cls_idx``."""
+    col = np.asarray(col, np.int64)
+    return col.astype(np.min_scalar_type(int(col.max(initial=0))))
+
+
 @st.composite
 def tier_columns(draw):
     """A tier's column dict: any item count (zero included), one or many
@@ -124,10 +131,10 @@ def tier_columns(draw):
     weights = st.lists(finite, min_size=len(cls_defs), max_size=len(cls_defs))
     return {
         "base": np.asarray(draw(st.lists(finite, min_size=n, max_size=n)), np.float64),
-        "kid": np.asarray(kid, np.int64),
+        "kid": narrow(kid),
         "labels": labels,
-        "cls_pos": np.flatnonzero(np.asarray(is_cls, dtype=bool)),
-        "cls_idx": np.asarray(draw(st.lists(idx, min_size=n_cls, max_size=n_cls)), np.int64),
+        "cls_pos": narrow(np.flatnonzero(np.asarray(is_cls, dtype=bool))),
+        "cls_idx": narrow(draw(st.lists(idx, min_size=n_cls, max_size=n_cls))),
         "cls_defs": cls_defs,
         "wh_by_cls": np.asarray(draw(weights), np.float64),
         "wm_by_cls": np.asarray(draw(weights), np.float64),
@@ -168,8 +175,8 @@ def tier_parts(cols):
 
 
 EMPTY_TIER = {
-    "base": np.zeros(0), "kid": np.zeros(0, np.int64), "labels": ["k"],
-    "cls_pos": np.zeros(0, np.int64), "cls_idx": np.zeros(0, np.int64),
+    "base": np.zeros(0), "kid": np.zeros(0, np.uint8), "labels": ["k"],
+    "cls_pos": np.zeros(0, np.uint8), "cls_idx": np.zeros(0, np.uint8),
     "cls_defs": [(6, 1.0, 0)], "wh_by_cls": np.zeros(1), "wm_by_cls": np.zeros(1),
     "max_nm": 0,
 }
@@ -178,10 +185,10 @@ EMPTY_TIER = {
 SMALL_TIER = dict(
     EMPTY_TIER,
     base=np.arange(9, dtype=np.float64),
-    kid=np.array([0, 0, 1, 1, 1, 0, 0, 0, 0], np.int64),
+    kid=np.array([0, 0, 1, 1, 1, 0, 0, 0, 0], np.uint8),
     labels=["a", "b"],
-    cls_pos=np.array([1, 2, 5, 8], np.int64),
-    cls_idx=np.array([0, 1, 1, 0], np.int64),
+    cls_pos=np.array([1, 2, 5, 8], np.uint8),
+    cls_idx=np.array([0, 1, 1, 0], np.uint8),
     cls_defs=[(6, 1.0, 0), (4, 2.0, 7, 0.5, False, 1, 0)],
     wh_by_cls=np.array([0.0, 2.0]),
     wm_by_cls=np.array([0.0, 0.0]),
@@ -339,6 +346,11 @@ class TestStoreLoad:
         assert out is not None
         header, cols2, inv2, gcp = out
         assert header["tier"]["fps"] == ["fp1"]
+        # Loaded at the widths the compiled tier holds (u1/u2 here).
+        for name in ("kid", "cls_pos", "cls_idx"):
+            assert cols2[name].dtype == getattr(cols, name).dtype, name
+            assert (cols2[name] == getattr(cols, name)).all(), name
+        assert cols.kid.dtype == np.uint8 and cols.cls_idx.itemsize <= 2
         assert (cols2["base"] == cols.base).all()
         assert cols2["labels"] == cols.labels
         for a, b in zip(cols.cls_defs, cols2["cls_defs"]):

@@ -3,10 +3,13 @@
 ``repro.machine.replay_vec._shared_pass_vec`` re-implements the
 per-event reference loop (``replay._shared_pass_python``: a
 ``_GroupCapture`` driven by a recorded trace's rows) with columnar
-NumPy passes over bounded row chunks, and on TLB-less, prefetcher-less
-machines with LRU kernels for the L1 and VectorCache walk.  Both emit
-the shared-pass program as ``_Skeleton`` columns.  The contract is the
-same strict one the rest of the replay engine lives under: every column
+NumPy passes over bounded row chunks and LRU kernels for the L1 and
+VectorCache walk; the two share no walk code, tables or config.  Both
+emit the shared-pass program as ``_Skeleton`` columns, and both refuse
+a machine with a TLB, a hardware prefetcher or honoured software
+prefetches (the a64fx preset), whose groups price per point.  The
+contract is the same strict one the rest of the replay engine lives
+under: every column
 must be identical — tag-6 classes compared through their resolved
 descriptors, since the engines number pricing classes differently —
 the invariant stats hex-identical, and every design point priced to
@@ -25,10 +28,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import a64fx, replay_vec, rvv_gem5, sve_gem5
+from repro.machine.config import PrefetcherParams, TLBParams
 from repro.machine.replay import (
     _run_points,
     _shared_pass,
     _shared_pass_python,
+    group_mode,
 )
 from repro.machine.replay_vec import _shared_pass_vec
 from repro.machine.simulator import SimStats
@@ -167,8 +172,37 @@ POLICIES = [
 SMALL_CHUNK = 7
 
 
+def assert_declined(trace, m, feature="tlb, l1_prefetcher"):
+    """A group of *m* does not replay, and neither engine walks it."""
+    assert group_mode([m]) is None
+    for engine in (_shared_pass_python, _shared_pass_vec, _shared_pass):
+        with pytest.raises(ValueError, match=feature):
+            engine(trace, m)
+
+
+#: Each feature the shared pass does not model, on an otherwise
+#: replayable rvv machine.
+FEATURES = {
+    "tlb": TLBParams(entries=48, page_bytes=4096, miss_penalty=40),
+    "l1_prefetcher": PrefetcherParams(num_streams=8, degree=4, trigger=2),
+    "l2_prefetcher": PrefetcherParams(num_streams=16, degree=8, trigger=2),
+    "honors_sw_prefetch": True,
+}
+
+
+@pytest.mark.parametrize("feature", sorted(FEATURES))
+def test_engines_refuse_each_feature(feature):
+    """One feature is enough: both engines raise, naming it, before they
+    walk anything; without it the same trace replays."""
+    m = rvv_gem5(vlen_bits=1024, lanes=4)
+    trace = synthetic_trace(m)
+    assert_declined(trace, m.with_(**{feature: FEATURES[feature]}), feature)
+    assert group_mode([m]) == "l2"
+
+
 class TestEngineIdentity:
-    """The vectorized pass emits exactly the oracle's program.
+    """The vectorized pass emits exactly the oracle's program (a64fx:
+    both decline it).
 
     ``chunked`` runs it over ``SMALL_CHUNK``-row chunks instead of the
     default ``_CHUNK_ROWS``."""
@@ -186,6 +220,8 @@ class TestEngineIdentity:
         trace = capture(m, policy)
         if chunked:
             assert trace.n_events > 100 * SMALL_CHUNK
+        if m.tlb:
+            return assert_declined(trace, m)
         assert_same_program(
             _shared_pass_python(trace, m), _shared_pass_vec(trace, m), m
         )
@@ -194,14 +230,16 @@ class TestEngineIdentity:
     def test_synthetic_all_opcodes(self, chunked, factory):
         m = factory()
         trace = synthetic_trace(m)
+        if m.tlb:
+            return assert_declined(trace, m)
         got = _shared_pass_vec(trace, m)
         assert_same_program(_shared_pass_python(trace, m), got, m)
         # Every item kind is present: floats, L2 events of both kinds,
-        # VPU-priced items and (where prefetches are honoured) fills.
+        # VPU-priced items and range notes.
         skel = got[0]
         assert len(skel.base) > len(skel.cls_pos) > 0
         assert skel.ev_scalar.any() and not skel.ev_scalar.all()
-        assert len(skel.t6_at) and {it[0] for _, it in skel.side} >= {2}
+        assert len(skel.t6_at) and {it[0] for _, it in skel.side} == {2}
 
     def test_empty_trace(self, monkeypatch):
         m = rvv_gem5(vlen_bits=512)

@@ -27,9 +27,10 @@ from repro.core.resilience import (
     seal_journal,
     sealed_path,
     stats_payload,
+    sweep_key,
 )
-from repro.machine import rvv_gem5
-from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
+from repro.machine import rvv_gem5, sve_gem5
+from repro.nets import ConvLayer, MaxPoolLayer, Network
 from repro.service import jobs as jobstore
 from repro.service import scheduler
 from repro.testing.faults import FAULTS_ENV, FaultSpec, install_faults
@@ -485,6 +486,42 @@ class TestCacheStateRules:
 
 SUBMIT = ["submit", "--net", "yolov3-tiny", "--layers", "2",
           "--axis", "cache", "--values", "1", "2"]
+
+
+class TestSpecResolution:
+    """``repro sweep`` and ``repro submit`` resolve specs one way."""
+
+    @pytest.mark.parametrize("machine,axis,factory,values", [
+        ("rvv", "vlen", lambda v: rvv_gem5(vlen_bits=v, lanes=8, l2_mb=1),
+         [512, 1024, 2048, 4096, 8192, 16384]),
+        ("sve", "vlen", lambda v: sve_gem5(vlen_bits=v, l2_mb=1), [512, 1024, 2048]),
+        ("rvv", "cache", lambda mb: rvv_gem5(vlen_bits=512, lanes=8, l2_mb=mb),
+         [1, 8, 64, 256]),
+        ("sve", "cache", lambda mb: sve_gem5(vlen_bits=512, l2_mb=mb), [1, 8, 64, 256]),
+        ("rvv", "lanes", lambda l: rvv_gem5(vlen_bits=512, lanes=l, l2_mb=1), [2, 4, 8]),
+    ])
+    def test_rvv_and_sve_specs_keep_their_key(self, machine, axis, factory, values):
+        """Each buildable spec sweeps the machines the CLI always built
+        for it (default grid, SVE clamp), so its sweep key and job id
+        stay put."""
+        spec = {**SPEC, "machine": machine, "axis": axis, "values": None}
+        net, policy, axis_name, got_values, _ = scheduler.resolve_spec(spec)
+        assert got_values == values
+        key = sweep_key(
+            net, axis_name, values, [factory(v) for v in values], policy, 2
+        )
+        assert scheduler.spec_key(spec) == (key, len(values))
+
+    @pytest.mark.parametrize("machine,axis", [
+        ("a64fx", "vlen"), ("a64fx", "cache"), ("a64fx", "lanes"), ("sve", "lanes"),
+    ])
+    def test_unbuildable_family_raises(self, machine, axis):
+        with pytest.raises(ValueError, match=f"cannot sweep machine '{machine}'"):
+            scheduler.resolve_spec({**SPEC, "machine": machine, "axis": axis})
+
+    def test_unknown_axis_raises(self):
+        with pytest.raises(ValueError, match="unknown sweep axis"):
+            scheduler.resolve_spec({**SPEC, "axis": "l1"})
 
 
 class TestCli:

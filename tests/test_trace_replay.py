@@ -8,8 +8,12 @@ kernels straight into a :class:`TraceSimulator`.  Equality within an
 epsilon is not enough; the replay engines mirror the simulator's
 accumulation order exactly, and these tests are the tripwire for any
 drift (see the lock-step warning in ``repro/machine/replay.py``).
+Machines with a TLB, a hardware prefetcher or honoured software
+prefetches (the a64fx preset) never replay as a group: their sweeps
+price every point by direct simulation and leave no trace or tier.
 """
 
+import os
 from dataclasses import replace
 from unittest import mock
 
@@ -18,7 +22,7 @@ import pytest
 from repro.core import sweep_cache_sizes, sweep_lanes, tracecache
 from repro.core.codesign import ReplayDegradedWarning, SweepResult
 from repro.machine import a64fx, replay_vec, rvv_gem5, sve_gem5
-from repro.machine.config import CacheParams
+from repro.machine.config import CacheParams, PrefetcherParams, TLBParams
 from repro.machine.replay import (
     _compile_fast,
     _compile_walk,
@@ -31,13 +35,13 @@ from repro.machine.replay import (
     nonuniform_fields,
     replay,
     replay_sweep,
-    supports_axis,
-    uniform_group,
 )
 from repro.machine import trace as trace_mod
 from repro.machine.simulator import SimStats, TraceSimulator
 from repro.nets import ConvLayer, KernelPolicy, MaxPoolLayer, Network
 from repro.nets.zoo import yolov3_tiny
+
+from .test_tier_identity import line_walk_tier
 
 
 def hexs(st: SimStats):
@@ -135,12 +139,22 @@ CASES = [
 class TestBitwiseIdentity:
     @pytest.mark.parametrize("mk,policy,n", CASES)
     def test_replay_and_sweeps_match_direct(self, mk, policy, n, cold):
+        """Every group engine prices like direct simulation; an a64fx
+        group (TLB, prefetchers) still replays point by point through
+        ``replay``, but the group engines decline it."""
         net = yolov3_tiny()
         machines = [mk(mb) for mb in L2_SIZES]
         ds = [direct(net, m, policy, n) for m in machines]
 
         trace = net.record_trace(machines[0], policy, n_layers=n)
         assert_bitwise(ds[0], replay(trace, machines[0]))
+        if machines[0].tlb:
+            assert group_mode(machines) is None
+            assert replay_sweep(trace, machines) is None
+            assert cold(net, machines, policy, n) is None
+            key = tracecache.trace_key(net, machines[0], policy, n)
+            assert tracecache.get(key) is None  # nothing recorded
+            return
 
         replayed = replay_sweep(trace, machines)
         assert replayed is not None
@@ -169,7 +183,7 @@ class TestBitwiseIdentity:
             base.with_(dram_latency=300),
             rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=64).with_(dram_bytes_per_cycle=8),
         ]
-        assert uniform_group(group)
+        assert group_mode(group) == "l2"
         ds = [direct(net, m, KernelPolicy(), 6) for m in group]
         trace = net.record_trace(group[0], KernelPolicy(), n_layers=6)
         for d, r in zip(ds, replay_sweep(trace, group)):
@@ -188,8 +202,7 @@ class TestBitwiseIdentity:
         group = [
             rvv_gem5(vlen_bits=1024, lanes=l, l2_mb=1) for l in (1, 2, 4, 8)
         ]
-        assert not uniform_group(group)  # not an L2/DRAM-only group...
-        assert group_mode(group) == "vpu"  # ...but a deferred-pricing one
+        assert group_mode(group) == "vpu"  # not L2/DRAM-only: deferred pricing
         ds = [direct(net, m, KernelPolicy(), 2) for m in group]
         trace = net.record_trace(group[0], KernelPolicy(), n_layers=2)
         for d, r in zip(ds, replay_sweep(trace, group)):
@@ -202,8 +215,7 @@ class TestBitwiseIdentity:
         decline; each VL point records (and replays) its own trace."""
         group = [rvv_gem5(vlen_bits=v, lanes=4, l2_mb=1) for v in (512, 1024)]
         assert group_mode(group) is None
-        assert not supports_axis("l1_size")
-        assert supports_axis("lanes") and supports_axis("vlen_bits")
+        assert group_mode(group[:1]) == "l2"  # each VL point is a group
         assert nonuniform_fields(group) == ["vlen_bits"]
 
     def test_port_level_group_declined(self):
@@ -228,10 +240,9 @@ class TestPointPassEngines:
     ``_run_points`` prices each design point with ``_point_pass_vec``
     from one tier: conflict-free (``_compile_fast``, one per L2 byte
     budget) or walk (``_compile_walk``, one per L2 geometry: the
-    lockstep LRU over the hot sets when nothing but the demand stream
-    fills the L2, else the full per-line walk).  Here each builder runs
-    explicitly on one shared program and the priced point is checked
-    against ``replay()`` of the same trace.
+    lockstep LRU over the hot sets).  Here each builder runs explicitly
+    on one shared program and the priced point is checked against
+    ``replay()`` of the same trace.
     """
 
     @pytest.fixture(scope="class")
@@ -245,12 +256,11 @@ class TestPointPassEngines:
         """The 512 KB and 1 MB points sit in hybrid territory — a few
         overcommitted sets, everything else conflict-free — and every
         set is hot at 256 KB.  Each walk tier walks only the hot sets,
-        in lockstep; it equals the full walk's tier bit for bit and
-        prices like replay."""
+        in lockstep; it equals a per-line L2 walk's tier
+        (``line_walk_tier``) bit for bit and prices like replay."""
         from repro.machine import replay as R
 
         trace, skel, inv, gc = captured
-        assert not gc["has_fills"] and not gc["pf2_cfg"]
         m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
         for kb, ways, hybrid in ((256, 8, False), (512, 16, True), (1024, 8, True)):
             m = m0.with_(l2=CacheParams(kb * 1024, ways, 64, m0.l2.latency))
@@ -261,11 +271,7 @@ class TestPointPassEngines:
             with mock.patch.object(R, "_lru_hits", wraps=R._lru_hits) as spy:
                 hot_walk = _compile_walk(skel, gc, m)
             assert spy.called
-            # A program with fills forces the walk over every line.
-            with mock.patch.object(R, "_lru_hits", wraps=R._lru_hits) as spy:
-                full_walk = _compile_walk(skel, dict(gc, has_fills=True), m)
-            assert not spy.called
-            assert_same_tier(hot_walk, full_walk)
+            assert_same_tier(hot_walk, line_walk_tier(skel, m))
             assert_bitwise(replay(trace, m), _point_pass_vec(hot_walk, inv, m, gc))
 
     def test_fast_tiers_match_replay(self, captured):
@@ -324,6 +330,18 @@ class TestPointPassEngines:
         assert calls.count("_compile_fast") == 3
         assert calls.count("_point_pass_vec") == 4
 
+    def test_zero_set_l2_raises(self, captured):
+        """An L2 smaller than one set passes ``CacheParams`` validation;
+        the walk tier refuses it loudly, as direct simulation does."""
+        trace, skel, inv, gc = captured
+        m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
+        empty = m0.with_(l2=CacheParams(0, m0.l2.assoc, 64, m0.l2.latency))
+        assert _tier_for(skel, gc, empty)["kind"] == "walk"
+        with pytest.raises(ValueError, match="no sets"):
+            _compile_walk(skel, gc, empty)
+        with pytest.raises(ValueError):
+            replay(trace, empty)
+
 
 class TestRecordedTrace:
     """The cold capture records exactly what ``record_trace`` records."""
@@ -338,11 +356,16 @@ class TestRecordedTrace:
         pytest.param(a64fx, id="a64fx"),
     ])
     def test_capture_sweep_records_record_trace(self, cold, mk, policy):
+        """On a64fx (TLB, prefetchers) the cold path declines before it
+        runs a kernel: nothing is recorded or priced."""
         net = yolov3_tiny()
         m = mk()
         key = tracecache.trace_key(net, m, policy, 3)
         priced = cold(net, [m], policy, 3)
         got = tracecache.get(key)
+        if m.tlb:
+            assert priced is None and got is None
+            return
         want = net.record_trace(m, policy, n_layers=3, key=key)
         assert got is not None and got is not want
         assert got.content_digest() == want.content_digest()
@@ -370,6 +393,68 @@ class TestRecordedTrace:
             d = direct(net, m, policy, 4)
             assert_bitwise(d, p)
             assert_bitwise(d, replay(got, m))
+
+
+def a64fx_l2(mb):
+    base = a64fx()
+    return base.with_(l2=replace(base.l2, size_bytes=mb << 20))
+
+
+def rvv_with(feature, value):
+    return lambda mb: rvv_gem5(vlen_bits=512, lanes=4, l2_mb=mb).with_(
+        **{feature: value}
+    )
+
+
+#: L2 sweeps replay declines, and the feature each error names.
+DECLINED = [
+    pytest.param(a64fx_l2, "tlb, l1_prefetcher", id="a64fx"),
+    pytest.param(rvv_with("tlb", TLBParams()), "tlb", id="tlb"),
+    pytest.param(
+        rvv_with("l1_prefetcher", PrefetcherParams()), "l1_prefetcher",
+        id="l1_prefetcher",
+    ),
+    pytest.param(
+        rvv_with("l2_prefetcher", PrefetcherParams()), "l2_prefetcher",
+        id="l2_prefetcher",
+    ),
+    pytest.param(
+        rvv_with("honors_sw_prefetch", True), "honors_sw_prefetch",
+        id="honors_sw_prefetch",
+    ),
+]
+
+
+class TestDeclinedMachines:
+    @pytest.mark.parametrize("factory,feature", DECLINED)
+    def test_l2_sweep_prices_direct(self, factory, feature, tmp_path, monkeypatch):
+        """A machine with a TLB, a prefetcher or honoured prefetches
+        prices every point of an L2 sweep by direct simulation, serial
+        and parallel, hex-identical to ``Network.simulate``; no trace or
+        tier is written, and demanding replay raises, naming the
+        feature."""
+        monkeypatch.setenv("REPRO_SIMCACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
+        tracecache.clear_registry()
+        net = small_net()
+        sizes = [1, 4]
+        want = [
+            net.simulate(factory(mb), KernelPolicy(), use_cache=False, use_trace=False)
+            for mb in sizes
+        ]
+        for jobs in (1, 2):
+            res = sweep_cache_sizes(net, sizes, factory, jobs=jobs, use_cache=False)
+            assert res.sources == ["direct", "direct"], jobs
+            for w, got in zip(want, res.stats):
+                assert_bitwise(w, got)
+            with pytest.raises(ValueError, match=feature):
+                sweep_cache_sizes(
+                    net, sizes, factory, jobs=jobs, use_cache=False, use_trace=True
+                )
+        written = [f for _, _, files in os.walk(tmp_path) for f in files]
+        assert not [f for f in written if f.endswith((".rtz", ".rvp"))], written
+        key = tracecache.trace_key(net, factory(1), KernelPolicy(), None)
+        assert tracecache.get(key, spill=True) is None
 
 
 class TestTraceKey:
