@@ -15,6 +15,7 @@ import numpy as np
 from ..isa import F32, RegisterFile, VectorISA
 from ..isa.intrinsics import vfmacc, vle, vse
 from ..machine.simulator import TraceSimulator
+from ..machine.trace import EventBlock
 
 __all__ = ["DEFAULT_UNROLL", "gemm_3loop", "trace_gemm_3loop"]
 
@@ -102,13 +103,16 @@ def trace_gemm_3loop(
     motivating the 6-loop packing (Section VI-C).
 
     The j and i loops are sampled (periodic, disjoint panels); the k loop
-    runs in full so cache capacity pressure is real.
+    runs in full so cache capacity pressure is real.  Each (j, i) panel
+    is issued as one event block (:func:`_panel`), built once per panel
+    shape and moved to the panel's addresses.
     """
     vl = sim.machine.vlen_f32
     line_elems = sim.machine.l1.line_bytes // 4
     spilled = max(0, unroll + 3 - 32)  # accumulators + vb/vaalpha/tmp
     n_jblocks = -(-N // vl)
     n_igroups = -(-M // unroll)
+    shapes = {}
     with sim.kernel("gemm"):
         # The weight matrix is re-streamed every j-block; re-reads hit
         # iff it fits in the L2 (capacity, not line, question).
@@ -120,20 +124,62 @@ def trace_gemm_3loop(
             for ig in sim.loop(n_igroups, warmup=1, sample=ig_sample):
                 i = ig * unroll
                 u = min(unroll, M - i)
-                sim.scalar(3)
-                for r in range(u):  # load C accumulators
-                    sim.vload(c_base + ((i + r) * N + j) * 4, gvl)
-                for k in range(K):
-                    sim.vload(b_base + (k * N + j) * 4, gvl)
-                    if k % line_elems == 0:
-                        # Scalar A operands stream at 4-byte stride: one
-                        # new line per row every line_elems iterations.
-                        for r in range(u):
-                            sim.scalar_load(a_base + ((i + r) * K + k) * 4)
-                    # u vector-scalar FMAs (broadcast folded, Fig. 2).
-                    sim.varith(gvl, u)
-                    sim.scalar(2 if alpha_is_one else 3)
-                    if spilled:
-                        sim.spill(spilled)
-                for r in range(u):  # store C accumulators
-                    sim.vstore(c_base + ((i + r) * N + j) * 4, gvl)
+                shape = (u, gvl)
+                if shape not in shapes:
+                    shapes[shape] = _panel(
+                        N, K, u, gvl, line_elems, spilled, 2 if alpha_is_one else 3
+                    )
+                block, origin = shapes[shape]
+                # Row origins: 0 none, 1 C, 2 B, 3 A.
+                delta = np.array(
+                    (0, c_base + (i * N + j) * 4, b_base + j * 4, a_base + i * K * 4)
+                )[origin]
+                sim.events(*block.shifted(delta).columns())
+
+
+def _panel(N, K, u, gvl, line_elems, spilled, k_scalars):
+    """One (j, i) panel of :func:`trace_gemm_3loop` as an event block.
+
+    The rows, in the order the loop nest issues them::
+
+        scalar(3)
+        u C loads
+        for k in range(K):
+            B row load
+            u A scalar loads          if k % line_elems == 0
+            varith(gvl, u), scalar(k_scalars)
+            spill(spilled)            if spilled
+        u C stores
+
+    Addresses are relative to the panel's origin in each matrix, C at
+    ``(i, j)``, B at ``(0, j)`` and A at ``(i, 0)``; the second value
+    names each row's origin (0 none, 1 C, 2 B, 3 A).
+    """
+    ks = np.arange(K)
+    rows = np.arange(u)
+    a_ks = ks[::line_elems]  # k % line_elems == 0: A loads issue
+    per_k = 3 + (spilled > 0)
+    n = 1 + 2 * u + K * per_k + u * len(a_ks)
+    # B load of iteration k: after scalar(3), the C loads, and the rows
+    # of every earlier iteration, ceil(k / line_elems) of which had A loads.
+    b_at = 1 + u + ks * per_k + u * (-(-ks // line_elems))
+    a_at = (b_at[a_ks, None] + 1 + rows).ravel()
+    ar_at = b_at + 1 + u * (ks % line_elems == 0)  # varith
+    c_load_at = slice(1, 1 + u)
+    c_store_at = slice(n - u, n)
+    block = EventBlock(n)
+    block.scalar(0, 3)
+    block.vload(c_load_at, rows * N * 4, gvl)
+    block.vload(b_at, ks * N * 4, gvl)
+    block.scalar_load(a_at, ((rows * K)[None, :] + a_ks[:, None]).ravel() * 4)
+    # u vector-scalar FMAs (broadcast folded, Fig. 2).
+    block.varith(ar_at, gvl, u)
+    block.scalar(ar_at + 1, k_scalars)
+    if spilled:
+        block.spill(ar_at + 2, spilled)
+    block.vstore(c_store_at, rows * N * 4, gvl)
+    origin = np.zeros(n, np.intp)
+    origin[c_load_at] = origin[c_store_at] = 1
+    origin[b_at] = 2
+    origin[a_at] = 3
+    return block, origin

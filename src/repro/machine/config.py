@@ -52,6 +52,11 @@ class CacheParams:
     latency: int
 
     def __post_init__(self):
+        for name in ("size_bytes", "assoc", "line_bytes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"cache {name} must be positive, got {getattr(self, name)}"
+                )
         if self.size_bytes % (self.assoc * self.line_bytes) != 0:
             raise ValueError(
                 f"cache size {self.size_bytes} not a multiple of "

@@ -4,11 +4,12 @@ Two entry points price a trace, and one runs the kernels:
 
 * :func:`replay` — feed a :class:`~repro.machine.trace.RecordedTrace`
   back through a regular :class:`~repro.machine.simulator.TraceSimulator`
-  event by event.  Skips all kernel-side work (loop bookkeeping, address
-  arithmetic, policy dispatch) but re-prices every event; bitwise
-  identical to direct simulation by construction, since it calls the
-  very same event methods with the very same arguments and weights.
-  It is the oracle the group engines are tested against.
+  as blocks (``TraceSimulator.events``), one per run of rows at one
+  weight and kernel label.  Skips all kernel-side work (loop
+  bookkeeping, address arithmetic, policy dispatch) but re-prices every
+  event; bitwise identical to direct simulation by construction, since
+  kernels drive the very same row pricer with the very same rows and
+  weights.  It is the oracle the group engines are tested against.
 
 * :func:`replay_sweep` — price one trace on a whole *group* of machines
   that differ only in L2 geometry/latency and DRAM parameters (the
@@ -86,7 +87,7 @@ tests/test_tier_identity.py:
 * Per-event cycle pricing is a pure function of the walk outcome —
   :func:`~repro.machine.simulator.vmem_event_cycles` is shared with the
   simulator, and the scalar-miss formula below is kept in lock-step
-  with ``TraceSimulator.scalar_load``/``scalar_store``.
+  with the scalar memory rows of ``TraceSimulator._price``.
 * ``SimStats`` counters are accumulated per field in event order; the
   twelve group-invariant fields are folded once in the shared pass and
   copied into every point's result.  NumPy accumulate and
@@ -214,46 +215,9 @@ def replay(
                 + "; ".join(f.message for f in bad[:3])
             )
     sim = TraceSimulator(machine)
-    labels = trace.labels
-    stack = sim._kernel_stack
-    vmem = sim._vmem
-    scalar = sim.scalar
-    scalar_load = sim.scalar_load
-    scalar_store = sim.scalar_store
-    varith = sim.varith
-    note_range = sim.hierarchy.note_resident_range
-    cur_w = 1.0
-    cur_kid = 0
-    for op, w, kid, i0, i1, i2, i3, f0 in trace.rows():
-        if w != cur_w:
-            sim._w = cur_w = w
-        if kid != cur_kid:
-            stack[-1] = labels[kid]
-            cur_kid = kid
-        if op == OP_VLOAD:
-            vmem(i0, i1, i2, i3, False)
-        elif op == OP_SCALAR:
-            scalar(i0)
-        elif op == OP_SCALAR_LOAD:
-            scalar_load(i0, i1)
-        elif op == OP_VARITH:
-            varith(i0, i1, f0, i2)
-        elif op == OP_VSTORE:
-            vmem(i0, i1, i2, i3, True)
-        elif op == OP_SCALAR_STORE:
-            scalar_store(i0, i1)
-        elif op == OP_NOTE_RANGE:
-            note_range(i0, i1)
-        elif op == OP_SW_PREFETCH:
-            sim.sw_prefetch(i0, i1, "L1" if i2 == 0 else "L2")
-        elif op == OP_VBROADCAST:
-            sim.vbroadcast(i0)
-        elif op == OP_COUNT_FLOPS:
-            sim.count_flops(f0)
-        elif op == OP_SPILL:
-            sim.spill(i0)
-        else:
-            raise ValueError(f"unknown trace opcode {op}")
+    for label, w, cols in trace.blocks():
+        with sim.kernel(label), sim.region(w):
+            sim.events(*cols)
     return sim.stats
 
 
@@ -606,7 +570,7 @@ class _GroupCapture(SampledTraceBase):
                 (4, w, lat_i, occ1, write), map(self._l1_step.__mul__, pend)
             )
             return
-        # TraceSimulator.scalar_load/scalar_store pricing (occupancies
+        # TraceSimulator._price's scalar memory pricing (occupancies
         # are 0.0 without an L1 miss).
         d = lat_i - l1_lat
         if d > 0:
@@ -671,7 +635,7 @@ class _GroupCapture(SampledTraceBase):
         if stride in (0, ew):
             unit = True
             # Pricing granularity is the L1 line even on L2-port
-            # machines, as in TraceSimulator._vmem.
+            # machines, as in TraceSimulator._price.
             l1_line = self._l1_line
             n_lines = (addr + nbytes - 1) // l1_line - addr // l1_line + 1
             segs = [(addr, addr + nbytes - 1)]
@@ -1563,15 +1527,12 @@ def _compile_walk(skel: _Skeleton, gc: dict, machine: MachineConfig) -> _VecProg
     the range check (:func:`_range_misses`, with the step's notes) — the
     ``_range_hit`` calls the full walk makes, in its order, which
     matters because ``_range_hit`` LRU-refreshes the range list and a
-    later trim picks its victims by that order.  An L2 of no sets raises
-    ``ValueError``, as direct simulation does.
+    later trim picks its victims by that order.
     """
     from .replay_vec import _Level  # deferred: import cycle
 
     l2 = machine.l2
     num_sets = l2.size_bytes // (l2.assoc * l2.line_bytes)
-    if num_sets <= 0:
-        raise ValueError(f"L2 of {machine.name!r} has no sets: {l2}")
     hot = _hot_sets(skel, num_sets, l2.assoc)
     level = _Level(num_sets, l2.assoc)
     hier = MemoryHierarchy.pricing_view(machine)

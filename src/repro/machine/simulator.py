@@ -28,7 +28,22 @@ from typing import Dict
 
 from .config import MachineConfig
 from .hierarchy import MemoryHierarchy
-from .trace import AddressSpace, Buffer, SampledTraceBase
+from .trace import (
+    OP_COUNT_FLOPS,
+    OP_NOTE_RANGE,
+    OP_SCALAR,
+    OP_SCALAR_LOAD,
+    OP_SCALAR_STORE,
+    OP_SPILL,
+    OP_SW_PREFETCH,
+    OP_VARITH,
+    OP_VBROADCAST,
+    OP_VLOAD,
+    OP_VSTORE,
+    AddressSpace,
+    Buffer,
+    SampledTraceBase,
+)
 from .vpu import varith_cycles, vbroadcast_cycles, vmem_transfer_cycles
 
 __all__ = ["SimStats", "TraceSimulator", "SampledTraceBase", "vmem_event_cycles"]
@@ -56,7 +71,8 @@ def vmem_event_cycles(
 ) -> float:
     """Pure cycle cost of one vector memory event.
 
-    Extracted from :meth:`TraceSimulator._vmem` so the trace replayer
+    Extracted from the simulator's row pricer (``TraceSimulator._price``)
+    so the trace replayer
     (:mod:`repro.machine.replay`) prices replayed events with the exact
     same arithmetic — bitwise identity depends on the operation order
     here, so treat any edit as a model change.
@@ -228,7 +244,7 @@ class TraceSimulator(SampledTraceBase):
         # GEMM micro-kernels call it millions of times with a handful of
         # distinct shapes, so memoize per simulator.
         self._varith_memo = {}
-        # The cycle arithmetic in _vmem is likewise pure in what the
+        # The cycle arithmetic of a vector memory row is likewise pure in what the
         # hierarchy returned plus the access shape; traces revisit the
         # same few hundred combinations millions of times.
         self._vmem_memo = {}
@@ -252,81 +268,19 @@ class TraceSimulator(SampledTraceBase):
     # ------------------------------------------------------------------
     def scalar(self, n: int = 1) -> None:
         """*n* scalar ALU / bookkeeping instructions."""
-        w = self._w
-        s = self.stats
-        s.scalar_instrs += w * n
-        wc = w * (n * self._scalar_cpi)
-        s.cycles += wc
-        kc = s.kernel_cycles
-        label = self._kernel_stack[-1]
-        kc[label] = kc.get(label, 0.0) + wc
+        self._price(((OP_SCALAR, n, 0, 0, 0, 0.0),))
 
     def scalar_load(self, addr: int, nbytes: int = 4) -> None:
         """A scalar load (naive kernels, packing bookkeeping)."""
-        lat, occ, st = self._scalar_access(addr, nbytes, False)
-        w = self._w
-        s = self.stats
-        s.scalar_instrs += w
-        s.bytes_loaded += w * nbytes
-        s.l1_hits += w * st[0]
-        # Zero stat terms are skipped: the counters are non-negative
-        # floats, so += 0.0 is a bitwise no-op (same for the stall/occ
-        # terms below — an L1 hit has lat == l1_lat and zero occupancy).
-        if st[1]:
-            s.l1_misses += w * st[1]
-            s.l2_hits += w * st[2]
-            s.l2_misses += w * st[3]
-            s.dram_fills += w * st[4]
-        d = lat - self._l1_lat
-        if d > 0:
-            stall = max(0.0, d) / _SCALAR_MLP
-            stall *= 1.0 - self._ooo_hide
-            wc = w * (self._scalar_cpi + stall + occ[0] + occ[1])
-        else:
-            wc = w * self._scalar_cpi
-        s.cycles += wc
-        kc = s.kernel_cycles
-        label = self._kernel_stack[-1]
-        kc[label] = kc.get(label, 0.0) + wc
+        self._price(((OP_SCALAR_LOAD, addr, nbytes, 0, 0, 0.0),))
 
     def scalar_store(self, addr: int, nbytes: int = 4) -> None:
         """A scalar store."""
-        lat, occ, st = self._scalar_access(addr, nbytes, True)
-        w = self._w
-        s = self.stats
-        s.scalar_instrs += w
-        s.bytes_stored += w * nbytes
-        s.l1_hits += w * st[0]
-        if st[1]:  # see scalar_load for the zero-skip argument
-            s.l1_misses += w * st[1]
-            s.l2_hits += w * st[2]
-            s.l2_misses += w * st[3]
-            s.dram_fills += w * st[4]
-        d = lat - self._l1_lat
-        if d > 0:
-            stall = max(0.0, d) / _SCALAR_MLP
-            stall *= _STORE_STALL_FACTOR * (1.0 - self._ooo_hide)
-            wc = w * (self._scalar_cpi + stall + occ[0] + occ[1])
-        else:
-            wc = w * self._scalar_cpi
-        s.cycles += wc
-        kc = s.kernel_cycles
-        label = self._kernel_stack[-1]
-        kc[label] = kc.get(label, 0.0) + wc
+        self._price(((OP_SCALAR_STORE, addr, nbytes, 0, 0, 0.0),))
 
     # ------------------------------------------------------------------
     # Vector events
     # ------------------------------------------------------------------
-    def _account_mem(self, st) -> None:
-        w = self._w
-        s = self.stats
-        s.l1_hits += w * st[0]
-        s.l1_misses += w * st[1]
-        s.l2_hits += w * st[2]
-        s.l2_misses += w * st[3]
-        s.dram_fills += w * st[4]
-        s.vc_hits += w * st[5]
-
     def vload(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
         """Vector load of *n_elems* elements of width *ew* from *addr*.
 
@@ -334,68 +288,11 @@ class TraceSimulator(SampledTraceBase):
         (0 or ``ew`` means unit stride).  Strided/gathered loads touch one
         line per element once the stride exceeds the line size.
         """
-        self._vmem(addr, n_elems, ew, stride, write=False)
+        self._price(((OP_VLOAD, addr, n_elems, ew, stride, 0.0),))
 
     def vstore(self, addr: int, n_elems: int, ew: int = 4, stride: int = 0) -> None:
         """Vector store; see :meth:`vload` for the addressing model."""
-        self._vmem(addr, n_elems, ew, stride, write=True)
-
-    def _vmem(self, addr: int, n_elems: int, ew: int, stride: int, write: bool) -> None:
-        if n_elems <= 0:
-            return
-        nbytes = n_elems * ew
-        if stride in (0, ew):
-            unit_stride = True
-            lat, (occ1, occ2), st = self._vec_access(addr, nbytes, write)
-            l1_line = self._l1_line
-            n_lines = (addr + nbytes - 1) // l1_line - addr // l1_line + 1
-        else:
-            # Strided access: each element touches its own line(s); the
-            # hierarchy walks them in one pass (numerically identical to
-            # the per-element loop — see docs/TIMING_MODEL.md).
-            unit_stride = False
-            lat, (occ1, occ2), st = self._strided_access(
-                addr, n_elems, ew, stride, write
-            )
-            n_lines = n_elems
-        # The cycle count below is a pure function of this key for a
-        # fixed machine config; traces revisit few distinct combinations.
-        memo = self._vmem_memo
-        key = (lat, occ1, occ2, nbytes, n_lines, write, unit_stride)
-        cycles = memo.get(key)
-        if cycles is None:
-            cycles = memo[key] = vmem_event_cycles(
-                self._vpu, self._l1_lat, self._ooo_hide,
-                lat, occ1, occ2, nbytes, n_lines, write, unit_stride,
-            )
-        w = self._w
-        s = self.stats
-        s.vec_instrs += w
-        s.vec_mem_instrs += w
-        s.vec_elems += w * n_elems
-        if write:
-            s.bytes_stored += w * nbytes
-        else:
-            s.bytes_loaded += w * nbytes
-        # Zero stat terms skipped (bitwise no-op adds, see scalar_load):
-        # the RVV path never touches the L1, the SVE path never the VC.
-        if st[0]:
-            s.l1_hits += w * st[0]
-        if st[1]:
-            s.l1_misses += w * st[1]
-        if st[2]:
-            s.l2_hits += w * st[2]
-        if st[3]:
-            s.l2_misses += w * st[3]
-        if st[4]:
-            s.dram_fills += w * st[4]
-        if st[5]:
-            s.vc_hits += w * st[5]
-        wc = w * cycles
-        s.cycles += wc
-        kc = s.kernel_cycles
-        label = self._kernel_stack[-1]
-        kc[label] = kc.get(label, 0.0) + wc
+        self._price(((OP_VSTORE, addr, n_elems, ew, stride, 0.0),))
 
     def vgather(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
         """Gather load of *n_elems* elements spread over *span_bytes*.
@@ -406,14 +303,14 @@ class TraceSimulator(SampledTraceBase):
         if n_elems <= 0:
             return
         stride = max(ew, span_bytes // max(1, n_elems))
-        self._vmem(addr, n_elems, ew, stride, write=False)
+        self.vload(addr, n_elems, ew, stride)
 
     def vscatter(self, addr: int, n_elems: int, span_bytes: int, ew: int = 4) -> None:
         """Scatter store counterpart of :meth:`vgather`."""
         if n_elems <= 0:
             return
         stride = max(ew, span_bytes // max(1, n_elems))
-        self._vmem(addr, n_elems, ew, stride, write=True)
+        self.vstore(addr, n_elems, ew, stride)
 
     def varith(
         self, n_elems: int, n_instr: int = 1, flops_per_elem: float = 2.0, ew: int = 4
@@ -422,23 +319,7 @@ class TraceSimulator(SampledTraceBase):
 
         ``flops_per_elem`` defaults to 2 (an FMA counts multiply + add).
         """
-        if n_elems <= 0 or n_instr <= 0:
-            return
-        memo = self._varith_memo
-        key = (n_elems, n_instr, ew)
-        cycles = memo.get(key)
-        if cycles is None:
-            cycles = memo[key] = varith_cycles(self._vpu, n_elems, n_instr, ew)
-        w = self._w
-        s = self.stats
-        s.vec_instrs += w * n_instr
-        s.vec_elems += w * n_instr * n_elems
-        s.flops += w * n_instr * n_elems * flops_per_elem
-        wc = w * cycles
-        s.cycles += wc
-        kc = s.kernel_cycles
-        label = self._kernel_stack[-1]
-        kc[label] = kc.get(label, 0.0) + wc
+        self._price(((OP_VARITH, n_elems, n_instr, ew, 0, flops_per_elem),))
 
     def vbroadcast(self, n: int = 1) -> None:
         """*n* scalar-to-vector broadcast instructions."""
@@ -486,6 +367,153 @@ class TraceSimulator(SampledTraceBase):
             self.vload(stack, vlen_bytes // 4, 4)
         self._add_cycles(n_registers * _SPILL_SERIALIZE_CYCLES)
         self.stats.spills += self._w * n_registers
+
+    # ------------------------------------------------------------------
+    # Blocks, and the row pricer every event goes through
+    # ------------------------------------------------------------------
+    def events(self, op, i0, i1, i2, i3, f0) -> None:
+        """Price a block of events, in row order.
+
+        The columns are NumPy arrays in
+        :attr:`~repro.machine.trace.RecordedTrace._COLUMNS` layout
+        without ``w`` and ``kid``: every row runs at the current weight
+        and kernel label.  A block prices exactly like the same events
+        issued one call each; :func:`repro.machine.replay.replay` feeds
+        a recorded trace through here too.
+        """
+        # memoryviews yield the ints and floats tolist() would, one at a
+        # time: no block-sized lists for the cyclic GC to traverse.
+        self._price(zip(*map(memoryview, (op, i0, i1, i2, i3, f0))))
+
+    def _price(self, rows) -> None:
+        """Price row tuples ``(op, i0, i1, i2, i3, f0)`` in order.
+
+        The one definition of each event's accounting: the event
+        methods of the frequent kinds (scalar, scalar and vector memory,
+        ``varith``) hand their event here as a one-row block, and their
+        rows are priced inline — calling a method per row made a direct
+        20-layer point ~4-6 % slower than the per-event kernel it
+        replaced.  The rare kinds go to their own methods.
+        """
+        w = self._w
+        s = self.stats
+        kc = s.kernel_cycles
+        label = self._kernel_stack[-1]
+        cpi = self._scalar_cpi
+        for o, a, b, c, d, f in rows:
+            if o in (OP_VLOAD, OP_VSTORE):
+                # a=addr, b=n_elems, c=ew, d=stride
+                if b <= 0:
+                    continue
+                write = o == OP_VSTORE
+                nbytes = b * c
+                if d in (0, c):
+                    unit_stride = True
+                    lat, (occ1, occ2), st = self._vec_access(a, nbytes, write)
+                    l1_line = self._l1_line
+                    n_lines = (a + nbytes - 1) // l1_line - a // l1_line + 1
+                else:
+                    # Strided access: each element touches its own
+                    # line(s); the hierarchy walks them in one pass
+                    # (numerically identical to the per-element loop —
+                    # see docs/TIMING_MODEL.md).
+                    unit_stride = False
+                    lat, (occ1, occ2), st = self._strided_access(a, b, c, d, write)
+                    n_lines = b
+                # The cycle count is a pure function of this key for a
+                # fixed machine; traces revisit few distinct keys.
+                memo = self._vmem_memo
+                key = (lat, occ1, occ2, nbytes, n_lines, write, unit_stride)
+                cycles = memo.get(key)
+                if cycles is None:
+                    cycles = memo[key] = vmem_event_cycles(
+                        self._vpu, self._l1_lat, self._ooo_hide,
+                        lat, occ1, occ2, nbytes, n_lines, write, unit_stride,
+                    )
+                s.vec_instrs += w
+                s.vec_mem_instrs += w
+                s.vec_elems += w * b
+                if write:
+                    s.bytes_stored += w * nbytes
+                else:
+                    s.bytes_loaded += w * nbytes
+                # Zero stat terms skipped: the counters are non-negative
+                # floats, so += 0.0 is a bitwise no-op.  The RVV path
+                # never touches the L1, the SVE path never the VC.
+                if st[0]:
+                    s.l1_hits += w * st[0]
+                if st[1]:
+                    s.l1_misses += w * st[1]
+                if st[2]:
+                    s.l2_hits += w * st[2]
+                if st[3]:
+                    s.l2_misses += w * st[3]
+                if st[4]:
+                    s.dram_fills += w * st[4]
+                if st[5]:
+                    s.vc_hits += w * st[5]
+                wc = w * cycles
+            elif o == OP_SCALAR:
+                # a=n
+                s.scalar_instrs += w * a
+                wc = w * (a * cpi)
+            elif o in (OP_SCALAR_LOAD, OP_SCALAR_STORE):
+                # a=addr, b=nbytes
+                write = o == OP_SCALAR_STORE
+                lat, occ, st = self._scalar_access(a, b, write)
+                s.scalar_instrs += w
+                if write:
+                    s.bytes_stored += w * b
+                else:
+                    s.bytes_loaded += w * b
+                s.l1_hits += w * st[0]
+                # Zero stat terms skipped, as above (and the stall/occ
+                # terms: an L1 hit has lat == l1_lat, zero occupancy).
+                if st[1]:
+                    s.l1_misses += w * st[1]
+                    s.l2_hits += w * st[2]
+                    s.l2_misses += w * st[3]
+                    s.dram_fills += w * st[4]
+                dl = lat - self._l1_lat
+                if dl > 0:
+                    stall = max(0.0, dl) / _SCALAR_MLP
+                    if write:
+                        stall *= _STORE_STALL_FACTOR * (1.0 - self._ooo_hide)
+                    else:
+                        stall *= 1.0 - self._ooo_hide
+                    wc = w * (cpi + stall + occ[0] + occ[1])
+                else:
+                    wc = w * cpi
+            elif o == OP_VARITH:
+                # a=n_elems, b=n_instr, c=ew, f=flops_per_elem
+                if a <= 0 or b <= 0:
+                    continue
+                # varith_cycles is pure in (n_elems, n_instr, ew).
+                memo = self._varith_memo
+                key = (a, b, c)
+                cycles = memo.get(key)
+                if cycles is None:
+                    cycles = memo[key] = varith_cycles(self._vpu, a, b, c)
+                s.vec_instrs += w * b
+                s.vec_elems += w * b * a
+                s.flops += w * b * a * f
+                wc = w * cycles
+            else:
+                if o == OP_NOTE_RANGE:
+                    self.hierarchy.note_resident_range(a, b)
+                elif o == OP_SW_PREFETCH:
+                    self.sw_prefetch(a, b, "L1" if c == 0 else "L2")
+                elif o == OP_VBROADCAST:
+                    self.vbroadcast(a)
+                elif o == OP_COUNT_FLOPS:
+                    self.count_flops(f)
+                elif o == OP_SPILL:
+                    self.spill(a)
+                else:
+                    raise ValueError(f"unknown trace opcode {o}")
+                continue
+            s.cycles += wc
+            kc[label] = kc.get(label, 0.0) + wc
 
     # ------------------------------------------------------------------
     def seconds(self) -> float:

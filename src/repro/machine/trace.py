@@ -10,10 +10,15 @@ This module also holds the capture side of the capture-once /
 replay-many engine (see docs/TRACE_REPLAY.md): :class:`TraceRecorder`
 presents the same event API as :class:`~repro.machine.simulator
 .TraceSimulator` but, instead of pricing events, appends them — with
-their final sampling weight and kernel label — to an event log that
-freezes every ``_CHUNK_ROWS`` rows into compact columnar NumPy chunks;
+their final sampling weight and kernel label — to an event log of
+compact columnar NumPy chunks of ``_CHUNK_ROWS`` rows;
 :meth:`TraceRecorder.finish` joins the chunks into a
-:class:`RecordedTrace`.  A recorded trace can then be replayed against
+:class:`RecordedTrace`.  Events arrive one call each, or as a *block*:
+``events(op, i0, i1, i2, i3, f0)`` takes parallel columns in
+:attr:`RecordedTrace._COLUMNS` layout (without ``w`` and ``kid``: every
+row runs at the current weight and kernel label), which a kernel builds
+with :class:`EventBlock` and both consumers take without a per-event
+call.  A recorded trace can then be replayed against
 any machine that shares the trace's VL-relevant fields (ISA name,
 vector length, L1 line size) without re-entering kernel code — see
 :mod:`repro.machine.replay`.
@@ -32,6 +37,7 @@ import numpy as np
 __all__ = [
     "AddressSpace",
     "Buffer",
+    "EventBlock",
     "SampledTraceBase",
     "TraceRecorder",
     "RecordedTrace",
@@ -302,8 +308,9 @@ class RecordedTrace:
     def rows(self) -> Iterator[tuple]:
         """Row tuples ``(op, w, kid, i0, i1, i2, i3, f0)``, in event order.
 
-        The replayer iterates plain Python tuples, which is much faster
-        than per-row array indexing.  They are decoded ``_CHUNK_ROWS``
+        The Python shared-pass oracle (``replay._shared_pass_python``)
+        iterates plain Python tuples, which is much faster than per-row
+        array indexing.  They are decoded ``_CHUNK_ROWS``
         at a time and never cached, so a walk over the trace holds one
         chunk of tuples beside the columns, not a second copy of it.
         """
@@ -311,6 +318,28 @@ class RecordedTrace:
         for start in range(0, self.n_events, _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             yield from zip(*(c[start:stop].tolist() for c in cols))
+
+    def blocks(self) -> Iterator[tuple]:
+        """``(label, w, (op, i0, i1, i2, i3, f0))`` per run of rows at one
+        weight and kernel label, in event order, cut into slices of at
+        most ``_CHUNK_ROWS`` rows.
+
+        The arguments of a consumer's ``kernel``, ``region`` and
+        ``events``: :func:`repro.machine.replay.replay` prices a trace
+        this way (621 runs in a 20-layer trace).  The slices are views.
+        """
+        op, w, kid, i0, i1, i2, i3, f0 = self._columns()
+        if not len(op):
+            return
+        starts = [0, *(np.flatnonzero((w[1:] != w[:-1]) | (kid[1:] != kid[:-1])) + 1).tolist()]
+        ends = starts[1:] + [len(op)]
+        for s, e, run_w, run_kid in zip(
+            starts, ends, w[starts].tolist(), kid[starts].tolist()
+        ):
+            label = self.labels[run_kid]
+            for a in range(s, e, _CHUNK_ROWS):
+                b = min(a + _CHUNK_ROWS, e)
+                yield label, run_w, (op[a:b], i0[a:b], i1[a:b], i2[a:b], i3[a:b], f0[a:b])
 
     # -- content digest (checked by the .rtz codec) --------------------
     @staticmethod
@@ -336,10 +365,10 @@ class RecordedTrace:
         return h.hexdigest()
 
 
-#: Row tuples an event log holds before freezing them into a column
-#: chunk.  Bounds the transient Python objects of a capture (a 20-layer
-#: stream is over a million events) while the per-event cost stays one
-#: tuple append.
+#: Rows per column chunk of an event log, and per slice of
+#: :meth:`RecordedTrace.rows` and :meth:`RecordedTrace.blocks`.  Bounds the transient
+#: Python objects of a capture (a 20-layer stream is over a million
+#: events) while the per-event cost stays one tuple append.
 _CHUNK_ROWS = 1 << 16
 
 
@@ -356,6 +385,88 @@ def _rows_to_columns(rows: list) -> list:
     ]
 
 
+class EventBlock:
+    """The columns of one block of events, written at given rows.
+
+    A kernel that knows where each of its events falls sizes the block
+    exactly and writes every kind of row at its positions in one NumPy
+    assignment per column, then hands the columns to the consumer's
+    ``events`` (``sim.events(*block.columns())``).  The write methods
+    take the event method's arguments after the row positions *at*
+    (an index, slice or index array; every argument broadcasts), so
+    kernel code never says which operand goes in which column.
+
+    Rows are positional, so a row that the event methods would drop (a
+    zero-element vector access, a zero-count ``varith``) cannot be
+    written: it raises ``ValueError``, and the kernel leaves it out of
+    its row count instead.
+    """
+
+    __slots__ = ("op", "i0", "i1", "i2", "i3", "f0")
+
+    def __init__(self, n_rows: int):
+        # Opcode 255 is no event: an unwritten row fails to price.
+        self.op = np.full(n_rows, 255, np.uint8)
+        self.i0 = np.zeros(n_rows, np.int64)
+        self.i1 = np.zeros(n_rows, np.int64)
+        self.i2 = np.zeros(n_rows, np.int64)
+        self.i3 = np.zeros(n_rows, np.int64)
+        self.f0 = np.zeros(n_rows, np.float64)
+
+    def columns(self) -> tuple:
+        """``(op, i0, i1, i2, i3, f0)``, the arguments of ``events``."""
+        return self.op, self.i0, self.i1, self.i2, self.i3, self.f0
+
+    def shifted(self, delta) -> "EventBlock":
+        """This block with every address moved by *delta* (per row: 0 on
+        rows that carry no address); the other columns are shared."""
+        out = EventBlock.__new__(EventBlock)
+        out.op, out.i1, out.i2, out.i3, out.f0 = (
+            self.op, self.i1, self.i2, self.i3, self.f0
+        )
+        out.i0 = self.i0 + delta
+        return out
+
+    def _row(self, at, op, i0=0, i1=0, i2=0, i3=0, f0=0.0) -> None:
+        self.op[at] = op
+        self.i0[at] = i0
+        self.i1[at] = i1
+        self.i2[at] = i2
+        self.i3[at] = i3
+        self.f0[at] = f0
+
+    def scalar(self, at, n=1) -> None:
+        self._row(at, OP_SCALAR, n)
+
+    def scalar_load(self, at, addr, nbytes=4) -> None:
+        self._row(at, OP_SCALAR_LOAD, addr, nbytes)
+
+    def vload(self, at, addr, n_elems, ew=4, stride=0) -> None:
+        _check_live(n_elems)
+        self._row(at, OP_VLOAD, addr, n_elems, ew, stride)
+
+    def vstore(self, at, addr, n_elems, ew=4, stride=0) -> None:
+        _check_live(n_elems)
+        self._row(at, OP_VSTORE, addr, n_elems, ew, stride)
+
+    def varith(self, at, n_elems, n_instr=1, flops_per_elem=2.0, ew=4) -> None:
+        _check_live(n_elems, n_instr)
+        self._row(at, OP_VARITH, n_elems, n_instr, ew, 0, flops_per_elem)
+
+    def spill(self, at, n_registers=1) -> None:
+        self._row(at, OP_SPILL, n_registers)
+
+
+def _check_live(*counts) -> None:
+    """Raise unless every count is positive (see :class:`EventBlock`)."""
+    for c in counts:
+        if np.any(np.asarray(c) <= 0):
+            raise ValueError(
+                "a block row needs positive element and instruction "
+                "counts: the event methods drop such an event"
+            )
+
+
 class _EventLog:
     """The recording half of a capture: a chunked, columnar event log.
 
@@ -365,11 +476,16 @@ class _EventLog:
     run.  The host class provides
     ``machine``, ``address_space`` and the :class:`SampledTraceBase`
     weight/kernel state.  Each event is one row tuple ``(op, w, kid,
-    i0, i1, i2, i3, f0)``; every ``_CHUNK_ROWS`` rows are frozen into
-    NumPy columns, so at most that many tuples are ever alive.
+    i0, i1, i2, i3, f0)``; pending tuples are frozen into NumPy columns
+    before they fill a chunk or a block arrives, so at most
+    ``_CHUNK_ROWS`` tuples are ever alive.  Frozen rows and block
+    columns are copied into one ``_CHUNK_ROWS``-row chunk at a time,
+    so the log holds full-size chunks whatever the block sizes (small
+    per-block arrays would fragment the heap).
 
     The event methods (TraceSimulator's signatures) are the one
-    definition of every row layout.  They replicate the simulator's
+    definition of every row layout, with :class:`EventBlock` for
+    blocks.  They replicate the simulator's
     early-out guards exactly: an event the simulator would not price at
     all (e.g. a zero-element vector load) is not recorded, while events
     that merely contribute zero cycles (e.g. ``scalar(0)``) *are*,
@@ -439,24 +555,66 @@ class _EventLog:
     def spill(self, n_registers: int = 1) -> None:
         self._log((OP_SPILL, self._w, self._cur_kid, n_registers, 0, 0, 0, 0.0))
 
+    def events(self, op, i0, i1, i2, i3, f0) -> None:
+        """Log a block: parallel columns in :attr:`RecordedTrace._COLUMNS`
+        order without ``w`` and ``kid``, every row at the current weight
+        and kernel label.  The rows must be those the event methods
+        would have logged (see :class:`EventBlock`); the columns are
+        copied, not kept."""
+        self._flush()
+        self._put((op, self._w, self._cur_kid, i0, i1, i2, i3, f0))
+
     # -- the log -------------------------------------------------------
     def _start_log(self) -> None:
         self._events: list = []
         self._chunks: list = []
+        self._buf: Optional[list] = None  # the chunk being filled
+        self._fill = 0
+        self._room = _CHUNK_ROWS  # pending tuples that fit in it
         self._labels: Dict[str, int] = {"other": 0}
         self._cur_kid = 0
 
     def _log(self, row: tuple) -> None:
         events = self._events
         events.append(row)
-        if len(events) >= _CHUNK_ROWS:
+        if len(events) >= self._room:
             self._flush()
 
     def _flush(self) -> None:
-        """Freeze the pending rows into a column chunk."""
-        if self._events:
-            self._chunks.append(_rows_to_columns(self._events))
-            self._events.clear()
+        """Freeze the pending rows into the log."""
+        events = self._events
+        if not events:
+            return
+        cols = _rows_to_columns(events)
+        events.clear()
+        if self._buf is None and len(cols[0]) == _CHUNK_ROWS:
+            self._chunks.append(cols)  # a whole chunk: keep, no copy
+        else:
+            self._put(cols)
+
+    def _put(self, cols) -> None:
+        """Copy rows into the chunk being filled, closing it when full.
+
+        *cols* are the eight columns in :attr:`RecordedTrace._COLUMNS`
+        order; ``w`` and ``kid`` may be scalars, broadcast over the rows.
+        """
+        n = len(cols[0])
+        done = 0
+        while done < n:
+            if self._buf is None:
+                self._buf = [np.empty(_CHUNK_ROWS, dt) for _, dt in RecordedTrace._COLUMNS]
+                self._fill = 0
+            buf, fill = self._buf, self._fill
+            size = len(buf[0])
+            take = min(n - done, size - fill)
+            for dst, src in zip(buf, cols):
+                dst[fill:fill + take] = src if np.ndim(src) == 0 else src[done:done + take]
+            done += take
+            self._fill = fill + take
+            if self._fill == size:
+                self._chunks.append(buf)
+                self._buf = None
+        self._room = _CHUNK_ROWS if self._buf is None else len(self._buf[0]) - self._fill
 
     @contextmanager
     def kernel(self, label: str):
@@ -488,15 +646,16 @@ class _EventLog:
         """
         self._flush()
         chunks = self._chunks
+        if self._buf is not None:
+            chunks.append([c[:self._fill] for c in self._buf])
+            self._buf = None
+        self._room = _CHUNK_ROWS
         cols = []
         for i, (_, dt) in enumerate(RecordedTrace._COLUMNS):
             parts = [c[i] for c in chunks]
             for c in chunks:
                 c[i] = None
-            if not parts:
-                cols.append(np.zeros(0, dt))
-            else:
-                cols.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+            cols.append(np.concatenate(parts) if parts else np.zeros(0, dt))
             del parts
         chunks.clear()
         labels = [None] * len(self._labels)
@@ -541,10 +700,11 @@ class TraceRecorder(_EventLog, SampledTraceBase):
     Presents the same API surface as
     :class:`~repro.machine.simulator.TraceSimulator` (events, sampling
     contexts, allocation, ``machine``/``hierarchy`` attributes) so the
-    network runner and kernels run unmodified.  Events are logged as
-    plain tuples (one append per event — this is the capture hot path)
-    and frozen into a :class:`RecordedTrace` by :meth:`finish`; the
-    event methods, and so every row layout, come from :class:`_EventLog`.
+    network runner and kernels run unmodified.  An event call logs one
+    plain tuple; a block (:meth:`events`) is copied into the log as
+    columns, with no per-event work.  :meth:`finish` freezes the log
+    into a :class:`RecordedTrace`; the event methods, and so every row
+    layout, come from :class:`_EventLog`.
     """
 
     def __init__(self, machine):

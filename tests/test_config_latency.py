@@ -129,9 +129,20 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             CoreParams(ooo_hide=1.5)
 
-    def test_bad_cache_geometry(self):
-        with pytest.raises(ValueError):
-            CacheParams(1000, 3, 64, 10)
+    @pytest.mark.parametrize("geometry, match", [
+        pytest.param((1000, 3, 64), "not a multiple", id="not-a-multiple"),
+        pytest.param((0, 16, 64), "size_bytes", id="zero-size"),
+        pytest.param((-1024, 16, 64), "size_bytes", id="negative-size"),
+        pytest.param((1024, 0, 64), "assoc", id="zero-assoc"),
+        pytest.param((1024, -2, 64), "assoc", id="negative-assoc"),
+        pytest.param((1024, 16, 0), "line_bytes", id="zero-line"),
+        pytest.param((1024, 16, -64), "line_bytes", id="negative-line"),
+    ])
+    def test_bad_cache_geometry(self, geometry, match):
+        """A cache of no sets or of a non-positive field is refused at
+        construction, with a ``ValueError`` naming the field."""
+        with pytest.raises(ValueError, match=match):
+            CacheParams(*geometry, 10)
 
     def test_elems_per_cycle(self):
         v = VPUParams(lanes=8, pipes=1)

@@ -330,17 +330,12 @@ class TestPointPassEngines:
         assert calls.count("_compile_fast") == 3
         assert calls.count("_point_pass_vec") == 4
 
-    def test_zero_set_l2_raises(self, captured):
-        """An L2 smaller than one set passes ``CacheParams`` validation;
-        the walk tier refuses it loudly, as direct simulation does."""
-        trace, skel, inv, gc = captured
+    def test_zero_set_l2_raises(self):
+        """An L2 of no sets cannot be built: ``CacheParams`` refuses a
+        zero size, so no tier builder or simulator ever meets one."""
         m0 = rvv_gem5(vlen_bits=1024, lanes=4, l2_mb=1)
-        empty = m0.with_(l2=CacheParams(0, m0.l2.assoc, 64, m0.l2.latency))
-        assert _tier_for(skel, gc, empty)["kind"] == "walk"
-        with pytest.raises(ValueError, match="no sets"):
-            _compile_walk(skel, gc, empty)
-        with pytest.raises(ValueError):
-            replay(trace, empty)
+        with pytest.raises(ValueError, match="size_bytes"):
+            CacheParams(0, m0.l2.assoc, 64, m0.l2.latency)
 
 
 class TestRecordedTrace:
